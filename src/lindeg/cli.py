@@ -32,6 +32,7 @@ from .errors import GuardExceededError, LindegError, ValidationError
 from .linalg import QQ, Field, Matrix
 from .orbits import (
     ORBIT_GUARD,
+    STRATA_GUARD,
     ProjectionTuple,
     RankSequence,
     decomposition_of,
@@ -485,7 +486,7 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
         if dv.n != args.n:
             raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
     if args.format == "dot":
-        return strata_dot(args.n), 0
+        return strata_dot(args.n, guard=args.guard), 0
     digest = hashlib.sha256(
         json.dumps(
             {"n": args.n, "m": args.m, "d": list(dv.d) if dv else None},
@@ -494,7 +495,7 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
         ).encode()
     ).hexdigest()
     rows = []
-    for I in strata_subsets(args.n):
+    for I in strata_subsets(args.n, guard=args.guard):
         row: dict[str, Any] = {"edges": list(I)}
         if dv is not None:
             r1, r2 = stratum_rank_targets(I, dv)
@@ -561,7 +562,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
             count += 1
         payload["points"] = count
         payload["census"] = None
-    payload["fixed_points"] = len(fixed_points(J, dv)) if J is not None else None
+    payload["fixed_points"] = len(fixed_points(J, dv, args.guard)) if J is not None else None
     if args.limit:
         payload["sample_points"] = sample
     return _emit(payload, args.format), 0
@@ -573,7 +574,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     J = problem.projection_tuple()
     if J is None:
         raise ValidationError("fixed-points needs projection maps (zero sets)")
-    pts = fixed_points(J, dv)
+    pts = fixed_points(J, dv, args.guard)
     payload = {
         **_envelope("fixed-points", problem.sha256),
         "m": dv.m,
@@ -697,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--d", help="optional flag dimensions for rank targets")
+    sp.add_argument("--guard", type=int, default=STRATA_GUARD)
     sp.add_argument("--format", choices=["table", "dot", "json"], default="table")
 
     sp = sub.add_parser("enumerate", help="count points over F_p, optionally with census")
@@ -708,6 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fixed-points", help="coordinate points of a projection tuple")
     _add_problem_flags(sp)
+    sp.add_argument("--guard", type=int, default=POINT_GUARD)
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("singular", help="singular locus summary for one orbit")

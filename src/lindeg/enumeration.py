@@ -10,6 +10,7 @@ against the actual singular points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -146,15 +147,23 @@ def enumerate_subreps(
     return rec(0, [])
 
 
-def fixed_points(J: ProjectionTuple, dv: DimVector) -> list[tuple[tuple[int, ...], ...]]:
+def fixed_points(
+    J: ProjectionTuple, dv: DimVector, guard: int = POINT_GUARD
+) -> list[tuple[tuple[int, ...], ...]]:
     """Coordinate points of Gr_d for a projection tuple, as 1-based subsets.
 
     These are the points fixed by the diagonal torus: chains S_1, ..., S_n of
     index subsets with |S_v| = d_v and S_v minus the killed indices contained
-    in S_{v+1}.  Listed lexicographically.
+    in S_{v+1}.  Listed lexicographically.  Raises GuardExceededError if the
+    search space, prod_v C(m, d_v) chains, exceeds ``guard``.
     """
     if J.m != dv.m or J.n != dv.n:
         raise ValidationError("projection tuple and dimension vector do not match")
+    bound = math.prod(math.comb(dv.m, d) for d in dv.d)
+    if bound > guard:
+        raise GuardExceededError(
+            f"fixed-point search space of size {bound} exceeds the guard {guard}"
+        )
     out: list[tuple[tuple[int, ...], ...]] = []
     universe = range(1, dv.m + 1)
 

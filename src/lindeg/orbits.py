@@ -24,6 +24,7 @@ from .representations import (
 )
 
 ORBIT_GUARD = 10**6
+STRATA_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,6 @@ class RankSequence:
     def node_id(self) -> str:
         """Stable DOT node name: 'r_' plus the flattened table."""
         return "r_" + "_".join(str(x) for x in self.table.entries_flat())
-
-    @staticmethod
-    def from_table(m: int, table: RankTable) -> "RankSequence":
-        return RankSequence(m, table)
 
     @staticmethod
     def identity_orbit(m: int, n: int) -> "RankSequence":
@@ -274,18 +271,37 @@ def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence,
     return make(1), make(2)
 
 
-def _covering_pairs(orbits: Sequence[RankSequence]) -> list[tuple[int, int]]:
-    k = len(orbits)
-    less = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j and orbits[j].leq(orbits[i]) and orbits[i] != orbits[j]:
-                less[i][j] = True  # j strictly below i
+def _covering_pairs(ordered: Sequence[RankSequence]) -> list[tuple[int, int]]:
+    """Covers (i, j), j covered by i, of the entrywise order on ``ordered``.
+
+    ``ordered`` must be distinct orbits sorted by flattened rank table in
+    descending lexicographic order, a linear extension of the order: an orbit
+    strictly below another comes later.  Position b is bit b of an int
+    bitset.  For each table entry c, ``le[x]`` holds the positions whose entry
+    c is at most x; ``below[i]`` is the AND of those over the entries of i.
+    The lowest bit left in a candidate set is maximal among the rest, so it
+    is a cover, and everything below it is dropped.
+    """
+    k = len(ordered)
+    flats = [rs.table.entries_flat() for rs in ordered]
+    below = [(1 << k) - 1] * k
+    for column in zip(*flats):
+        at: dict[int, int] = {}
+        for b, x in enumerate(column):
+            at[x] = at.get(x, 0) | 1 << b
+        le: dict[int, int] = {}
+        acc = 0
+        for x in sorted(at):
+            acc |= at[x]
+            le[x] = acc
+        below = [mask & le[x] for mask, x in zip(below, column)]
     covers = []
     for i in range(k):
-        for j in range(k):
-            if less[i][j] and not any(less[i][t] and less[t][j] for t in range(k)):
-                covers.append((i, j))
+        cand = below[i] & ~(1 << i)
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            covers.append((i, j))
+            cand &= ~below[j]
     return covers
 
 
@@ -297,7 +313,11 @@ def hasse_dot(
     """Deterministic DOT source for the Hasse diagram of the closure order.
 
     Nodes are named 'r_' + flattened rank table; edges point from an orbit to
-    the orbits it covers (towards deeper degenerations).
+    the orbits it covers (towards deeper degenerations).  The covers are
+    those of the order induced on the given orbits, for any list, not only
+    for closures: an orbit covers another when no listed orbit lies strictly
+    between them.  They cost O(k * entries) bitset ANDs on k-bit ints plus
+    one step per cover, for k distinct orbits.
     """
     seen: dict[str, RankSequence] = {}
     for rs in orbits:
@@ -319,24 +339,29 @@ def hasse_dot(
             text += "\\n" + extra
         return text
 
+    ids = [rs.node_id() for rs in ordered]
     lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
-    for rs in ordered:
-        lines.append(f'  "{rs.node_id()}" [label="{label(rs)}"];')
-    covers = _covering_pairs(ordered)
-    edges = sorted(
-        (ordered[i].node_id(), ordered[j].node_id()) for i, j in covers
-    )
+    for rs, node in zip(ordered, ids):
+        lines.append(f'  "{node}" [label="{label(rs)}"];')
+    edges = sorted((ids[i], ids[j]) for i, j in _covering_pairs(ordered))
     for src, dst in edges:
         lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def strata_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """All strata (subsets of edges 1..n-1), sorted by size then entries."""
+def strata_subsets(n: int, guard: int = STRATA_GUARD) -> tuple[tuple[int, ...], ...]:
+    """All strata (subsets of edges 1..n-1), sorted by size then entries.
+
+    Raises GuardExceededError, before building any, if the 2^(n-1) strata
+    exceed ``guard``.
+    """
     edges = list(range(1, n))
+    count = 1 << len(edges)
+    if count > guard:
+        raise GuardExceededError(f"{count} strata for n={n} exceed the guard {guard}")
     subsets: list[tuple[int, ...]] = []
-    for mask in range(1 << len(edges)):
+    for mask in range(count):
         subsets.append(tuple(e for k, e in enumerate(edges) if mask >> k & 1))
     return tuple(sorted(subsets, key=lambda s: (len(s), s)))
 
@@ -349,13 +374,15 @@ def strata_dot(
     n: int,
     annotate: Callable[[tuple[int, ...]], str] | None = None,
     graph_name: str = "strata",
+    guard: int = STRATA_GUARD,
 ) -> str:
     """DOT source for the closure order on strata (reverse Boolean lattice).
 
     The stratum of J contains the stratum of I in its closure iff J is a
     subset of I; edges point from each stratum to the covering deeper ones.
+    The ``guard`` on the number of strata is that of ``strata_subsets``.
     """
-    subsets = strata_subsets(n)
+    subsets = strata_subsets(n, guard)
     lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
     for I in subsets:
         text = "{" + ",".join(str(i) for i in I) + "}"

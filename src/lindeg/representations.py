@@ -234,7 +234,17 @@ class RankTable:
         return tuple(self.r(a, a) for a in range(1, self.n + 1))
 
     def entries_flat(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
+        """Row-major entries, built on first use and kept on the instance.
+
+        The cache is not a dataclass field, so eq, hash and repr ignore it,
+        and tables that are never flattened pay nothing.
+        """
+        try:
+            return self._flat
+        except AttributeError:
+            flat = tuple(x for row in self.rows for x in row)
+            object.__setattr__(self, "_flat", flat)
+            return flat
 
     def leq(self, other: "RankTable") -> bool:
         """Entrywise comparison (same shape required)."""

@@ -3,17 +3,19 @@
 Each oracle recomputes a library answer by a visibly different route:
 decompositions by solving the hom-count linear system, catenoid detection by
 path search in the irreducible-morphism digraph, orbit lists by brute force
-over all matrix tuples of F_2.
+over all matrix tuples of F_2, Hasse covers by scanning all triples.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from lindeg import (
     Decomposition,
     Interval,
+    RankSequence,
     RepMatrices,
     hom_dim_intervals,
     intertwiner_space_dim,
@@ -150,3 +152,19 @@ def bruteforce_orbit_tables_f2(m: int, n: int) -> set[tuple[tuple[int, ...], ...
             rows.append(tuple(row))
         tables.add(tuple(rows))
     return tables
+
+
+def covering_pairs_oracle(orbits: Sequence[RankSequence]) -> list[tuple[int, int]]:
+    """Covers (i, j), j covered by i, by an O(k^3) scan of all triples."""
+    k = len(orbits)
+    less = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i != j and orbits[j].leq(orbits[i]) and orbits[i] != orbits[j]:
+                less[i][j] = True  # j strictly below i
+    covers = []
+    for i in range(k):
+        for j in range(k):
+            if less[i][j] and not any(less[i][t] and less[t][j] for t in range(k)):
+                covers.append((i, j))
+    return covers

@@ -208,6 +208,15 @@ class TestStrata:
         assert code == 0
         assert '"S" ->' in out and '"S_1" -> "S_1_2";' in out
 
+    @pytest.mark.parametrize("fmt", ["table", "dot", "json"])
+    def test_guard_exit(self, capsys, fmt):
+        # n = 4 has 2^3 = 8 strata
+        code, _, _ = run_cli(capsys, "strata", "--n", "4", "--guard", "8", "--format", fmt)
+        assert code == 0
+        code, out, err = run_cli(capsys, "strata", "--n", "4", "--guard", "7", "--format", fmt)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
 
 class TestEnumerate:
     def test_identity_point_count(self, capsys):
@@ -286,6 +295,15 @@ class TestFixedPoints:
             capsys, "fixed-points", "--m", "3", "--d", "1,2", "--ranks", "3,2;3"
         )
         assert code == 2
+
+    def test_guard_exit(self, capsys):
+        # the bound is C(3, 1) * C(3, 2) = 9
+        argv = ["fixed-points", "--m", "3", "--d", "1,2", "--zero-sets", "1"]
+        code, _, _ = run_cli(capsys, *argv, "--guard", "9")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--guard", "8")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
 
 
 class TestSingular:

@@ -127,6 +127,13 @@ class TestFixedPoints:
         J = ProjectionTuple(3, ({1, 2, 3},))
         assert len(fixed_points(J, FLAG3)) == 3 * 3
 
+    def test_guard_checks_the_bound_in_advance(self):
+        # the bound is prod_v C(m, d_v) = C(3, 1) * C(3, 2) = 9, above the 7 points
+        J = ProjectionTuple(3, ({1},))
+        assert len(fixed_points(J, FLAG3, guard=9)) == 7
+        with pytest.raises(GuardExceededError, match="9"):
+            fixed_points(J, FLAG3, guard=8)
+
 
 class TestAnalyzePoint:
     def test_smooth_point(self):

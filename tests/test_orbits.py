@@ -1,6 +1,7 @@
 """Orbit enumeration, closure order, strata and canonical representatives."""
 
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,8 @@ from lindeg import (
     stratum_of,
     stratum_rank_targets,
 )
-from oracles import bruteforce_orbit_tables_f2
+from lindeg.orbits import _covering_pairs
+from oracles import bruteforce_orbit_tables_f2, covering_pairs_oracle
 
 
 def _count_by_direct_enumeration(m, n):
@@ -149,6 +151,15 @@ class TestStrata:
         assert strata_subsets(3) == ((), (1,), (2,), (1, 2))
         assert stratum_node_id((1, 2)) == "S_1_2"
 
+    def test_guard_checks_the_bound_in_advance(self):
+        # n vertices have 2^(n-1) strata
+        assert len(strata_subsets(4, guard=8)) == 8
+        assert strata_dot(4, guard=8) == strata_dot(4)
+        with pytest.raises(GuardExceededError, match="8"):
+            strata_subsets(4, guard=7)
+        with pytest.raises(GuardExceededError, match="16"):
+            strata_dot(5, guard=15)
+
 
 class TestRepresentatives:
     def test_round_trip_small(self):
@@ -225,3 +236,47 @@ class TestDot:
         assert '"S_1" -> "S_1_2";' in dot
         assert '"S_2" -> "S_1_2";' in dot
         assert '"S_1" -> "S_2"' not in dot
+
+
+COVER_POSETS = [(3, 3), (4, 3), (3, 4), (4, 4), (2, 5)]
+
+
+def _assert_covers_match(orbits):
+    """Bitset covers equal the oracle's on the list as hasse_dot orders it."""
+    ordered = sorted(set(orbits), key=lambda rs: rs.table.entries_flat(), reverse=True)
+    assert sorted(_covering_pairs(ordered)) == sorted(covering_pairs_oracle(ordered))
+
+
+class TestCovers:
+    @pytest.mark.parametrize("m,n", COVER_POSETS)
+    def test_full_poset_matches_oracle(self, m, n):
+        _assert_covers_match(enumerate_orbits(m, n))
+
+    @pytest.mark.parametrize("m,n", COVER_POSETS)
+    def test_subsets_match_oracle(self, m, n):
+        orbits = enumerate_orbits(m, n)
+        rng = random.Random(1000 * m + n)
+        for _ in range(20):
+            subset = rng.sample(orbits, len(orbits) // 2)
+            chosen = set(subset)
+            # not down-closed: some listed orbit degenerates to an unlisted one
+            assert any(
+                degenerates_to(r, s) for r in subset for s in orbits if s not in chosen
+            )
+            _assert_covers_match(subset)
+
+    def test_closures_match_oracle(self):
+        orbits = enumerate_orbits(5, 4)
+        for top in random.Random(5).sample(orbits, 10):
+            _assert_covers_match([s for s in orbits if degenerates_to(top, s)])
+
+    def test_covers_are_induced_on_the_list(self):
+        # on F^2 rank 2 covers rank 1 covers rank 0; without rank 1 listed,
+        # rank 2 covers rank 0
+        dot = hasse_dot([RankSequence.two_step(2, 0), RankSequence.two_step(2, 2)])
+        assert dot.count(" -> ") == 1
+        assert '"r_2_2_2" -> "r_2_0_2";' in dot
+
+    def test_empty_and_single(self):
+        assert _covering_pairs([]) == []
+        assert _covering_pairs([RankSequence.identity_orbit(3, 3)]) == []
