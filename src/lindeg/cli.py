@@ -574,7 +574,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     J = problem.projection_tuple()
     if J is None:
         raise ValidationError("fixed-points needs projection maps (zero sets)")
-    pts = fixed_points(J, dv, args.guard)
+    pts = fixed_points(J, dv)
     payload = {
         **_envelope("fixed-points", problem.sha256),
         "m": dv.m,
@@ -710,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fixed-points", help="coordinate points of a projection tuple")
     _add_problem_flags(sp)
-    sp.add_argument("--guard", type=int, default=POINT_GUARD)
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("singular", help="singular locus summary for one orbit")

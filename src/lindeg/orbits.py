@@ -356,10 +356,12 @@ def strata_subsets(n: int, guard: int = STRATA_GUARD) -> tuple[tuple[int, ...], 
     Raises GuardExceededError, before building any, if the 2^(n-1) strata
     exceed ``guard``.
     """
+    # 2^(n-1) > guard exactly when n - 1 >= guard.bit_length(); checked on n
+    # alone so that a huge n allocates nothing
+    if n - 1 >= max(guard, 0).bit_length():
+        raise GuardExceededError(f"2^{n - 1} strata for n={n} exceed the guard {guard}")
     edges = list(range(1, n))
     count = 1 << len(edges)
-    if count > guard:
-        raise GuardExceededError(f"{count} strata for n={n} exceed the guard {guard}")
     subsets: list[tuple[int, ...]] = []
     for mask in range(count):
         subsets.append(tuple(e for k, e in enumerate(edges) if mask >> k & 1))

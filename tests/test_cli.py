@@ -216,6 +216,10 @@ class TestStrata:
         code, out, err = run_cli(capsys, "strata", "--n", "4", "--guard", "7", "--format", fmt)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "GuardExceededError"
+        # the default guard stops a huge n before anything is built
+        code, out, err = run_cli(capsys, "strata", "--n", "100000000", "--format", fmt)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
 
 
 class TestEnumerate:
@@ -295,15 +299,6 @@ class TestFixedPoints:
             capsys, "fixed-points", "--m", "3", "--d", "1,2", "--ranks", "3,2;3"
         )
         assert code == 2
-
-    def test_guard_exit(self, capsys):
-        # the bound is C(3, 1) * C(3, 2) = 9
-        argv = ["fixed-points", "--m", "3", "--d", "1,2", "--zero-sets", "1"]
-        code, _, _ = run_cli(capsys, *argv, "--guard", "9")
-        assert code == 0
-        code, out, err = run_cli(capsys, *argv, "--guard", "8")
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"]["type"] == "GuardExceededError"
 
 
 class TestSingular:

@@ -155,10 +155,18 @@ class TestStrata:
         # n vertices have 2^(n-1) strata
         assert len(strata_subsets(4, guard=8)) == 8
         assert strata_dot(4, guard=8) == strata_dot(4)
-        with pytest.raises(GuardExceededError, match="8"):
+        with pytest.raises(GuardExceededError, match=r"2\^3 "):
             strata_subsets(4, guard=7)
-        with pytest.raises(GuardExceededError, match="16"):
+        with pytest.raises(GuardExceededError, match=r"2\^4 "):
             strata_dot(5, guard=15)
+        assert len(strata_subsets(1, guard=1)) == 1
+        with pytest.raises(GuardExceededError):
+            strata_subsets(1, guard=0)
+
+    def test_guard_trips_before_allocating(self):
+        # a list of 10^9 edges would not fit; the check must come first
+        with pytest.raises(GuardExceededError, match=r"2\^999999999 "):
+            strata_subsets(10**9, guard=10**6)
 
 
 class TestRepresentatives:
