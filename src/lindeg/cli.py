@@ -111,6 +111,32 @@ def _parse_field(spec: Any) -> Field:
     raise ValidationError(f"bad field spec {spec!r}")
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def _int_rows(value: Any, what: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list of integer lists, got {value!r}")
+    return [_int_list(row, f"each entry of {what}") for row in value]
+
+
+def _zero_indices(spec: dict, index: int) -> set[int]:
+    return set(_int_list(spec.get("zero_indices", []), f"map {index + 1}: zero_indices"))
+
+
+def _sha256_of(canonical: dict) -> str:
+    """Input hash of a problem given by flags: SHA-256 of its canonical JSON."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _build_map(field: Field, m: int, spec: Any, index: int) -> Matrix:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError(f"map {index + 1}: spec must be an object with a 'kind'")
@@ -120,8 +146,7 @@ def _build_map(field: Field, m: int, spec: Any, index: int) -> Matrix:
     if kind == "zero":
         return Matrix.zeros(field, m, m)
     if kind == "projection":
-        zero_indices = spec.get("zero_indices", [])
-        idx = set(int(j) for j in zero_indices)
+        idx = _zero_indices(spec, index)
         if not idx <= set(range(1, m + 1)):
             raise ValidationError(
                 f"map {index + 1}: zero_indices {sorted(idx)} not within 1..{m}"
@@ -145,14 +170,14 @@ def _build_map(field: Field, m: int, spec: Any, index: int) -> Matrix:
 def _zero_sets_from_specs(m: int, specs: Sequence[dict]) -> tuple[frozenset[int], ...] | None:
     """Recognize projection-only problems so they get combinatorial treatment."""
     sets = []
-    for spec in specs:
+    for index, spec in enumerate(specs):
         kind = spec.get("kind")
         if kind == "identity":
             sets.append(frozenset())
         elif kind == "zero":
             sets.append(frozenset(range(1, m + 1)))
         elif kind == "projection":
-            sets.append(frozenset(int(j) for j in spec.get("zero_indices", [])))
+            sets.append(frozenset(_zero_indices(spec, index)))
         else:
             return None
     return tuple(sets)
@@ -166,9 +191,7 @@ def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _parse_rank_rows(text: str) -> RankTable:
-    rows = []
-    for part in text.split(";"):
-        rows.append(tuple(int(x) for x in part.split(",") if x.strip() != ""))
+    rows = [_parse_csv_ints(part, "--ranks") for part in text.split(";")]
     try:
         return RankTable(len(rows), tuple(rows))
     except (ValueError, LindegError) as exc:
@@ -182,7 +205,7 @@ def _parse_zero_sets(text: str) -> tuple[frozenset[int], ...]:
         if part in ("", "-"):
             sets.append(frozenset())
         else:
-            sets.append(frozenset(int(x) for x in part.split(",")))
+            sets.append(frozenset(_parse_csv_ints(part, "--zero-sets")))
     return tuple(sets)
 
 
@@ -202,17 +225,23 @@ def load_problem(args: argparse.Namespace) -> Problem:
         if not isinstance(data, dict):
             raise ValidationError("input file must hold a JSON object")
         m = data.get("m")
-        d = tuple(data["d"]) if data.get("d") is not None else None
+        d = tuple(_int_list(data["d"], "d")) if data.get("d") is not None else None
         n_given = data.get("n")
+        if n_given is not None and not _is_int(n_given):
+            raise ValidationError(f"n must be an integer, got {n_given!r}")
         field = _parse_field(data.get("field"))
-        map_specs = tuple(data["maps"]) if data.get("maps") is not None else None
-        ranks = (
-            RankTable(len(data["ranks"]), tuple(tuple(r) for r in data["ranks"]))
-            if data.get("ranks") is not None
-            else None
-        )
+        map_specs = None
+        if data.get("maps") is not None:
+            maps = data["maps"]
+            if not isinstance(maps, list) or not all(isinstance(s, dict) for s in maps):
+                raise ValidationError("maps must be a list of map objects")
+            map_specs = tuple(maps)
+        ranks = None
+        if data.get("ranks") is not None:
+            rows = _int_rows(data["ranks"], "ranks")
+            ranks = RankTable(len(rows), tuple(tuple(r) for r in rows))
         zero_sets = (
-            tuple(frozenset(int(j) for j in s) for s in data["zero_sets"])
+            tuple(frozenset(s) for s in _int_rows(data["zero_sets"], "zero_sets"))
             if data.get("zero_sets") is not None
             else None
         )
@@ -233,13 +262,11 @@ def load_problem(args: argparse.Namespace) -> Problem:
             "ranks": [list(r) for r in ranks.rows] if ranks else None,
             "zero_sets": [sorted(s) for s in zero_sets] if zero_sets else None,
         }
-        digest = hashlib.sha256(
-            json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        digest = _sha256_of(canonical)
 
     if getattr(args, "prime", None):
         field = Field(args.prime)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError("m must be a positive integer (use --m or the 'm' field)")
 
     if map_specs is not None and zero_sets is None:
@@ -255,7 +282,7 @@ def load_problem(args: argparse.Namespace) -> Problem:
     if zero_sets is not None:
         lengths.append(len(zero_sets) + 1)
     if n_given is not None:
-        lengths.append(int(n_given))
+        lengths.append(n_given)
     if not lengths:
         raise ValidationError("cannot determine n: give d, n, maps, ranks, or zero sets")
     n = lengths[0]
@@ -415,13 +442,7 @@ def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
         raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
     orbits = enumerate_orbits(args.m, args.n, guard=args.guard)
     ordered = sorted(orbits, key=lambda rs: rs.table.entries_flat(), reverse=True)
-    digest = hashlib.sha256(
-        json.dumps(
-            {"m": args.m, "n": args.n, "d": list(dv.d) if dv else None},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-    ).hexdigest()
+    digest = _sha256_of({"m": args.m, "n": args.n, "d": list(dv.d) if dv else None})
 
     if args.format == "dot":
         def annotate(rs: RankSequence) -> str:
@@ -487,13 +508,7 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
             raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
     if args.format == "dot":
         return strata_dot(args.n, guard=args.guard), 0
-    digest = hashlib.sha256(
-        json.dumps(
-            {"n": args.n, "m": args.m, "d": list(dv.d) if dv else None},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-    ).hexdigest()
+    digest = _sha256_of({"n": args.n, "m": args.m, "d": list(dv.d) if dv else None})
     rows = []
     for I in strata_subsets(args.n, guard=args.guard):
         row: dict[str, Any] = {"edges": list(I)}

@@ -1,19 +1,19 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
-Entries are ``fractions.Fraction`` over Q and plain integers in ``[0, p)``
-over F_p.  Everything is computed exactly: the rational path runs on
-Fractions, the mod-p path on int64 numpy arrays (integer arithmetic mod p,
-never floating point).  Subspaces are stored by their reduced row echelon
-basis, which is unique, so subspace equality and hashing are structural.
+Every scalar row is a tuple (or, inside an elimination, a list) of field
+elements: ``fractions.Fraction`` over Q and plain ints in ``[0, p)`` over
+F_p.  Both fields share one code path in pure Python; the only difference is
+that F_p reduces mod p and inverts a pivot with ``pow(x, -1, p)``, so nothing
+is ever rounded.  Subspaces are stored by their reduced row echelon basis,
+which is unique, so subspace equality and hashing are structural.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -150,14 +150,6 @@ class Matrix:
             return Matrix(self.field, self.ncols, 0, tuple(() for _ in range(self.ncols)))
         return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.entries)))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.ncols != other.ncols:
-            raise ValidationError("cannot stack matrices of different widths or fields")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.entries + other.entries)
-
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         v = _coerce_vector(self.field, vector)
@@ -178,61 +170,28 @@ class Matrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-def _np_of(M: Matrix) -> np.ndarray:
-    a = np.zeros((M.nrows, M.ncols), dtype=np.int64)
-    for i, row in enumerate(M.entries):
-        for j, x in enumerate(row):
-            a[i, j] = x
-    return a
-
-
-def _matrix_of_np(field: Field, a: np.ndarray) -> Matrix:
-    return Matrix(field, a.shape[0], a.shape[1], tuple(tuple(int(x) for x in row) for row in a))
-
-
 def compose(A: Matrix, B: Matrix) -> Matrix:
     """Matrix product A @ B."""
     if A.field != B.field:
         raise ValidationError("cannot multiply matrices over different fields")
     if A.ncols != B.nrows:
         raise ValidationError(f"shape mismatch: {A.shape} @ {B.shape}")
-    if A.field.is_modular:
-        p = A.field.characteristic
-        return _matrix_of_np(A.field, (_np_of(A) @ _np_of(B)) % p)
+    p = A.field.characteristic
+    zero = A.field.coerce(0)
     bt = B.transpose().entries
-    zero = Fraction(0)
-    rows = tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), zero) for col in bt)
-        for row in A.entries
-    )
+    rows = tuple(tuple(sum(map(mul, row, col), zero) for col in bt) for row in A.entries)
+    if p:
+        rows = tuple(tuple(x % p for x in row) for row in rows)
     return Matrix(A.field, A.nrows, B.ncols, rows)
 
 
-def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a.copy() % p
-    nrows, ncols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _rref_rows(rows: list[list], p: int) -> tuple[list[list], list[int]]:
+    """Reduce field rows to reduced row echelon form, in place.
 
-
-def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    ``p`` is the characteristic: entries are ints in ``[0, p)`` when ``p > 0``
+    and Fractions when ``p == 0``.  Returns the rows (zero rows last) and the
+    pivot columns.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     r = 0
@@ -240,28 +199,40 @@ def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
         lead = rows[r]
+        if lead[c] != 1:
+            if p:
+                inv = pow(lead[c], -1, p)
+                lead = [x * inv % p for x in lead]
+            else:
+                inv = 1 / lead[c]
+                lead = [x * inv for x in lead]
+            rows[r] = lead
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+            f = rows[i][c]
+            if f and i != r:
+                if p:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                else:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
     return rows, pivots
 
 
+def _span_rows(field: Field, ambient: int, rows: list[list]) -> "Subspace":
+    """Subspace spanned by rows whose entries are already in ``field``."""
+    rows, piv = _rref_rows(rows, field.characteristic)
+    return Subspace(field, ambient, tuple(tuple(r) for r in rows[: len(piv)]), tuple(piv))
+
+
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns. Zero rows sink to the bottom."""
-    if M.field.is_modular:
-        a, piv = _rref_mod_p(_np_of(M), M.field.characteristic)
-        return _matrix_of_np(M.field, a), tuple(piv)
-    rows, piv = _rref_rational([list(r) for r in M.entries])
+    rows, piv = _rref_rows([list(r) for r in M.entries], M.field.characteristic)
     return Matrix(M.field, M.nrows, M.ncols, tuple(tuple(r) for r in rows)), tuple(piv)
 
 
@@ -343,9 +314,6 @@ class Subspace:
         ps = set(self.pivots)
         return tuple(c for c in range(self.ambient) if c not in ps)
 
-    def sort_key(self) -> tuple:
-        return (self.pivots, self.basis)
-
     def __str__(self) -> str:
         return f"span{self.basis} in {self.field}^{self.ambient}"
 
@@ -353,8 +321,7 @@ class Subspace:
 def span(field: Field, ambient: int, rows: Iterable[Sequence]) -> Subspace:
     """Subspace spanned by the given row vectors, in canonical form."""
     M = Matrix.from_rows(field, rows, ncols=ambient)
-    R, piv = rref(M)
-    return Subspace(field, ambient, R.entries[: len(piv)], piv)
+    return _span_rows(field, ambient, [list(r) for r in M.entries])
 
 
 def zero_subspace(field: Field, ambient: int) -> Subspace:
@@ -401,7 +368,7 @@ def kernel(A: Matrix) -> Subspace:
             x = R.entries[i][f]
             v[c] = (-x) % p if p else -x
         rows.append(v)
-    return span(A.field, A.ncols, rows)
+    return _span_rows(A.field, A.ncols, rows)
 
 
 def contains(V: Subspace, W: Subspace) -> bool:
@@ -416,7 +383,7 @@ def contains(V: Subspace, W: Subspace) -> bool:
 def subspace_sum(V: Subspace, W: Subspace) -> Subspace:
     if V.field != W.field or V.ambient != W.ambient:
         raise ValidationError("subspaces live in different ambient spaces")
-    return span(V.field, V.ambient, V.basis + W.basis)
+    return _span_rows(V.field, V.ambient, [list(r) for r in V.basis + W.basis])
 
 
 def map_subspace(A: Matrix, V: Subspace) -> Subspace:
@@ -424,7 +391,7 @@ def map_subspace(A: Matrix, V: Subspace) -> Subspace:
     if A.ncols != V.ambient:
         raise ValidationError("matrix domain differs from subspace ambient")
     B = compose(V.basis_matrix(), A.transpose())
-    return span(A.field, A.nrows, B.entries)
+    return _span_rows(A.field, A.nrows, [list(r) for r in B.entries])
 
 
 def intertwiner_space_dim(
@@ -461,28 +428,9 @@ def intertwiner_space_dim(
     if n_constraints == 0:
         return unknowns
 
-    if field.is_modular:
-        p = field.characteristic
-        sys_rows = np.zeros((n_constraints, unknowns), dtype=np.int64)
-        row0 = 0
-        for i in range(n - 1):
-            a_i, a_next = dims_src[i], dims_src[i + 1]
-            b_i, b_next = dims_tgt[i], dims_tgt[i + 1]
-            nrows_i = b_next * a_i
-            if nrows_i == 0:
-                continue
-            if b_i * a_i:
-                block = np.kron(_np_of(maps_tgt[i]), np.eye(a_i, dtype=np.int64))
-                sys_rows[row0 : row0 + nrows_i, offsets[i] : offsets[i] + b_i * a_i] -= block
-            if b_next * a_next:
-                block = np.kron(np.eye(b_next, dtype=np.int64), _np_of(maps_src[i]).T)
-                sys_rows[row0 : row0 + nrows_i, offsets[i + 1] : offsets[i + 1] + b_next * a_next] += block
-            row0 += nrows_i
-        _, piv = _rref_mod_p(sys_rows % p, p)
-        return unknowns - len(piv)
-
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    p = field.characteristic
+    zero = field.coerce(0)
+    rows: list[list] = []
     for i in range(n - 1):
         a_i, a_next = dims_src[i], dims_src[i + 1]
         b_next = dims_tgt[i + 1]
@@ -494,6 +442,6 @@ def intertwiner_space_dim(
                     row[offsets[i + 1] + r * a_next + k] += f.entries[k][c]
                 for k in range(dims_tgt[i]):
                     row[offsets[i] + k * a_i + c] -= g.entries[r][k]
-                rows.append(row)
-    _, piv = _rref_rational(rows)
+                rows.append([x % p for x in row] if p else row)
+    _, piv = _rref_rows(rows, p)
     return unknowns - len(piv)

@@ -353,9 +353,11 @@ def hasse_dot(
 def strata_subsets(n: int, guard: int = STRATA_GUARD) -> tuple[tuple[int, ...], ...]:
     """All strata (subsets of edges 1..n-1), sorted by size then entries.
 
-    Raises GuardExceededError, before building any, if the 2^(n-1) strata
-    exceed ``guard``.
+    Raises ValidationError if n < 1, and GuardExceededError, before building
+    any, if the 2^(n-1) strata exceed ``guard``.
     """
+    if n < 1:
+        raise ValidationError("need n >= 1")
     # 2^(n-1) > guard exactly when n - 1 >= guard.bit_length(); checked on n
     # alone so that a huge n allocates nothing
     if n - 1 >= max(guard, 0).bit_length():

@@ -128,6 +128,29 @@ class TestClassify:
         assert "input_sha256" in out
         assert "irreducible" in out
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"m": 3, "d": [1, 2], "ranks": 5},
+            {"m": 3, "d": [1, 2], "maps": [5]},
+            {"m": 3, "d": [1, 2], "zero_sets": ["a"]},
+            {"m": 3, "d": "12"},
+            {"m": 3, "n": "x"},
+            {"m": 3, "d": [1, 2], "maps": [{"kind": "projection", "zero_indices": ["a"]}]},
+        ],
+    )
+    def test_malformed_input_is_validation_error(self, tmp_path, capsys, problem):
+        path = write_problem(tmp_path, "bad.json", problem)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("flags", [("--ranks", "3,a;3"), ("--zero-sets", "a")])
+    def test_malformed_flags_are_validation_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, "classify", "--m", "3", "--d", "1,2", *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_missing_d_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--m", "3", "--zero-sets", "-")
         assert code == 2
@@ -220,6 +243,11 @@ class TestStrata:
         code, out, err = run_cli(capsys, "strata", "--n", "100000000", "--format", fmt)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "GuardExceededError"
+        # n below 1 is malformed input, not a guard breach
+        for n in ("0", "-3"):
+            code, out, err = run_cli(capsys, "strata", f"--n={n}", "--format", fmt)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
 class TestEnumerate:
@@ -383,3 +411,14 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["dimension"] == 3
+
+    def test_imports_load_no_numpy(self):
+        # the exact core is pure Python; the library has no third-party dependency
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lindeg, lindeg.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == "False"

@@ -106,6 +106,28 @@ class TestMatrix:
             assert A @ inverse(A) == Matrix.identity(field, 4)
             assert inverse(A) @ A == Matrix.identity(field, 4)
 
+    def test_results_stay_in_field_form(self):
+        """F_p results hold plain ints in [0, p); Q results hold Fractions."""
+        rng = random.Random(11)
+        for field in FIELDS:
+            p = field.characteristic
+            while True:
+                A = _random_matrix(rng, field, 4, 4)
+                if rank(A) == 4:
+                    break
+            B = _random_matrix(rng, field, 4, 3)
+            rows = (
+                (A @ B).entries
+                + rref(B)[0].entries
+                + inverse(A).entries
+                + kernel(B.transpose()).basis
+            )
+            for x in (x for row in rows for x in row):
+                if p:
+                    assert type(x) is int and 0 <= x < p
+                else:
+                    assert type(x) is Fraction
+
     def test_inverse_singular(self):
         with pytest.raises(ValidationError):
             inverse(Matrix.zeros(QQ, 2, 2))

@@ -162,6 +162,12 @@ class TestStrata:
         assert len(strata_subsets(1, guard=1)) == 1
         with pytest.raises(GuardExceededError):
             strata_subsets(1, guard=0)
+        # below one vertex there is no quiver: a validation error, whatever the guard
+        for n in (0, -3):
+            with pytest.raises(ValidationError):
+                strata_subsets(n, guard=0)
+            with pytest.raises(ValidationError):
+                strata_dot(n)
 
     def test_guard_trips_before_allocating(self):
         # a list of 10^9 edges would not fit; the check must come first
