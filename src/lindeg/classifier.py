@@ -21,6 +21,7 @@ from .orbits import (
     ProjectionTuple,
     RankSequence,
     decomposition_of,
+    single_kill_tuple,
     stratum_of,
     stratum_rank_targets,
 )
@@ -100,7 +101,6 @@ class FlatFlags:
     stratum: tuple[int, ...]
     flat: bool
     flat_irreducible: bool
-    in_irreducible_locus: bool
 
 
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
@@ -116,7 +116,7 @@ def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
     upper, lower = stratum_rank_targets(I, dv)
     flat = lower.leq(rs)
     flat_irr = upper.leq(rs)
-    return FlatFlags(I, flat, flat_irr, flat_irr)
+    return FlatFlags(I, flat, flat_irr)
 
 
 def dimension(rs: RankSequence, dv: DimVector) -> int:
@@ -194,13 +194,6 @@ def singular_model(dv: DimVector, h: int) -> SingularModel:
     return SingularModel(h, module, module_dims, sub, sing_dim, codim)
 
 
-def _corank_one_table(m: int, n: int, h: int) -> RankTable:
-    """Rank table of U[1,n]^(m-1) + U[1,h] + U[h+1,n]."""
-    return RankTable.from_function(
-        n, lambda a, b: m - 1 + (1 if b <= h else 0) + (1 if a >= h + 1 else 0)
-    )
-
-
 @dataclass(frozen=True)
 class SingularInfo:
     """Singular locus of an irreducible degeneration.
@@ -232,7 +225,7 @@ def _segment_singular(seg: Segment) -> tuple[int, int, SingularModel | None] | N
     steps = seg.dims.steps()
     if len(low_edges) == 1 and ranks[low_edges[0] - 1] == m - 1:
         h = low_edges[0]
-        if seg.ranks.table == _corank_one_table(m, k, h):
+        if seg.ranks == single_kill_tuple(m, k, h).rank_sequence():
             model = singular_model(seg.dims, h)
             return model.singular_codim, model.singular_codim, model
     if all(s == 1 for s in steps):
@@ -251,7 +244,7 @@ def singular_summary(rs: RankSequence, dv: DimVector) -> SingularInfo:
     the product of the segments, so the overall codimension is the minimum.
     """
     flags = flat_flags(rs, dv)
-    if not flags.in_irreducible_locus:
+    if not flags.flat_irreducible:
         raise NotIrreducibleError(
             "singular locus analysis needs an irreducible degeneration"
         )
@@ -322,7 +315,6 @@ class DegenerationReport:
     irreducible: bool
     flat: bool
     flat_irreducible: bool
-    in_irreducible_locus: bool
     well_behaved: bool
     dimension: int | None
     normal: bool | None
@@ -344,7 +336,7 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     smooth = is_smooth(rs, dv)
     irr = is_irreducible(rs, dv)
     dim = dimension(rs, dv) if flags.flat else None
-    singular = singular_summary(rs, dv) if flags.in_irreducible_locus else None
+    singular = singular_summary(rs, dv) if flags.flat_irreducible else None
     return DegenerationReport(
         m=dv.m,
         dims=dv.d,
@@ -355,7 +347,6 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
         irreducible=irr,
         flat=flags.flat,
         flat_irreducible=flags.flat_irreducible,
-        in_irreducible_locus=flags.in_irreducible_locus,
         well_behaved=is_well_behaved(rs, dv),
         dimension=dim,
         normal=True if irr else None,

@@ -220,7 +220,7 @@ def load_problem(args: argparse.Namespace) -> Problem:
         digest = hashlib.sha256(raw).hexdigest()
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, deep nesting
             raise ValidationError(f"input file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("input file must hold a JSON object")
@@ -403,7 +403,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
         "irreducible": report.irreducible,
         "flat": report.flat,
         "flat_irreducible": report.flat_irreducible,
-        "in_irreducible_locus": report.in_irreducible_locus,
+        "in_irreducible_locus": report.flat_irreducible,
         "well_behaved": report.well_behaved,
         "dimension": report.dimension,
         "normal": (
@@ -637,7 +637,7 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
             **_point_json(point),
             "tangent_dim": analysis.tangent_dim,
             "ext": analysis.ext,
-            "singular": analysis.singular,
+            "singular": analysis.tangent_dim > info.ambient_dim,
         }
     return _emit(payload, args.format), 0
 

@@ -133,7 +133,7 @@ def enumerate_subreps(
 
     def rec(v: int, chosen: list[Subspace]) -> Iterator[SubrepPoint]:
         if v == rep.n:
-            yield SubrepPoint.detect_coordinates(tuple(chosen))
+            yield SubrepPoint(tuple(chosen))
             return
         required = (
             map_subspace(rep.maps[v - 1], chosen[v - 1]) if v > 0 else None
@@ -188,21 +188,18 @@ class PointAnalysis:
 
     sub: Decomposition
     quotient: Decomposition
-    hom: int
-    ext: int
     tangent_dim: int
-    singular: bool
+    ext: int
 
 
 def analyze_point(rep: RepMatrices, point) -> PointAnalysis:
     """Tangent space Hom(L, M/L) and obstruction Ext^1(L, M/L) at a point.
 
-    When the tuple has no zero maps and lies in the irreducible locus, the
-    point is smooth iff Ext^1 vanishes, and then the tangent dimension equals
-    the local dimension.  (With zero maps the variety is a product and the
-    cross-segment extension classes are unobstructed; compare tangent_dim
-    against the product dimension instead, as the census does.)  hom - ext
-    always equals the Euler form of the dimension vectors, which is checked.
+    tangent_dim - ext is the Euler form of the dimension vectors, which is
+    checked.  A point of an irreducible variety is singular exactly when
+    tangent_dim exceeds the dimension summed over segments (``dimension``);
+    ext > 0 alone does not decide it, since with zero maps the variety is a
+    product and the cross-segment extension classes are unobstructed.
     """
     spaces = point.spaces if isinstance(point, SubrepPoint) else tuple(point)
     sub = restrict_rep(rep, spaces)
@@ -212,7 +209,7 @@ def analyze_point(rep: RepMatrices, point) -> PointAnalysis:
     hom = hom_dim(sub_dec, quo_dec)
     ext = ext_dim(sub_dec, quo_dec)
     assert hom - ext == euler_form(sub.dims, quo.dims)
-    return PointAnalysis(sub_dec, quo_dec, hom, ext, hom, ext > 0)
+    return PointAnalysis(sub_dec, quo_dec, hom, ext)
 
 
 @dataclass(frozen=True)
@@ -222,34 +219,30 @@ class CensusResult:
     smooth: int
 
 
-def singular_point_census(
-    rep: RepMatrices, dv: DimVector, guard: int = POINT_GUARD
-) -> CensusResult:
-    """Count points and singular points of an irreducible Gr_d(rep).
-
-    A point is singular iff its tangent space is larger than the variety,
-    whose dimension is the flag dimension summed over the segments between
-    zero maps; this stays correct on product varieties, where Ext^1 alone
-    would overcount.
-    """
-    dims = set(rep.dims)
-    if dims != {dv.m}:
+def _points_with_singularity(
+    rep: RepMatrices, dv: DimVector, guard: int
+) -> Iterator[tuple[SubrepPoint, bool]]:
+    """Each point of an irreducible Gr_d(rep), paired with whether it is
+    singular by the rule of ``analyze_point``."""
+    if set(rep.dims) != {dv.m}:
         raise ValidationError("representation does not act on F^m at every vertex")
     rs = RankSequence(dv.m, rank_profile(rep))
     if not is_irreducible(rs, dv):
         raise NotIrreducibleError("point census is defined for irreducible varieties")
     expected = dimension(rs, dv)
-    total = singular = 0
     for point in enumerate_subreps(rep, dv, guard=guard):
+        yield point, analyze_point(rep, point).tangent_dim > expected
+
+
+def singular_point_census(
+    rep: RepMatrices, dv: DimVector, guard: int = POINT_GUARD
+) -> CensusResult:
+    """Count points and singular points of an irreducible Gr_d(rep)."""
+    total = singular = 0
+    for _, is_singular in _points_with_singularity(rep, dv, guard):
         total += 1
-        if analyze_point(rep, point).tangent_dim > expected:
-            singular += 1
+        singular += is_singular
     return CensusResult(total, singular, total - singular)
-
-
-def corank_one_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
-    """The projection tuple killing one coordinate at edge h, as matrices."""
-    return single_kill_tuple(m, n, h).matrices(field)
 
 
 def _drop_first_matrix(field: Field, m: int) -> Matrix:
@@ -366,14 +359,14 @@ def sigma_bijection_report(
         raise ValidationError("ambient dimension does not match the dimension vector")
     model_info = singular_model(dv, h)
     field = Field(prime)
-    ambient = corank_one_rep(field, m, dv.n, h)
+    ambient = single_kill_tuple(m, dv.n, h).matrices(field)
     model = singular_model_rep(field, m, dv.n, h)
     assert model.dims == model_info.module_dims
 
     singular_points = {
         point.spaces
-        for point in enumerate_subreps(ambient, dv, guard=guard)
-        if analyze_point(ambient, point).singular
+        for point, is_singular in _points_with_singularity(ambient, dv, guard)
+        if is_singular
     }
     failures: list[str] = []
     image: set[tuple[Subspace, ...]] = set()
@@ -406,8 +399,3 @@ def sigma_bijection_report(
         failures=tuple(failures),
     )
 
-
-def sigma_bijection_check(
-    m: int, dv: DimVector, h: int, prime: int = 2, guard: int = POINT_GUARD
-) -> bool:
-    return sigma_bijection_report(m, dv, h, prime, guard).ok

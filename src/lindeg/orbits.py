@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import GuardExceededError, NotRealizableError, ValidationError
+from .errors import GuardExceededError, ValidationError
 from .linalg import Field, Matrix
 from .representations import (
     Decomposition,
@@ -81,15 +81,6 @@ class RankSequence:
 
     def __str__(self) -> str:
         return f"ranks{self.edge_ranks()} on F^{self.m}"
-
-
-def is_realizable(rs: RankSequence) -> bool:
-    """True iff some endomorphism tuple has exactly this rank table."""
-    try:
-        decompose_from_ranks(rs.table)
-    except NotRealizableError:
-        return False
-    return True
 
 
 def decomposition_of(rs: RankSequence) -> Decomposition:

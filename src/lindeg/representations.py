@@ -80,12 +80,6 @@ class DimVector:
         """Successive differences d_{i+1} - d_i."""
         return tuple(b - a for a, b in zip(self.d, self.d[1:]))
 
-    def segment(self, lo: int, hi: int) -> "DimVector":
-        """Sub-vector on the 1-based vertex range lo..hi (inclusive)."""
-        if not 1 <= lo <= hi <= self.n:
-            raise ValidationError(f"bad vertex range {lo}..{hi}")
-        return DimVector(self.m, self.d[lo - 1 : hi])
-
     def complement(self) -> tuple[int, ...]:
         return tuple(self.m - x for x in self.d)
 
@@ -283,14 +277,6 @@ class RepMatrices:
         return len(self.dims)
 
     @staticmethod
-    def from_maps(field: Field, maps: Sequence[Matrix], dims: Sequence[int] | None = None) -> "RepMatrices":
-        if dims is None:
-            if not maps:
-                raise ValidationError("cannot infer dims from an empty map tuple")
-            dims = [maps[0].ncols] + [f.nrows for f in maps]
-        return RepMatrices(field, tuple(dims), tuple(maps))
-
-    @staticmethod
     def identity_tuple(field: Field, m: int, n: int) -> "RepMatrices":
         return RepMatrices(field, (m,) * n, tuple(Matrix.identity(field, m) for _ in range(n - 1)))
 
@@ -316,15 +302,6 @@ class RepMatrices:
                     rows[pos_there[s]][c] = 1
             maps.append(Matrix.from_rows(field, rows, ncols=len(here)))
         return RepMatrices(field, dims, tuple(maps))
-
-    def composite(self, a: int, b: int) -> Matrix:
-        """The composed map from vertex a to vertex b (1-based, a < b)."""
-        if not 1 <= a < b <= self.n:
-            raise ValidationError(f"composite needs 1 <= a < b <= n, got ({a}, {b})")
-        acc = self.maps[a - 1]
-        for i in range(a + 1, b):
-            acc = self.maps[i - 1] @ acc
-        return acc
 
 
 def interval_rep(n: int, interval: Interval | tuple[int, int], field: Field) -> RepMatrices:
@@ -385,6 +362,7 @@ def ranks_from_decomposition(D: Decomposition) -> RankTable:
 
 
 def is_realizable_table(table: RankTable) -> bool:
+    """True iff some quiver representation has exactly this rank table."""
     try:
         decompose_from_ranks(table)
     except NotRealizableError:
@@ -460,32 +438,33 @@ def schubert_embedding_target(D: Decomposition, dv: DimVector) -> tuple[tuple[in
 class SubrepPoint:
     """A point of a quiver Grassmannian: one subspace per vertex.
 
-    When every subspace is spanned by standard basis vectors the point is a
-    coordinate point and ``coordinates`` holds the 1-based index subsets.
+    Equality and hashing go by the subspaces alone.  ``coordinates`` is
+    derived from them: the 1-based index subsets when every subspace is
+    spanned by standard basis vectors (a coordinate point), else None.
     """
 
     spaces: tuple[Subspace, ...]
-    coordinates: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spaces", tuple(self.spaces))
         if not self.spaces:
             raise ValidationError("a point needs at least one vertex")
-        if self.coordinates is not None:
-            coords = tuple(tuple(sorted(c)) for c in self.coordinates)
-            object.__setattr__(self, "coordinates", coords)
-            if len(coords) != len(self.spaces):
-                raise ValidationError("coordinate subsets and subspaces differ in length")
-            for space, subset in zip(self.spaces, coords):
-                expected = linalg.coordinate_subspace(
-                    space.field, space.ambient, [j - 1 for j in subset]
-                )
-                if space != expected:
-                    raise ValidationError("coordinate subsets do not match the subspaces")
 
     @property
     def n(self) -> int:
         return len(self.spaces)
+
+    @property
+    def coordinates(self) -> tuple[tuple[int, ...], ...] | None:
+        for space in self.spaces:
+            if any(
+                x != 0
+                for row in space.basis
+                for c, x in enumerate(row)
+                if c not in space.pivots
+            ):
+                return None
+        return tuple(tuple(c + 1 for c in space.pivots) for space in self.spaces)
 
     @property
     def is_coordinate(self) -> bool:
@@ -501,30 +480,13 @@ class SubrepPoint:
         """Coordinate point from 1-based index subsets, one per vertex."""
         if len(subsets) != len(ambient_dims):
             raise ValidationError("need one index subset per vertex")
-        cleaned = []
         spaces = []
         for amb, subset in zip(ambient_dims, subsets):
             idx = tuple(sorted(set(subset)))
             if idx and not (1 <= idx[0] and idx[-1] <= amb):
                 raise ValidationError(f"coordinate indices {idx} not within 1..{amb}")
-            cleaned.append(idx)
             spaces.append(linalg.coordinate_subspace(field, amb, [j - 1 for j in idx]))
-        return SubrepPoint(tuple(spaces), tuple(cleaned))
-
-    @staticmethod
-    def detect_coordinates(spaces: Sequence[Subspace]) -> "SubrepPoint":
-        """Wrap subspaces, recognizing coordinate points."""
-        coords: list[tuple[int, ...]] = []
-        for space in spaces:
-            if any(
-                x != 0
-                for row in space.basis
-                for c, x in enumerate(row)
-                if c not in space.pivots
-            ):
-                return SubrepPoint(tuple(spaces))
-            coords.append(tuple(c + 1 for c in space.pivots))
-        return SubrepPoint(tuple(spaces), tuple(coords))
+        return SubrepPoint(tuple(spaces))
 
 
 def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> None:

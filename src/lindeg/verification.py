@@ -27,7 +27,6 @@ from .classifier import (
 from .errors import NotFlatError
 from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, rank
 from .orbits import (
-    RankSequence,
     decomposition_of,
     enumerate_orbits,
     representative,
@@ -198,7 +197,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
                     flags = flat_flags(rs, dv)
                     irr = is_irreducible(rs, dv)
                     note(
-                        irr == flags.flat_irreducible == flags.in_irreducible_locus,
+                        irr == flags.flat_irreducible,
                         f"irreducibility criteria disagree for {rs}, d={dv.d}",
                     )
                     if is_smooth(rs, dv):

@@ -73,7 +73,6 @@ class TestFlatFlags:
         flags = flat_flags(RankSequence.two_step(3, 1), FLAG3)
         assert flags.flat
         assert not flags.flat_irreducible
-        assert not flags.in_irreducible_locus
         assert flags.stratum == ()
 
     def test_rank_sweep(self):
@@ -248,7 +247,7 @@ class TestSingularSummary:
                 for dv in _all_dvs(m, n):
                     exact = []
                     for rs in orbits:
-                        if not flat_flags(rs, dv).in_irreducible_locus:
+                        if not flat_flags(rs, dv).flat_irreducible:
                             continue
                         info = singular_summary(rs, dv)
                         if info.kind == "exact":
@@ -276,13 +275,14 @@ class TestWitness:
             pt = construct_singular_witness(J, FLAG3, field)
             analysis = analyze_point(J.matrices(field), pt)
             assert analysis.ext >= 1
-            assert analysis.singular
+            assert analysis.tangent_dim > dimension(J.rank_sequence(), FLAG3)
 
     def test_witness_is_singular_longer_quiver(self):
         dv = DimVector(4, (1, 2, 3))
         J = ProjectionTuple(4, (frozenset(), {1}))
         pt = construct_singular_witness(J, dv, GF(3))
-        assert analyze_point(J.matrices(GF(3)), pt).singular
+        analysis = analyze_point(J.matrices(GF(3)), pt)
+        assert analysis.tangent_dim > dimension(J.rank_sequence(), dv)
 
     def test_rejects_zero_map(self):
         J = ProjectionTuple(3, ({1, 2, 3},))

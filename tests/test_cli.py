@@ -1,11 +1,15 @@
 """Command-line interface: parsing, report stability, exit codes."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lindeg.cli as cli
 from lindeg import SuiteResult, __version__
@@ -141,6 +145,18 @@ class TestClassify:
     )
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, problem):
         path = write_problem(tmp_path, "bad.json", problem)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"m": 3, "d": [1, 2] \xff}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["bad-utf8", "deep-nesting"],
+    )
+    def test_undecodable_input_is_validation_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
         code, out, err = run_cli(capsys, "classify", "--input", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
@@ -422,3 +438,101 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+
+# Arbitrary small problem files.  Each field is mostly absent or plausible
+# and sometimes junk of any JSON type, so that runs reach the commands as well
+# as the input checks.  Integers stay small so that every command finishes fast.
+SMALL_INT = st.integers(-1, 6)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    SMALL_INT,
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=3),
+    st.lists(SMALL_INT, max_size=3),
+    st.dictionaries(st.text(max_size=2), SMALL_INT, max_size=2),
+)
+SCALAR = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-2/3", "1/0", "x"]), JUNK)
+FIELD = st.sampled_from([0, 2, 3, 4, 7, "Q", "5", {"prime": 3}])
+KIND = st.sampled_from(["identity", "zero", "projection", "matrix", "other"])
+
+
+def junk_or(good):
+    """Mostly ``good``, junk one draw in ten."""
+    return st.integers(0, 9).flatmap(lambda k: JUNK if k == 0 else good)
+
+
+@st.composite
+def problem_files(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(JUNK)
+    size = draw(st.integers(2, 5))
+    n = draw(st.integers(1, min(3, size - 1)))
+    d = sorted(draw(st.sets(st.integers(1, size - 1), min_size=n, max_size=n)))
+    if draw(st.integers(0, 9)) == 0:
+        d = sorted({*d, draw(st.sampled_from([0, size]))})
+    edges = len(d) - 1
+    indices = st.one_of(
+        st.sampled_from([[], [1]]),
+        st.lists(st.integers(1, size), max_size=2),
+        st.lists(st.integers(0, size + 1), max_size=3),
+    )
+    matrix = st.lists(
+        st.lists(SCALAR, min_size=size, max_size=size), min_size=size, max_size=size
+    )
+    map_spec = st.fixed_dictionaries(
+        {"kind": KIND},
+        optional={"zero_indices": indices, "entries": matrix},
+    )
+    ranks = st.tuples(
+        *(st.lists(st.integers(0, size), min_size=edges - a, max_size=edges - a)
+          .map(lambda row: [size, *row])
+          for a in range(len(d)))
+    ).map(list)
+    problem = {"m": draw(junk_or(st.just(size))), "d": draw(junk_or(st.just(d)))}
+    if draw(st.integers(0, 4)) == 0:
+        problem["n"] = draw(junk_or(st.sampled_from([len(d), len(d) + 1])))
+    if draw(st.booleans()):
+        problem["field"] = draw(junk_or(FIELD))
+    source = draw(st.sampled_from(["maps", "ranks", "zero_sets", "none", "two"]))
+    if source in ("maps", "two"):
+        maps = st.lists(junk_or(map_spec), min_size=edges, max_size=edges)
+        problem["maps"] = draw(junk_or(maps))
+    if source in ("ranks", "two"):
+        problem["ranks"] = draw(junk_or(ranks))
+    if source == "zero_sets":
+        zero_sets = st.lists(indices, min_size=edges, max_size=edges)
+        problem["zero_sets"] = draw(junk_or(zero_sets))
+    return problem
+
+
+# the small guard keeps each enumeration to a few hundred subspace tuples
+FUZZ_COMMANDS = (
+    ("classify",),
+    ("enumerate", "--guard", "300"),
+    ("enumerate", "--census", "--prime", "2", "--guard", "300"),
+    ("fixed-points",),
+    ("singular",),
+    ("singular", "--witness"),
+)
+
+
+@pytest.fixture(scope="module")
+def problem_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "problem.json"
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(problem=problem_files())
+    def test_any_problem_file_exits_cleanly(self, problem_path, problem):
+        """Exit 0, or 2/3 with a JSON error object on stderr; never a traceback."""
+        problem_path.write_text(json.dumps(problem))
+        for command in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main([*command, "--input", str(problem_path)])
+            assert code in (0, 2, 3), (command, problem)
+            if code:
+                assert "error" in json.loads(err.getvalue()), (command, problem)

@@ -17,6 +17,7 @@ from lindeg import (
     analyze_point,
     classify,
     count_points,
+    dimension,
     enumerate_orbits,
     enumerate_subreps,
     fixed_points,
@@ -139,22 +140,37 @@ class TestAnalyzePoint:
     def test_smooth_point(self):
         J = ProjectionTuple(3, ({1},))
         rep = J.matrices(GF(2))
+        dim = dimension(J.rank_sequence(), FLAG3)
         pts = list(enumerate_subreps(rep, FLAG3))
         analyses = [analyze_point(rep, pt) for pt in pts]
-        assert sum(1 for a in analyses if a.singular) == 1
-        smooth = [a for a in analyses if not a.singular]
+        assert sum(1 for a in analyses if a.tangent_dim > dim) == 1
+        smooth = [a for a in analyses if not a.tangent_dim > dim]
         assert all(a.tangent_dim == 3 for a in smooth)
 
     def test_tangent_jump_at_singular_point(self):
         J = ProjectionTuple(3, ({1},))
         rep = J.matrices(GF(2))
+        dim = dimension(J.rank_sequence(), FLAG3)
         singular = [
             a for pt in enumerate_subreps(rep, FLAG3)
-            if (a := analyze_point(rep, pt)).singular
+            if (a := analyze_point(rep, pt)).tangent_dim > dim
         ]
         assert len(singular) == 1
         assert singular[0].tangent_dim == 4
         assert singular[0].ext == 1
+
+    def test_ext_alone_does_not_decide_singularity(self):
+        """The zero tuple is a smooth product P^2 x P^2: every point has an
+        unobstructed cross-segment extension class, yet its tangent space
+        has exactly the dimension of the variety."""
+        rep = RepMatrices.zero_tuple(GF(2), 3, 2)
+        dim = dimension(RankSequence.zero_orbit(3, 2), FLAG3)
+        assert dim == 4
+        analyses = [analyze_point(rep, pt) for pt in enumerate_subreps(rep, FLAG3)]
+        assert len(analyses) == 49
+        assert all(a.ext >= 1 for a in analyses)
+        assert all(a.tangent_dim == dim for a in analyses)
+        assert singular_point_census(rep, FLAG3).singular == 0
 
 
 class TestCensus:
@@ -194,7 +210,7 @@ class TestCensus:
                 for d in itertools.combinations(range(1, m), n):
                     dv = DimVector(m, d)
                     for rs in enumerate_orbits(m, n):
-                        if not flat_flags(rs, dv).in_irreducible_locus:
+                        if not flat_flags(rs, dv).flat_irreducible:
                             continue
                         rep = representative(rs).matrices(GF(2))
                         census = singular_point_census(rep, dv)

@@ -18,7 +18,7 @@ from lindeg import (
     degenerates_to,
     enumerate_orbits,
     hasse_dot,
-    is_realizable,
+    is_realizable_table,
     rank_profile,
     representative,
     single_kill_tuple,
@@ -59,7 +59,7 @@ class TestEnumeration:
 
     def test_all_enumerated_orbits_realizable(self):
         for rs in enumerate_orbits(3, 3):
-            assert is_realizable(rs)
+            assert is_realizable_table(rs.table)
             assert decomposition_of(rs).vertex_dims() == (3, 3, 3)
 
     def test_tables_distinct(self):
@@ -199,7 +199,7 @@ class TestRepresentatives:
                     n, lambda a, b, r=r: m if a == b else max(r - (b - a - 1), 0)
                 )
                 rs = RankSequence(m, table)
-                if not is_realizable(rs):
+                if not is_realizable_table(rs.table):
                     continue
                 pt = representative(rs)
                 assert 1 in pt.zero_sets[0]

@@ -336,17 +336,20 @@ class TestSubrepPoint:
         assert pt.dims() == (1, 2)
         assert pt.coordinates == ((1,), (1, 3))
 
-    def test_detect_coordinates(self):
+    def test_coordinates_are_derived_from_spaces(self):
         spaces = (span(QQ, 3, [[1, 0, 0], [0, 0, 1]]),)
-        pt = SubrepPoint.detect_coordinates(spaces)
+        pt = SubrepPoint(spaces)
         assert pt.coordinates == ((1, 3),)
         skew = (span(QQ, 3, [[1, 1, 0]]),)
-        assert SubrepPoint.detect_coordinates(skew).coordinates is None
+        assert SubrepPoint(skew).coordinates is None
 
-    def test_rejects_mismatched_coordinates(self):
-        spaces = (span(QQ, 2, [[1, 1]]),)
-        with pytest.raises(ValidationError):
-            SubrepPoint(spaces, ((1,),))
+    def test_coordinate_point_equals_point_of_its_spaces(self):
+        pt = SubrepPoint.from_coordinates(GF(2), (3, 3), [(1,), (1, 3)])
+        same = SubrepPoint(pt.spaces)
+        assert pt == same
+        assert hash(pt) == hash(same)
+        assert same.is_coordinate
+        assert same.coordinates == ((1,), (1, 3))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
