@@ -13,22 +13,27 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from functools import cache, cached_property
+from typing import Any, Sequence
 
 from . import __version__
 from .classifier import (
     classify,
     construct_singular_witness,
+    flat_flags,
+    is_irreducible,
+    is_smooth,
     singular_summary,
 )
 from .enumeration import (
     POINT_GUARD,
     analyze_point,
+    check_search_space,
     enumerate_subreps,
     fixed_points,
-    singular_point_census,
+    points_with_singularity,
 )
-from .errors import GuardExceededError, LindegError, ValidationError
+from .errors import GuardExceededError, LindegError, NotIrreducibleError, ValidationError
 from .linalg import QQ, Field, Matrix
 from .orbits import (
     ORBIT_GUARD,
@@ -48,7 +53,6 @@ from .representations import (
     RankTable,
     RepMatrices,
     SubrepPoint,
-    rank_profile,
 )
 from .verification import SUITES, run_suites
 
@@ -62,7 +66,7 @@ TOOL = "lindeg"
 class Problem:
     m: int
     n: int
-    d: tuple[int, ...] | None
+    dv: DimVector | None
     field: Field
     map_specs: tuple[dict, ...] | None
     ranks: RankTable | None
@@ -70,32 +74,32 @@ class Problem:
     sha256: str
 
     def dim_vector(self) -> DimVector:
-        if self.d is None:
+        if self.dv is None:
             raise ValidationError("this command needs the flag dimension vector d")
-        return DimVector(self.m, self.d)
+        return self.dv
 
-    def projection_tuple(self) -> ProjectionTuple | None:
+    @cached_property
+    def projection(self) -> ProjectionTuple | None:
         if self.zero_sets is not None:
             return ProjectionTuple(self.m, self.zero_sets)
         return None
 
-    def matrices(self, field: Field | None = None) -> RepMatrices:
-        f = field or self.field
-        if self.zero_sets is not None:
-            return ProjectionTuple(self.m, self.zero_sets).matrices(f)
+    def matrices(self) -> RepMatrices:
+        if self.projection is not None:
+            return self.projection.matrices(self.field)
         if self.map_specs is not None:
             maps = tuple(
-                _build_map(f, self.m, spec, i) for i, spec in enumerate(self.map_specs)
+                _build_map(self.field, self.m, spec, i) for i, spec in enumerate(self.map_specs)
             )
-            return RepMatrices(f, (self.m,) * self.n, maps)
+            return RepMatrices(self.field, (self.m,) * self.n, maps)
         raise ValidationError("this command needs explicit maps, not just a rank table")
 
     def rank_sequence(self) -> RankSequence:
         if self.ranks is not None:
             return RankSequence(self.m, self.ranks)
-        if self.zero_sets is not None:
-            return ProjectionTuple(self.m, self.zero_sets).rank_sequence()
-        return RankSequence(self.m, rank_profile(self.matrices()))
+        if self.projection is not None:
+            return self.projection.rank_sequence()
+        return RankSequence.from_rep(self.matrices())
 
 
 def _parse_field(spec: Any) -> Field:
@@ -183,35 +187,32 @@ def _zero_sets_from_specs(m: int, specs: Sequence[dict]) -> tuple[frozenset[int]
     return tuple(sets)
 
 
-def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
+def _parse_csv_ints(text: str, what: str) -> list[int]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _parse_rank_rows(text: str) -> RankTable:
-    rows = [_parse_csv_ints(part, "--ranks") for part in text.split(";")]
-    try:
-        return RankTable(len(rows), tuple(rows))
-    except (ValueError, LindegError) as exc:
-        raise ValidationError(f"bad rank table {text!r}: {exc}") from exc
+def _zero_set(text: str) -> list[int]:
+    return [] if text.strip() == "-" else sorted(set(_parse_csv_ints(text, "--zero-sets")))
 
 
-def _parse_zero_sets(text: str) -> tuple[frozenset[int], ...]:
-    sets = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part in ("", "-"):
-            sets.append(frozenset())
-        else:
-            sets.append(frozenset(_parse_csv_ints(part, "--zero-sets")))
-    return tuple(sets)
+def _flag_problem(args: argparse.Namespace) -> dict:
+    """Inline flags as the canonical problem dict: they are hashed in this
+    form and then checked like a problem file."""
+    return {
+        "m": args.m,
+        "n": args.n,
+        "d": (_parse_csv_ints(args.d, "--d") or None) if args.d else None,
+        "ranks": [_parse_csv_ints(r, "--ranks") for r in args.ranks.split(";")] if args.ranks else None,
+        "zero_sets": [_zero_set(z) for z in args.zero_sets.split(";")] if args.zero_sets else None,
+    }
 
 
 def load_problem(args: argparse.Namespace) -> Problem:
     """Build a Problem from --input FILE or inline flags, hashing the input."""
-    if getattr(args, "input", None):
+    if args.input:
         try:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
@@ -224,47 +225,31 @@ def load_problem(args: argparse.Namespace) -> Problem:
             raise ValidationError(f"input file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("input file must hold a JSON object")
-        m = data.get("m")
-        d = tuple(_int_list(data["d"], "d")) if data.get("d") is not None else None
-        n_given = data.get("n")
-        if n_given is not None and not _is_int(n_given):
-            raise ValidationError(f"n must be an integer, got {n_given!r}")
-        field = _parse_field(data.get("field"))
-        map_specs = None
-        if data.get("maps") is not None:
-            maps = data["maps"]
-            if not isinstance(maps, list) or not all(isinstance(s, dict) for s in maps):
-                raise ValidationError("maps must be a list of map objects")
-            map_specs = tuple(maps)
-        ranks = None
-        if data.get("ranks") is not None:
-            rows = _int_rows(data["ranks"], "ranks")
-            ranks = RankTable(len(rows), tuple(tuple(r) for r in rows))
-        zero_sets = (
-            tuple(frozenset(s) for s in _int_rows(data["zero_sets"], "zero_sets"))
-            if data.get("zero_sets") is not None
-            else None
-        )
     else:
-        m = args.m
-        d = _parse_csv_ints(args.d, "--d") if getattr(args, "d", None) else None
-        n_given = getattr(args, "n", None)
-        field = QQ
-        map_specs = None
-        ranks = _parse_rank_rows(args.ranks) if getattr(args, "ranks", None) else None
-        zero_sets = (
-            _parse_zero_sets(args.zero_sets) if getattr(args, "zero_sets", None) else None
-        )
-        canonical = {
-            "m": m,
-            "n": n_given,
-            "d": list(d) if d else None,
-            "ranks": [list(r) for r in ranks.rows] if ranks else None,
-            "zero_sets": [sorted(s) for s in zero_sets] if zero_sets else None,
-        }
-        digest = _sha256_of(canonical)
-
-    if getattr(args, "prime", None):
+        data = _flag_problem(args)
+        digest = _sha256_of(data)
+    m = data.get("m")
+    d = tuple(_int_list(data["d"], "d")) if data.get("d") is not None else None
+    n_given = data.get("n")
+    if n_given is not None and not _is_int(n_given):
+        raise ValidationError(f"n must be an integer, got {n_given!r}")
+    field = _parse_field(data.get("field"))
+    map_specs = None
+    if data.get("maps") is not None:
+        maps = data["maps"]
+        if not isinstance(maps, list) or not all(isinstance(s, dict) for s in maps):
+            raise ValidationError("maps must be a list of map objects")
+        map_specs = tuple(maps)
+    ranks = None
+    if data.get("ranks") is not None:
+        rows = _int_rows(data["ranks"], "ranks")
+        ranks = RankTable(len(rows), tuple(tuple(r) for r in rows))
+    zero_sets = (
+        tuple(frozenset(s) for s in _int_rows(data["zero_sets"], "zero_sets"))
+        if data.get("zero_sets") is not None
+        else None
+    )
+    if args.prime:
         field = Field(args.prime)
     if not _is_int(m) or m < 1:
         raise ValidationError("m must be a positive integer (use --m or the 'm' field)")
@@ -290,9 +275,8 @@ def load_problem(args: argparse.Namespace) -> Problem:
         raise ValidationError(f"inconsistent quiver lengths {sorted(set(lengths))}")
     if n < 1:
         raise ValidationError("need at least one vertex")
-    if d is not None:
-        DimVector(m, d)
-    return Problem(m, n, d, field, map_specs, ranks, zero_sets, digest)
+    dv = DimVector(m, d) if d is not None else None
+    return Problem(m, n, dv, field, map_specs, ranks, zero_sets, digest)
 
 
 # ------------------------------------------------------------- serialization
@@ -382,6 +366,12 @@ def _emit(payload: dict, fmt: str) -> str:
     return _as_text(payload)
 
 
+def _table(digest: str | None, title: str, lines: list[str]) -> str:
+    """A table report: the envelope lines, a title, then one line per item."""
+    head = [f"tool: {TOOL}", f"version: {__version__}", f"input_sha256: {digest}", title]
+    return "\n".join(head + lines) + "\n"
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -422,8 +412,6 @@ def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _orbit_flags(rs: RankSequence, dv: DimVector | None) -> dict:
-    from .classifier import flat_flags, is_smooth
-
     if dv is None:
         return {}
     flags = flat_flags(rs, dv)
@@ -434,12 +422,22 @@ def _orbit_flags(rs: RankSequence, dv: DimVector | None) -> dict:
     }
 
 
+def _annotation_dim_vector(args: argparse.Namespace) -> DimVector | None:
+    """The optional --d of orbits and strata, checked against --m and --n."""
+    if not args.d:
+        return None
+    if args.m is None:
+        raise ValidationError(f"{args.command} with --d also needs --m")
+    dv = DimVector(args.m, _parse_csv_ints(args.d, "--d"))
+    if dv.n != args.n:
+        raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
+    return dv
+
+
 def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
     if args.m is None or args.n is None:
         raise ValidationError("orbits needs --m and --n")
-    dv = DimVector(args.m, _parse_csv_ints(args.d, "--d")) if args.d else None
-    if dv is not None and dv.n != args.n:
-        raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
+    dv = _annotation_dim_vector(args)
     orbits = enumerate_orbits(args.m, args.n, guard=args.guard)
     ordered = sorted(orbits, key=lambda rs: rs.table.entries_flat(), reverse=True)
     digest = _sha256_of({"m": args.m, "n": args.n, "d": list(dv.d) if dv else None})
@@ -447,8 +445,6 @@ def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "dot":
         def annotate(rs: RankSequence) -> str:
             flags = _orbit_flags(rs, dv)
-            if not flags:
-                return ""
             if flags["smooth"]:
                 return "smooth"
             if flags["flat_irreducible"]:
@@ -478,34 +474,20 @@ def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.format == "json":
         return _emit(payload, "json"), 0
-    lines = [
-        f"tool: {TOOL}",
-        f"version: {__version__}",
-        f"input_sha256: {digest}",
-        f"orbits for m={args.m}, n={args.n}: {len(rows)}",
-    ]
-    for row in rows:
-        dec = Decomposition.from_multiplicities(
-            args.n, {(x["start"], x["end"]): x["mult"] for x in row["decomposition"]}
-        )
-        text = f"  r={tuple(row['edge_ranks'])} table={row['rank_table']} dec={dec}"
+    lines = []
+    for rs, row in zip(ordered, rows):
+        text = f"  r={rs.edge_ranks()} table={row['rank_table']} dec={decomposition_of(rs)}"
         flags = [k for k in ("smooth", "flat", "flat_irreducible") if row.get(k)]
         if flags:
             text += "  [" + ",".join(flags) + "]"
         lines.append(text)
-    return "\n".join(lines) + "\n", 0
+    return _table(digest, f"orbits for m={args.m}, n={args.n}: {len(rows)}", lines), 0
 
 
 def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
     if args.n is None:
         raise ValidationError("strata needs --n")
-    dv = None
-    if args.d:
-        if args.m is None:
-            raise ValidationError("strata with --d also needs --m")
-        dv = DimVector(args.m, _parse_csv_ints(args.d, "--d"))
-        if dv.n != args.n:
-            raise ValidationError(f"--d has length {dv.n}, expected n = {args.n}")
+    dv = _annotation_dim_vector(args)
     if args.format == "dot":
         return strata_dot(args.n, guard=args.guard), 0
     digest = _sha256_of({"n": args.n, "m": args.m, "d": list(dv.d) if dv else None})
@@ -527,57 +509,54 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.format == "json":
         return _emit(payload, "json"), 0
-    lines = [
-        f"tool: {TOOL}",
-        f"version: {__version__}",
-        f"input_sha256: {digest}",
-        f"strata for n={args.n}: {len(rows)}",
-    ]
+    lines = []
     for row in rows:
         text = "  I={" + ",".join(str(i) for i in row["edges"]) + "}"
         if "r1" in row:
             text += f" r1={row['r1']} r2={row['r2']}"
         lines.append(text)
-    return "\n".join(lines) + "\n", 0
+    return _table(digest, f"strata for n={args.n}: {len(rows)}", lines), 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
     dv = problem.dim_vector()
-    if not problem.field.is_modular:
+    field = problem.field
+    if not field.is_modular:
         raise ValidationError("enumeration needs a finite field: pass --prime or a prime field spec")
-    rep = problem.matrices(problem.field)
-    J = problem.projection_tuple()
+    J = problem.projection
+    # explicit maps are no larger than the input that spells them out, but the
+    # m x m matrices of a projection tuple wait until the guard has passed
+    rep = problem.matrices() if J is None else None
+    if args.census:
+        rs = J.rank_sequence() if J is not None else RankSequence.from_rep(rep)
+        if not is_irreducible(rs, dv):
+            raise NotIrreducibleError("point census is defined for irreducible varieties")
+    check_search_space(field, (dv.m,) * dv.n, dv.d, args.guard)
+    if rep is None:
+        rep = problem.matrices()
+    if args.census:
+        walk = points_with_singularity(rep, dv, args.guard)
+    else:
+        walk = ((point, False) for point in enumerate_subreps(rep, dv, guard=args.guard))
+    sample = []
+    total = singular = 0
+    for point, is_singular in walk:
+        if total < args.limit:
+            sample.append(_point_json(point))
+        total += 1
+        singular += is_singular
+    census = {"total": total, "singular": singular, "smooth": total - singular}
     payload: dict[str, Any] = {
         **_envelope("enumerate", problem.sha256),
         "m": dv.m,
         "n": dv.n,
         "d": list(dv.d),
-        "prime": problem.field.characteristic,
+        "prime": field.characteristic,
+        "points": total,
+        "census": census if args.census else None,
+        "fixed_points": len(fixed_points(J, dv, args.guard)) if J is not None else None,
     }
-    sample = []
-    if args.census:
-        census = singular_point_census(rep, dv, guard=args.guard)
-        payload["points"] = census.total
-        payload["census"] = {
-            "total": census.total,
-            "singular": census.singular,
-            "smooth": census.smooth,
-        }
-        if args.limit:
-            for i, point in enumerate(enumerate_subreps(rep, dv, guard=args.guard)):
-                if i >= args.limit:
-                    break
-                sample.append(_point_json(point))
-    else:
-        count = 0
-        for point in enumerate_subreps(rep, dv, guard=args.guard):
-            if args.limit and count < args.limit:
-                sample.append(_point_json(point))
-            count += 1
-        payload["points"] = count
-        payload["census"] = None
-    payload["fixed_points"] = len(fixed_points(J, dv, args.guard)) if J is not None else None
     if args.limit:
         payload["sample_points"] = sample
     return _emit(payload, args.format), 0
@@ -586,7 +565,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
     dv = problem.dim_vector()
-    J = problem.projection_tuple()
+    J = problem.projection
     if J is None:
         raise ValidationError("fixed-points needs projection maps (zero sets)")
     pts = fixed_points(J, dv)
@@ -602,16 +581,10 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "json":
         return _emit(payload, "json"), 0
     lines = [
-        f"tool: {TOOL}",
-        f"version: {__version__}",
-        f"input_sha256: {problem.sha256}",
-        f"fixed points: {len(pts)}",
+        "  " + " <= ".join("{" + ",".join(str(x) for x in S) + "}" for S in chain)
+        for chain in pts
     ]
-    for chain in pts:
-        lines.append(
-            "  " + " <= ".join("{" + ",".join(str(x) for x in S) + "}" for S in chain)
-        )
-    return "\n".join(lines) + "\n", 0
+    return _table(problem.sha256, f"fixed points: {len(pts)}", lines), 0
 
 
 def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
@@ -628,11 +601,11 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
         "singular": _singular_json(info),
     }
     if args.witness:
-        J = problem.projection_tuple()
+        J = problem.projection
         if J is None:
             raise ValidationError("--witness needs projection maps (zero sets)")
         point = construct_singular_witness(J, dv, field=problem.field)
-        analysis = analyze_point(problem.matrices(problem.field), point)
+        analysis = analyze_point(problem.matrices(), point)
         payload["witness"] = {
             **_point_json(point),
             "tangent_dim": analysis.tangent_dim,
@@ -690,7 +663,11 @@ def _add_problem_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call,
+    so it must not be modified; each command's handler is its ``handler``
+    default."""
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="classify linear degenerations of partial flag varieties",
@@ -699,10 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="full geometric classification of one orbit")
+    sp.set_defaults(handler=cmd_classify)
     _add_problem_flags(sp)
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("orbits", help="enumerate all orbits for (m, n)")
+    sp.set_defaults(handler=cmd_orbits)
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", help="optional flag dimensions for annotations")
@@ -710,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["table", "dot", "json"], default="table")
 
     sp = sub.add_parser("strata", help="the poset of strata (sets of zero maps)")
+    sp.set_defaults(handler=cmd_strata)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--d", help="optional flag dimensions for rank targets")
@@ -717,6 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["table", "dot", "json"], default="table")
 
     sp = sub.add_parser("enumerate", help="count points over F_p, optionally with census")
+    sp.set_defaults(handler=cmd_enumerate)
     _add_problem_flags(sp)
     sp.add_argument("--census", action="store_true", help="count singular points too")
     sp.add_argument("--limit", type=int, default=0, help="include up to LIMIT sample points")
@@ -724,15 +705,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("fixed-points", help="coordinate points of a projection tuple")
+    sp.set_defaults(handler=cmd_fixed_points)
     _add_problem_flags(sp)
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("singular", help="singular locus summary for one orbit")
+    sp.set_defaults(handler=cmd_singular)
     _add_problem_flags(sp)
     sp.add_argument("--witness", action="store_true", help="construct a singular point")
     sp.add_argument("--format", choices=["table", "json"], default="table")
 
     sp = sub.add_parser("verify", help="run the self-verification suites")
+    sp.set_defaults(handler=cmd_verify)
     sp.add_argument(
         "--suite",
         action="append",
@@ -745,17 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
-    "classify": cmd_classify,
-    "orbits": cmd_orbits,
-    "strata": cmd_strata,
-    "enumerate": cmd_enumerate,
-    "fixed-points": cmd_fixed_points,
-    "singular": cmd_singular,
-    "verify": cmd_verify,
-}
-
-
 def _error_object(exc: Exception) -> str:
     obj = {
         "tool": TOOL,
@@ -766,16 +739,12 @@ def _error_object(exc: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out, code = HANDLERS[args.command](args)
-    except GuardExceededError as exc:
-        sys.stderr.write(_error_object(exc))
-        return 3
+        out, code = args.handler(args)
     except LindegError as exc:
         sys.stderr.write(_error_object(exc))
-        return 2
+        return 3 if isinstance(exc, GuardExceededError) else 2
     sys.stdout.write(out)
     return code
 

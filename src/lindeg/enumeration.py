@@ -84,15 +84,18 @@ def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
             yield Subspace(field, ambient, tuple(tuple(r) for r in rows), pivots)
 
 
-def _search_bound(rep: RepMatrices, targets: Sequence[int]) -> int:
-    """Upper bound used by the guard: product of per-vertex subspace counts."""
-    if not rep.field.is_modular:
+def check_search_space(
+    field: Field, dims: Sequence[int], targets: Sequence[int], guard: int
+) -> None:
+    """Raise GuardExceededError if the search space of a point enumeration, the
+    product over v of the number of targets[v]-subspaces of F_p^dims[v], exceeds
+    ``guard``.  It needs no maps, so a caller can check it before building any."""
+    if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
-    p = rep.field.characteristic
-    total = 1
-    for amb, t in zip(rep.dims, targets):
-        total *= gaussian_binomial(amb, t, p)
-    return total
+    p = field.characteristic
+    bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
+    if bound > guard:
+        raise GuardExceededError(f"search space of size {bound} exceeds the guard {guard}")
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
@@ -125,11 +128,7 @@ def enumerate_subreps(
     space (product of subspace counts) exceeds ``guard``.
     """
     t = _normalize_targets(rep, targets)
-    bound = _search_bound(rep, t)
-    if bound > guard:
-        raise GuardExceededError(
-            f"search space of size {bound} exceeds the guard {guard}"
-        )
+    check_search_space(rep.field, rep.dims, t, guard)
 
     def rec(v: int, chosen: list[Subspace]) -> Iterator[SubrepPoint]:
         if v == rep.n:
@@ -219,7 +218,7 @@ class CensusResult:
     smooth: int
 
 
-def _points_with_singularity(
+def points_with_singularity(
     rep: RepMatrices, dv: DimVector, guard: int
 ) -> Iterator[tuple[SubrepPoint, bool]]:
     """Each point of an irreducible Gr_d(rep), paired with whether it is
@@ -239,7 +238,7 @@ def singular_point_census(
 ) -> CensusResult:
     """Count points and singular points of an irreducible Gr_d(rep)."""
     total = singular = 0
-    for _, is_singular in _points_with_singularity(rep, dv, guard):
+    for _, is_singular in points_with_singularity(rep, dv, guard):
         total += 1
         singular += is_singular
     return CensusResult(total, singular, total - singular)
@@ -365,7 +364,7 @@ def sigma_bijection_report(
 
     singular_points = {
         point.spaces
-        for point, is_singular in _points_with_singularity(ambient, dv, guard)
+        for point, is_singular in points_with_singularity(ambient, dv, guard)
         if is_singular
     }
     failures: list[str] = []

@@ -10,7 +10,7 @@ projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import GuardExceededError, ValidationError
 from .linalg import Field, Matrix
@@ -298,8 +298,7 @@ def _covering_pairs(ordered: Sequence[RankSequence]) -> list[tuple[int, int]]:
 
 def hasse_dot(
     orbits: Sequence[RankSequence],
-    annotate: Callable[[RankSequence], str] | Mapping[RankSequence, str] | None = None,
-    graph_name: str = "orbits",
+    annotate: Callable[[RankSequence], str] | None = None,
 ) -> str:
     """Deterministic DOT source for the Hasse diagram of the closure order.
 
@@ -321,17 +320,13 @@ def hasse_dot(
 
     def label(rs: RankSequence) -> str:
         text = "r=" + ",".join(str(x) for x in rs.edge_ranks())
-        extra = None
-        if callable(annotate):
-            extra = annotate(rs)
-        elif annotate is not None:
-            extra = annotate.get(rs)
+        extra = annotate(rs) if annotate else None
         if extra:
             text += "\\n" + extra
         return text
 
     ids = [rs.node_id() for rs in ordered]
-    lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
+    lines = ["digraph orbits {", "  rankdir=TB;"]
     for rs, node in zip(ordered, ids):
         lines.append(f'  "{node}" [label="{label(rs)}"];')
     edges = sorted((ids[i], ids[j]) for i, j in _covering_pairs(ordered))
@@ -365,12 +360,7 @@ def stratum_node_id(I: Sequence[int]) -> str:
     return "S" + "".join(f"_{i}" for i in I)
 
 
-def strata_dot(
-    n: int,
-    annotate: Callable[[tuple[int, ...]], str] | None = None,
-    graph_name: str = "strata",
-    guard: int = STRATA_GUARD,
-) -> str:
+def strata_dot(n: int, guard: int = STRATA_GUARD) -> str:
     """DOT source for the closure order on strata (reverse Boolean lattice).
 
     The stratum of J contains the stratum of I in its closure iff J is a
@@ -378,13 +368,9 @@ def strata_dot(
     The ``guard`` on the number of strata is that of ``strata_subsets``.
     """
     subsets = strata_subsets(n, guard)
-    lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
+    lines = ["digraph strata {", "  rankdir=TB;"]
     for I in subsets:
         text = "{" + ",".join(str(i) for i in I) + "}"
-        if annotate:
-            extra = annotate(I)
-            if extra:
-                text += "\\n" + extra
         lines.append(f'  "{stratum_node_id(I)}" [label="{text}"];')
     for I in subsets:
         for e in range(1, n):

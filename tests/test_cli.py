@@ -1,18 +1,23 @@
 """Command-line interface: parsing, report stability, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindeg.cli as cli
-from lindeg import SuiteResult, __version__
+import lindeg.enumeration as enumeration
+from lindeg import ProjectionTuple, SuiteResult, __version__
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli.json"
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +324,46 @@ class TestEnumerate:
         )
         assert code == 3
 
+    def test_guard_trips_before_any_matrix_is_built(self, capsys, monkeypatch):
+        def no_matrices(self, field):
+            raise AssertionError("matrices built before the guard")
+
+        monkeypatch.setattr(ProjectionTuple, "matrices", no_matrices)
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "1600", "--d", "1,2", "--zero-sets", "1",
+            "--prime", "2", "--guard", "10",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
+    def test_irreducibility_is_checked_before_the_guard(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "6", "--d", "1,2", "--zero-sets", "1,2,3",
+            "--prime", "2", "--census", "--guard", "10",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "NotIrreducibleError"
+
+    def test_census_and_sample_share_one_walk(self, capsys, monkeypatch):
+        calls = []
+        walk = enumeration.enumerate_subreps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "enumerate_subreps", counted)
+        monkeypatch.setattr(cli, "enumerate_subreps", counted)
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--m", "3", "--d", "1,2", "--zero-sets", "1",
+            "--prime", "2", "--census", "--limit", "3", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["census"] == {"total": 25, "singular": 1, "smooth": 24}
+        assert len(payload["sample_points"]) == 3
+        assert len(calls) == 1
+
 
 class TestFixedPoints:
     def test_single_kill(self, capsys):
@@ -427,6 +472,35 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["dimension"] == 3
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "strata", "--n", "2", "--format", "json")
+            assert code == 0
+        assert len(builds) <= 1
+
+    def test_golden_invocations_replay(self):
+        """Every invocation recorded in the benchmark's golden CLI answers
+        gives the same stdout, by the first 16 hex digits of its SHA-256."""
+        golden = json.loads(GOLDEN_CLI.read_text())
+        assert golden and all(golden.values())
+        mismatched = []
+        for argv, expected in (item for items in golden.values() for item in items):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(argv)
+            got = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+            if code != 0 or got != expected:
+                mismatched.append((argv, code, got, expected))
+        assert mismatched == []
 
     def test_imports_load_no_numpy(self):
         # the exact core is pure Python; the library has no third-party dependency

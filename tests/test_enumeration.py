@@ -15,6 +15,7 @@ from lindeg import (
     RepMatrices,
     ValidationError,
     analyze_point,
+    check_search_space,
     classify,
     count_points,
     dimension,
@@ -23,6 +24,7 @@ from lindeg import (
     fixed_points,
     flat_flags,
     gaussian_binomial,
+    points_with_singularity,
     representative,
     sigma_bijection_report,
     singular_point_census,
@@ -99,6 +101,14 @@ class TestCountPoints:
             count_points(rep, (1, 2, 3), guard=100)
         with pytest.raises(GuardExceededError):
             next(enumerate_subreps(RepMatrices.identity_tuple(GF(3), 4, 2), (1, 2), guard=5))
+
+    def test_search_space_needs_no_maps(self):
+        # Gr(1, F_2^3) and Gr(2, F_2^3) have 7 points each: 49 candidate pairs
+        check_search_space(GF(2), (3, 3), (1, 2), guard=49)
+        with pytest.raises(GuardExceededError, match="49"):
+            check_search_space(GF(2), (3, 3), (1, 2), guard=48)
+        with pytest.raises(ValidationError):
+            check_search_space(QQ, (3, 3), (1, 2), guard=49)
 
 
 class TestFixedPoints:
@@ -192,6 +202,12 @@ class TestCensus:
         census = singular_point_census(rep, FLAG3)
         assert census.total == 49
         assert census.singular == 0
+
+    def test_points_come_in_enumeration_order(self):
+        rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
+        flagged = list(points_with_singularity(rep, FLAG3, guard=100))
+        assert [point for point, _ in flagged] == list(enumerate_subreps(rep, FLAG3))
+        assert sum(is_singular for _, is_singular in flagged) == 1
 
     def test_needs_irreducible(self):
         J = ProjectionTuple(3, ({1, 2},))
