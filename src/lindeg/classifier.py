@@ -21,7 +21,6 @@ from .orbits import (
     ProjectionTuple,
     RankSequence,
     decomposition_of,
-    single_kill_tuple,
     stratum_of,
     stratum_rank_targets,
 )
@@ -224,10 +223,10 @@ def _segment_singular(seg: Segment) -> tuple[int, int, SingularModel | None] | N
         return None
     steps = seg.dims.steps()
     if len(low_edges) == 1 and ranks[low_edges[0] - 1] == m - 1:
-        h = low_edges[0]
-        if seg.ranks == single_kill_tuple(m, k, h).rank_sequence():
-            model = singular_model(seg.dims, h)
-            return model.singular_codim, model.singular_codim, model
+        # every other edge is invertible, so every composite across the low
+        # edge has rank m - 1: the table is the corank-one model's
+        model = singular_model(seg.dims, low_edges[0])
+        return model.singular_codim, model.singular_codim, model
     if all(s == 1 for s in steps):
         return 3, 3, None
     depth = min(steps[i - 1] for i in low_edges)

@@ -13,8 +13,8 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Any, Sequence
+from functools import cache
+from typing import Any, NoReturn, Sequence
 
 from . import __version__
 from .classifier import (
@@ -62,15 +62,14 @@ TOOL = "lindeg"
 # ---------------------------------------------------------------- problem I/O
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    m: int
-    n: int
+    """A problem: the flag dimensions, the field, and the one description of
+    the tuple of maps that the input gives, built and checked at load."""
+
     dv: DimVector | None
     field: Field
-    map_specs: tuple[dict, ...] | None
-    ranks: RankTable | None
-    zero_sets: tuple[frozenset[int], ...] | None
+    maps: RankSequence | ProjectionTuple | RepMatrices
     sha256: str
 
     def dim_vector(self) -> DimVector:
@@ -78,28 +77,24 @@ class Problem:
             raise ValidationError("this command needs the flag dimension vector d")
         return self.dv
 
-    @cached_property
-    def projection(self) -> ProjectionTuple | None:
-        if self.zero_sets is not None:
-            return ProjectionTuple(self.m, self.zero_sets)
-        return None
+    def projection_tuple(self, what: str) -> ProjectionTuple:
+        if not isinstance(self.maps, ProjectionTuple):
+            raise ValidationError(f"{what} needs projection maps (zero sets)")
+        return self.maps
 
     def matrices(self) -> RepMatrices:
-        if self.projection is not None:
-            return self.projection.matrices(self.field)
-        if self.map_specs is not None:
-            maps = tuple(
-                _build_map(self.field, self.m, spec, i) for i, spec in enumerate(self.map_specs)
-            )
-            return RepMatrices(self.field, (self.m,) * self.n, maps)
-        raise ValidationError("this command needs explicit maps, not just a rank table")
+        if isinstance(self.maps, RankSequence):
+            raise ValidationError("this command needs explicit maps, not just a rank table")
+        if isinstance(self.maps, ProjectionTuple):
+            return self.maps.matrices(self.field)
+        return self.maps
 
     def rank_sequence(self) -> RankSequence:
-        if self.ranks is not None:
-            return RankSequence(self.m, self.ranks)
-        if self.projection is not None:
-            return self.projection.rank_sequence()
-        return RankSequence.from_rep(self.matrices())
+        if isinstance(self.maps, RepMatrices):
+            return RankSequence.from_rep(self.maps)
+        if isinstance(self.maps, ProjectionTuple):
+            return self.maps.rank_sequence()
+        return self.maps
 
 
 def _parse_field(spec: Any) -> Field:
@@ -131,31 +126,31 @@ def _int_rows(value: Any, what: str) -> list[list[int]]:
     return [_int_list(row, f"each entry of {what}") for row in value]
 
 
-def _zero_indices(spec: dict, index: int) -> set[int]:
-    return set(_int_list(spec.get("zero_indices", []), f"map {index + 1}: zero_indices"))
-
-
 def _sha256_of(canonical: dict) -> str:
     """Input hash of a problem given by flags: SHA-256 of its canonical JSON."""
     text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _build_map(field: Field, m: int, spec: Any, index: int) -> Matrix:
+def _read_map(field: Field, m: int, spec: Any, index: int) -> frozenset[int] | Matrix:
+    """One map spec as the 1-based coordinates it kills (identity, zero and
+    projection maps) or as its matrix."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError(f"map {index + 1}: spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "identity":
-        return Matrix.identity(field, m)
+        return frozenset()
     if kind == "zero":
-        return Matrix.zeros(field, m, m)
+        return frozenset(range(1, m + 1))
     if kind == "projection":
-        idx = _zero_indices(spec, index)
-        if not idx <= set(range(1, m + 1)):
+        killed = frozenset(
+            _int_list(spec.get("zero_indices", []), f"map {index + 1}: zero_indices")
+        )
+        if not all(1 <= j <= m for j in killed):
             raise ValidationError(
-                f"map {index + 1}: zero_indices {sorted(idx)} not within 1..{m}"
+                f"map {index + 1}: zero_indices {sorted(killed)} not within 1..{m}"
             )
-        return Matrix.projection(field, m, {j - 1 for j in idx})
+        return killed
     if kind == "matrix":
         entries = spec.get("entries")
         if (
@@ -171,20 +166,20 @@ def _build_map(field: Field, m: int, spec: Any, index: int) -> Matrix:
     raise ValidationError(f"map {index + 1}: unknown kind {kind!r}")
 
 
-def _zero_sets_from_specs(m: int, specs: Sequence[dict]) -> tuple[frozenset[int], ...] | None:
-    """Recognize projection-only problems so they get combinatorial treatment."""
-    sets = []
-    for index, spec in enumerate(specs):
-        kind = spec.get("kind")
-        if kind == "identity":
-            sets.append(frozenset())
-        elif kind == "zero":
-            sets.append(frozenset(range(1, m + 1)))
-        elif kind == "projection":
-            sets.append(frozenset(_zero_indices(spec, index)))
-        else:
-            return None
-    return tuple(sets)
+def _read_maps(field: Field, m: int, specs: Any) -> ProjectionTuple | RepMatrices:
+    """Map specs that only kill coordinates as a projection tuple, so that no
+    m x m matrix exists before a guard is checked; any other list as matrices
+    (its input already spells out an m x m matrix)."""
+    if not isinstance(specs, list):
+        raise ValidationError("maps must be a list of map objects")
+    read = [_read_map(field, m, spec, index) for index, spec in enumerate(specs)]
+    if all(isinstance(r, frozenset) for r in read):
+        return ProjectionTuple(m, tuple(read))
+    maps = tuple(
+        r if isinstance(r, Matrix) else Matrix.projection(field, m, {j - 1 for j in r})
+        for r in read
+    )
+    return RepMatrices(field, (m,) * (len(maps) + 1), maps)
 
 
 def _parse_csv_ints(text: str, what: str) -> list[int]:
@@ -234,49 +229,31 @@ def load_problem(args: argparse.Namespace) -> Problem:
     if n_given is not None and not _is_int(n_given):
         raise ValidationError(f"n must be an integer, got {n_given!r}")
     field = _parse_field(data.get("field"))
-    map_specs = None
-    if data.get("maps") is not None:
-        maps = data["maps"]
-        if not isinstance(maps, list) or not all(isinstance(s, dict) for s in maps):
-            raise ValidationError("maps must be a list of map objects")
-        map_specs = tuple(maps)
-    ranks = None
-    if data.get("ranks") is not None:
-        rows = _int_rows(data["ranks"], "ranks")
-        ranks = RankTable(len(rows), tuple(tuple(r) for r in rows))
-    zero_sets = (
-        tuple(frozenset(s) for s in _int_rows(data["zero_sets"], "zero_sets"))
-        if data.get("zero_sets") is not None
-        else None
-    )
     if args.prime:
         field = Field(args.prime)
+    given = [key for key in ("maps", "ranks", "zero_sets") if data.get(key) is not None]
+    if len(given) != 1:
+        raise ValidationError(
+            "a problem gives exactly one of maps, ranks and zero_sets, got "
+            + (", ".join(given) or "none")
+        )
     if not _is_int(m) or m < 1:
         raise ValidationError("m must be a positive integer (use --m or the 'm' field)")
-
-    if map_specs is not None and zero_sets is None:
-        zero_sets = _zero_sets_from_specs(m, map_specs)
-
-    lengths = []
-    if d is not None:
-        lengths.append(len(d))
-    if map_specs is not None:
-        lengths.append(len(map_specs) + 1)
-    if ranks is not None:
-        lengths.append(ranks.n)
-    if zero_sets is not None:
-        lengths.append(len(zero_sets) + 1)
-    if n_given is not None:
-        lengths.append(n_given)
-    if not lengths:
-        raise ValidationError("cannot determine n: give d, n, maps, ranks, or zero sets")
-    n = lengths[0]
-    if any(x != n for x in lengths):
-        raise ValidationError(f"inconsistent quiver lengths {sorted(set(lengths))}")
-    if n < 1:
+    if given == ["maps"]:
+        maps = _read_maps(field, m, data["maps"])
+    elif given == ["ranks"]:
+        rows = _int_rows(data["ranks"], "ranks")
+        maps = RankSequence(m, RankTable(len(rows), tuple(tuple(r) for r in rows)))
+    else:
+        zero_sets = _int_rows(data["zero_sets"], "zero_sets")
+        maps = ProjectionTuple(m, tuple(frozenset(s) for s in zero_sets))
+    lengths = {maps.n, maps.n if d is None else len(d), maps.n if n_given is None else n_given}
+    if len(lengths) > 1:
+        raise ValidationError(f"inconsistent quiver lengths {sorted(lengths)}")
+    if maps.n < 1:
         raise ValidationError("need at least one vertex")
     dv = DimVector(m, d) if d is not None else None
-    return Problem(m, n, dv, field, map_specs, ranks, zero_sets, digest)
+    return Problem(dv, field, maps, digest)
 
 
 # ------------------------------------------------------------- serialization
@@ -524,14 +501,12 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     field = problem.field
     if not field.is_modular:
         raise ValidationError("enumeration needs a finite field: pass --prime or a prime field spec")
-    J = problem.projection
+    J = problem.maps if isinstance(problem.maps, ProjectionTuple) else None
     # explicit maps are no larger than the input that spells them out, but the
     # m x m matrices of a projection tuple wait until the guard has passed
     rep = problem.matrices() if J is None else None
-    if args.census:
-        rs = J.rank_sequence() if J is not None else RankSequence.from_rep(rep)
-        if not is_irreducible(rs, dv):
-            raise NotIrreducibleError("point census is defined for irreducible varieties")
+    if args.census and not is_irreducible(problem.rank_sequence(), dv):
+        raise NotIrreducibleError("point census is defined for irreducible varieties")
     check_search_space(field, (dv.m,) * dv.n, dv.d, args.guard)
     if rep is None:
         rep = problem.matrices()
@@ -565,9 +540,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
     dv = problem.dim_vector()
-    J = problem.projection
-    if J is None:
-        raise ValidationError("fixed-points needs projection maps (zero sets)")
+    J = problem.projection_tuple("fixed-points")
     pts = fixed_points(J, dv)
     payload = {
         **_envelope("fixed-points", problem.sha256),
@@ -601,9 +574,7 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
         "singular": _singular_json(info),
     }
     if args.witness:
-        J = problem.projection
-        if J is None:
-            raise ValidationError("--witness needs projection maps (zero sets)")
+        J = problem.projection_tuple("--witness")
         point = construct_singular_witness(J, dv, field=problem.field)
         analysis = analyze_point(problem.matrices(), point)
         payload["witness"] = {
@@ -616,11 +587,7 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    names = args.suite or None
-    try:
-        results = run_suites(names, seed=args.seed)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    results = run_suites(args.suite, seed=args.seed)
     ok = all(r.passed for r in results)
     if args.format == "json":
         payload = {
@@ -663,12 +630,20 @@ def _add_problem_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections leave through the JSON error path; its
+    subparsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call,
     so it must not be modified; each command's handler is its ``handler``
     default."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL,
         description="classify linear degenerations of partial flag varieties",
     )
@@ -739,8 +714,8 @@ def _error_object(exc: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         out, code = args.handler(args)
     except LindegError as exc:
         sys.stderr.write(_error_object(exc))

@@ -95,7 +95,9 @@ def check_search_space(
     p = field.characteristic
     bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
     if bound > guard:
-        raise GuardExceededError(f"search space of size {bound} exceeds the guard {guard}")
+        # Python refuses to print an int of more than 4300 decimal digits
+        size = bound if bound.bit_length() <= 64 else f"at least 2^{bound.bit_length() - 1}"
+        raise GuardExceededError(f"search space of size {size} exceeds the guard {guard}")
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:

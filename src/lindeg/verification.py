@@ -9,7 +9,6 @@ these.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -55,11 +54,10 @@ class SuiteResult:
     passed: bool
     checks: int
     failures: tuple[str, ...]
-    seconds: float
 
     def summary_line(self) -> str:
         status = "ok" if self.passed else "FAIL"
-        line = f"{self.name}: {status} ({self.checks} checks, {self.seconds:.2f}s)"
+        line = f"{self.name}: {status} ({self.checks} checks)"
         if self.failures:
             line += "\n  " + "\n  ".join(self.failures[:10])
         return line
@@ -118,7 +116,6 @@ def suite_exthom(seed: int = 0, pairs: int = 500) -> SuiteResult:
     dim Hom is recomputed as the kernel dimension of the intertwiner system
     and dim Ext is recovered from hom - ext = Euler form.
     """
-    t0 = time.monotonic()
     rng = random.Random(seed)
     failures = []
     checks = 0
@@ -144,7 +141,7 @@ def suite_exthom(seed: int = 0, pairs: int = 500) -> SuiteResult:
             failures.append(
                 f"pair {k}: hom {hom_mat} - ext {ext_tab} != euler {euler} ({A} -> {B})"
             )
-    return SuiteResult("exthom", not failures, checks, tuple(failures), time.monotonic() - t0)
+    return SuiteResult("exthom", not failures, checks, tuple(failures))
 
 
 def _dim_vectors(m: int, n: int) -> Iterable[DimVector]:
@@ -160,7 +157,6 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
     dimension formula applies exactly to the flat orbits, representatives
     reproduce their orbit over different fields, and the matrix-level
     good-behavior test agrees with the rank-table one."""
-    t0 = time.monotonic()
     rng = random.Random(seed)
     failures = []
     checks = 0
@@ -228,9 +224,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
                         is_well_behaved_matrices(J.matrices(GF(5)), dv) == wb,
                         f"matrix-level good behavior disagrees for {rs}, d={dv.d}",
                     )
-    return SuiteResult(
-        "classify-consistency", not failures, checks, tuple(failures), time.monotonic() - t0
-    )
+    return SuiteResult("classify-consistency", not failures, checks, tuple(failures))
 
 
 def suite_roundtrips(seed: int = 0) -> SuiteResult:
@@ -240,7 +234,6 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
     inputs, and the generic orbit construction for a dimension vector has
     exactly the upper stratum rank target as its table.
     """
-    t0 = time.monotonic()
     rng = random.Random(seed)
     failures = []
     checks = 0
@@ -273,7 +266,7 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
                     failures.append(
                         f"generic construction has wrong ranks for m={m}, d={dv.d}"
                     )
-    return SuiteResult("roundtrips", not failures, checks, tuple(failures), time.monotonic() - t0)
+    return SuiteResult("roundtrips", not failures, checks, tuple(failures))
 
 
 def _random_matrix_of_rank(rng: random.Random, field: Field, m: int, r: int) -> Matrix:
@@ -301,7 +294,6 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
     also recomputed by direct multiplication as an oracle for the profile
     routine itself.
     """
-    t0 = time.monotonic()
     rng = random.Random(seed)
     field = GF(P_LARGE)
     failures = []
@@ -335,16 +327,13 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
                             f"case {k}: composite {a}->{b} rank {table.r(a, b)} below {bound} "
                             f"(m={m}, d={dv.d})"
                         )
-    return SuiteResult(
-        "rank-composition", not failures, checks, tuple(failures), time.monotonic() - t0
-    )
+    return SuiteResult("rank-composition", not failures, checks, tuple(failures))
 
 
 def suite_sigma(seed: int = 0) -> SuiteResult:
     """Corank-one singular-locus model vs brute-force singular points over F_2."""
     from .enumeration import sigma_bijection_report
 
-    t0 = time.monotonic()
     failures = []
     checks = 0
     expected: list[tuple[int, tuple[int, ...], int, int, int | None]] = [
@@ -366,7 +355,7 @@ def suite_sigma(seed: int = 0) -> SuiteResult:
                 failures.append(
                     f"singular count for m={m}, d={d}, h={h}: got {rep.singular_count}, want {count}"
                 )
-    return SuiteResult("sigma", not failures, checks, tuple(failures), time.monotonic() - t0)
+    return SuiteResult("sigma", not failures, checks, tuple(failures))
 
 
 SUITES: dict[str, Callable[[int], SuiteResult]] = {

@@ -28,6 +28,7 @@ from lindeg import (
     is_well_behaved_matrices,
     ranks_from_decomposition,
     representative,
+    single_kill_tuple,
     singular_model,
     singular_summary,
     split_product,
@@ -209,6 +210,14 @@ class TestSingularSummary:
         assert info.codim_lower == info.codim_upper == 7
         assert info.singular_dim == 4
         assert info.model is not None and info.model.h == 1
+        # one edge of rank m - 1 and every other edge invertible force the
+        # single-kill table, so a segment of that shape needs no comparison
+        for m in range(1, 7):
+            for n in range(2, 5):
+                for rs in enumerate_orbits(m, n):
+                    low = [i for i, r in enumerate(rs.edge_ranks(), 1) if r < m]
+                    if len(low) == 1 and rs.r(low[0], low[0] + 1) == m - 1:
+                        assert rs == single_kill_tuple(m, n, low[0]).rank_sequence()
 
     def test_deeper_ranks_only_bounded(self):
         for r in (3, 4):

@@ -3,9 +3,11 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -336,6 +338,22 @@ class TestEnumerate:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "GuardExceededError"
 
+    def test_guard_trips_before_a_projection_maps_file_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_matrices(self, field):
+            raise AssertionError("matrices built before the guard")
+
+        monkeypatch.setattr(ProjectionTuple, "matrices", no_matrices)
+        path = write_problem(tmp_path, "big.json", {
+            "m": 1600, "d": [1, 2], "maps": [{"kind": "projection", "zero_indices": [1]}],
+        })
+        code, out, err = run_cli(
+            capsys, "enumerate", "--input", str(path), "--prime", "2", "--guard", "10"
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
     def test_irreducibility_is_checked_before_the_guard(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--m", "6", "--d", "1,2", "--zero-sets", "1,2,3",
@@ -444,16 +462,24 @@ class TestVerify:
         assert "sigma" in out
 
     def test_unknown_suite(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", "nope"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "verify", "--suite", "nope")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        fake = SuiteResult("sigma", False, 1, ("boom",), 0.0)
+        fake = SuiteResult("sigma", False, 1, ("boom",))
         monkeypatch.setattr(cli, "run_suites", lambda names, seed: [fake])
         code, out, _ = run_cli(capsys, "verify", "--suite", "sigma")
         assert code == 1
         assert "SUITE FAILURES" in out
+
+    def test_table_stdout_does_not_read_the_clock(self, capsys, monkeypatch):
+        # a clock whose steps grow gives every timed run a different duration
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: next(ticks) ** 2)
+        runs = [run_cli(capsys, "verify", "--suite", "sigma") for _ in range(2)]
+        assert runs[0][0] == 0
+        assert runs[0][1] == runs[1][1]
 
 
 class TestEntrypoint:
@@ -512,6 +538,108 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+
+class TestContract:
+    """Every rejection is exit 2 with a JSON error object on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "nope"],
+            ["classify", "--m", "x"],
+            ["singular", "--m", "5", "--d", "1,2,4", "--zero-sets", "-;1", "--witness"],
+            [],
+        ],
+        ids=["unknown-suite", "non-integer", "value-like-an-option", "no-command"],
+    )
+    def test_parser_rejections_are_json_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            {"maps": [{"kind": "projection", "zero_indices": [1]}], "ranks": [[3, 3], [3]]},
+            {"zero_sets": [[1]], "ranks": [[3, 2], [3]]},
+            {"zero_sets": [[1]], "maps": [{"kind": "identity"}]},
+        ],
+        ids=["maps+ranks", "zero_sets+ranks", "zero_sets+maps"],
+    )
+    def test_two_descriptions_are_rejected(self, tmp_path, capsys, sources):
+        path = write_problem(tmp_path, "two.json", {"m": 3, "d": [1, 2], **sources})
+        for command in (["classify"], ["enumerate", "--prime", "2"], ["fixed-points"],
+                        ["singular"]):
+            code, out, err = run_cli(capsys, *command, "--input", str(path))
+            assert code == 2 and out == "", command
+            assert json.loads(err)["error"]["type"] == "ValidationError", command
+
+    def test_huge_search_space_is_a_guard_error(self, capsys):
+        # the size has about 9,000 decimal digits, too many to print exactly
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "5000", "--d", "1,2", "--zero-sets", "1",
+            "--prime", "2", "--guard", "10",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_flag_values_exit_cleanly(self, data):
+        """Exit 0, or 2/3 with a JSON error object; argparse never exits."""
+        command, flags = data.draw(st.sampled_from(sorted(COMMAND_FLAGS.items())))
+        words = [command, *COMMAND_FIXED.get(command, ())]
+        for flag in flags:
+            value = data.draw(flag_values(flag))
+            if value is not None:
+                words += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+        if command in ("enumerate", "singular") and data.draw(st.booleans()):
+            words.append("--census" if command == "enumerate" else "--witness")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(words)
+        assert code in (0, 2, 3), words
+        if code:
+            assert "error" in json.loads(err.getvalue()), words
+
+
+PROBLEM_FLAGS = ["--m", "--d", "--prime", "--ranks", "--zero-sets", "--format"]
+COMMAND_FLAGS = {
+    "classify": PROBLEM_FLAGS,
+    "enumerate": [*PROBLEM_FLAGS, "--limit", "--guard"],
+    "fixed-points": PROBLEM_FLAGS,
+    "singular": PROBLEM_FLAGS,
+    "orbits": ["--m", "--n", "--d", "--guard", "--format"],
+    "strata": ["--m", "--n", "--d", "--guard", "--format"],
+    "verify": ["--seed", "--format"],
+}
+# a small enumeration guard keeps every run fast; verify gets a bare --suite
+# whose value would be the next flag or nothing, so no suite ever runs
+COMMAND_FIXED = {"enumerate": ("--guard", "300"), "verify": ("--suite",)}
+# the first plausible values make a valid call; derandomized draws favour them
+PLAUSIBLE = {
+    "--m": ["4", "3"],
+    "--n": ["2", "3"],
+    "--d": ["1,2", "1,2,3"],
+    "--prime": ["2", "3"],
+    "--ranks": ["", "3,2;3", "4,3;4", "4,3,2;4,3;4"],
+    "--zero-sets": ["1", "-", "1;-", "-;1", ""],
+    "--format": ["table", "json", "dot"],
+    "--limit": ["0", "2"],
+    "--guard": ["300", "5"],
+    "--seed": ["0"],
+}
+JUNK_VALUE = st.one_of(st.integers(-2, 6).map(str), st.text(alphabet="-,;0123x ", max_size=5))
+
+
+def flag_values(flag):
+    """Mostly a plausible value of ``flag``; junk or None (the flag is left
+    out) one draw in ten each."""
+    plausible = st.sampled_from(PLAUSIBLE[flag])
+    return st.integers(0, 9).flatmap(
+        lambda k: plausible if k < 8 else JUNK_VALUE if k == 8 else st.none()
+    )
 
 
 # Arbitrary small problem files.  Each field is mostly absent or plausible
