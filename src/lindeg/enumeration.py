@@ -2,9 +2,10 @@
 
 Quiver Grassmannian points are tuples of subspaces, one per vertex, mapped
 into each other by the representation maps.  This module streams them in a
-deterministic order, analyzes single points (tangent space, obstruction),
-counts singular points, and checks the corank-one singular-locus model
-against the actual singular points.
+deterministic order, one torus cell (pivot class) at a time, analyzes single
+points (tangent space, obstruction), counts singular points cell by cell, and
+checks the corank-one singular-locus model against the actual singular
+points.
 """
 
 from __future__ import annotations
@@ -23,18 +24,21 @@ from .linalg import (
     contains,
     coordinate_subspace,
     map_subspace,
+    span,
     subspace_sum,
 )
-from .orbits import ProjectionTuple, RankSequence, single_kill_tuple
+from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
     Decomposition,
     DimVector,
+    Interval,
     RepMatrices,
     SubrepPoint,
     decompose_from_ranks,
     ext_dim,
     euler_form,
     hom_dim,
+    hom_dim_intervals,
     quotient_rep,
     rank_profile,
     restrict_rep,
@@ -58,30 +62,47 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, in canonical order.
 
-    Order: pivot columns lexicographically, then the free entries of the RREF
-    basis counted up base p.  Coordinate subspaces come first in each pivot
-    class.
+    Order: pivot columns lexicographically, then within each pivot class the
+    order of ``pivot_class_iter``.  Coordinate subspaces come first in each
+    pivot class.
+    """
+    if not 0 <= dim <= ambient:
+        raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
+    for pivots in itertools.combinations(range(ambient), dim):
+        yield from pivot_class_iter(field, ambient, pivots)
+
+
+def pivot_class_iter(
+    field: Field, ambient: int, pivots: Sequence[int]
+) -> Iterator[Subspace]:
+    """All subspaces of F_p^ambient whose RREF basis has the given 0-based
+    pivot columns, with the free entries counted up base p.
+
+    The coordinate subspace on ``pivots`` comes first.  A pivot class is one
+    torus cell of the Grassmannian: under t*e_j = t^j e_j every member tends
+    to that coordinate subspace as t -> 0.
     """
     if not field.is_modular:
         raise ValidationError("subspace enumeration needs a finite field")
-    if not 0 <= dim <= ambient:
-        raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
+    pivots = tuple(pivots)
+    if any(not 0 <= c < ambient for c in pivots) or list(pivots) != sorted(set(pivots)):
+        raise ValidationError(f"pivots {pivots} are not increasing within 0..{ambient - 1}")
     p = field.characteristic
-    for pivots in itertools.combinations(range(ambient), dim):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i in range(dim)
-            for j in range(pivots[i] + 1, ambient)
-            if j not in pivset
-        ]
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [[0] * ambient for _ in range(dim)]
-            for i, c in enumerate(pivots):
-                rows[i][c] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield Subspace(field, ambient, tuple(tuple(r) for r in rows), pivots)
+    dim = len(pivots)
+    pivset = set(pivots)
+    free = [
+        (i, j)
+        for i in range(dim)
+        for j in range(pivots[i] + 1, ambient)
+        if j not in pivset
+    ]
+    for values in itertools.product(range(p), repeat=len(free)):
+        rows = [[0] * ambient for _ in range(dim)]
+        for i, c in enumerate(pivots):
+            rows[i][c] = 1
+        for (i, j), v in zip(free, values):
+            rows[i][j] = v
+        yield Subspace(field, ambient, tuple(tuple(r) for r in rows), pivots)
 
 
 def check_search_space(
@@ -93,6 +114,15 @@ def check_search_space(
     if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
     p = field.characteristic
+    if all(0 <= t <= amb for amb, t in zip(dims, targets)):
+        # the largest cell of Gr(t, F_p^amb) has p^(t(amb - t)) points, at
+        # least 2^low_bits in all; past 64 bits this settles the guard without
+        # the exact product, whose size would not be printed in full anyway
+        low_bits = sum(t * (amb - t) for amb, t in zip(dims, targets)) * (p.bit_length() - 1)
+        if low_bits >= max(64, max(guard, 0).bit_length()):
+            raise GuardExceededError(
+                f"search space of size at least 2^{low_bits} exceeds the guard {guard}"
+            )
     bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
     if bound > guard:
         # Python refuses to print an int of more than 4300 decimal digits
@@ -131,6 +161,21 @@ def enumerate_subreps(
     """
     t = _normalize_targets(rep, targets)
     check_search_space(rep.field, rep.dims, t, guard)
+    return _walk(rep, lambda v: subspaces_iter(rep.field, rep.dims[v], t[v]))
+
+
+def _cell_points(rep: RepMatrices, fixed: Sequence[Sequence[int]]) -> Iterator[SubrepPoint]:
+    """The points of Gr(rep) whose pivot columns at each vertex are the 1-based
+    index subsets ``fixed``: the torus cell of that coordinate point, in the
+    enumerate_subreps order.  The coordinate point comes first."""
+    return _walk(
+        rep, lambda v: pivot_class_iter(rep.field, rep.dims[v], [j - 1 for j in fixed[v]])
+    )
+
+
+def _walk(rep: RepMatrices, candidates) -> Iterator[SubrepPoint]:
+    """Depth-first walk over vertices; vertex v takes its subspaces from
+    ``candidates(v)`` and keeps those containing the image of vertex v - 1."""
 
     def rec(v: int, chosen: list[Subspace]) -> Iterator[SubrepPoint]:
         if v == rep.n:
@@ -139,7 +184,7 @@ def enumerate_subreps(
         required = (
             map_subspace(rep.maps[v - 1], chosen[v - 1]) if v > 0 else None
         )
-        for V in subspaces_iter(rep.field, rep.dims[v], t[v]):
+        for V in candidates(v):
             if required is None or contains(V, required):
                 chosen.append(V)
                 yield from rec(v + 1, chosen)
@@ -220,29 +265,124 @@ class CensusResult:
     smooth: int
 
 
-def points_with_singularity(
-    rep: RepMatrices, dv: DimVector, guard: int
-) -> Iterator[tuple[SubrepPoint, bool]]:
-    """Each point of an irreducible Gr_d(rep), paired with whether it is
-    singular by the rule of ``analyze_point``."""
+def _irreducible_rank_sequence(rep: RepMatrices, dv: DimVector) -> RankSequence:
+    """The orbit of rep, after checking that Gr_d(rep) is irreducible."""
     if set(rep.dims) != {dv.m}:
         raise ValidationError("representation does not act on F^m at every vertex")
     rs = RankSequence(dv.m, rank_profile(rep))
     if not is_irreducible(rs, dv):
         raise NotIrreducibleError("point census is defined for irreducible varieties")
-    expected = dimension(rs, dv)
+    return rs
+
+
+def points_with_singularity(
+    rep: RepMatrices, dv: DimVector, guard: int
+) -> Iterator[tuple[SubrepPoint, bool]]:
+    """Each point of an irreducible Gr_d(rep), paired with whether it is
+    singular by the rule of ``analyze_point``."""
+    expected = dimension(_irreducible_rank_sequence(rep, dv), dv)
     for point in enumerate_subreps(rep, dv, guard=guard):
         yield point, analyze_point(rep, point).tangent_dim > expected
+
+
+def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
+    """Dimension c(S) of the torus cell of a fixed point S of Gr_d(J).
+
+    ``fixed`` gives S as 1-based index subsets, one per vertex, as
+    ``fixed_points`` lists them.  L_i, the strand of coordinate i in the
+    subrepresentation L on S, lives at the vertices v with i in S_v; Q_j, the
+    strand of j in the quotient M/L, at the vertices with j not in S_v.  Each
+    breaks into intervals at the edges that kill its coordinate.  Then
+    c(S) = sum over i < j of dim Hom(L_i, Q_j), the part of the tangent
+    space Hom(L, M/L) on which the torus t*e_j = t^j e_j acts with positive
+    weight.
+    """
+    if len(fixed) != J.n:
+        raise ValidationError("need one index subset per vertex")
+    members = [set(S) for S in fixed]
+
+    def strand(i: int, in_sub: bool) -> list[Interval]:
+        out, start = [], None
+        for v in range(1, J.n + 1):
+            if (i in members[v - 1]) != in_sub:
+                if start is not None:
+                    out.append(Interval(start, v - 1))
+                    start = None
+                continue
+            if start is None:
+                start = v
+            if v == J.n or i in J.zero_sets[v - 1]:
+                out.append(Interval(start, v))
+                start = None
+        return out
+
+    subs = [strand(i, True) for i in range(1, J.m + 1)]
+    quos = [strand(j, False) for j in range(1, J.m + 1)]
+    return sum(
+        hom_dim_intervals(x, y)
+        for i in range(J.m)
+        for j in range(i + 1, J.m)
+        for x in subs[i]
+        for y in quos[j]
+    )
+
+
+def _opposite_limit(point: SubrepPoint) -> tuple[tuple[int, ...], ...]:
+    """The limit of a point under t*e_j = t^-j e_j as t -> 0, as 1-based
+    index subsets: at each vertex, the columns of the last nonzero entries of
+    an echelon basis, found as the pivots of the column-reversed span."""
+    out = []
+    for V in point.spaces:
+        reversed_span = span(V.field, V.ambient, [row[::-1] for row in V.basis])
+        out.append(tuple(sorted(V.ambient - c for c in reversed_span.pivots)))
+    return tuple(out)
 
 
 def singular_point_census(
     rep: RepMatrices, dv: DimVector, guard: int = POINT_GUARD
 ) -> CensusResult:
-    """Count points and singular points of an irreducible Gr_d(rep)."""
+    """Count points and singular points of an irreducible Gr_d(rep) over F_p.
+
+    Isomorphic tuples have isomorphic varieties, so the census is taken on
+    the projection tuple J = ``representative`` of the orbit of rep, one
+    torus cell at a time.  The torus t*e_j = t^j e_j commutes with coordinate
+    projections; the cell of a fixed point S (``fixed_points``) is the set of
+    points whose RREF pivots are S, all of which tend to S as t -> 0.
+    ``analyze_point`` runs once at each S.  Two facts make the count exact:
+
+    - the singular locus is closed and torus-stable, so a cell whose fixed
+      point is smooth holds no singular point;
+    - such a cell lies in the smooth locus, where Bialynicki-Birula makes it
+      an affine space A^c(S) (``cell_dimension``), so it has p^c(S) points.
+
+    Only the cells of singular fixed points are walked point by point.  By
+    the first fact again, a point there whose limit as t -> infinity is a
+    smooth fixed point is smooth; the other points are analyzed.  The guard
+    bounds the brute-force search space (``check_search_space``), as for a
+    point walk, so the same inputs trip it.
+    """
+    rs = _irreducible_rank_sequence(rep, dv)
+    field = rep.field
+    check_search_space(field, rep.dims, dv.d, guard)
+    J = representative(rs)
+    model = J.matrices(field)
+    expected = dimension(rs, dv)
+
+    def is_singular(point) -> bool:
+        return analyze_point(model, point).tangent_dim > expected
+
+    fixed = fixed_points(J, dv, guard)
+    smooth = {
+        S: not is_singular(SubrepPoint.from_coordinates(field, model.dims, S)) for S in fixed
+    }
     total = singular = 0
-    for _, is_singular in points_with_singularity(rep, dv, guard):
-        total += 1
-        singular += is_singular
+    for S in fixed:
+        if smooth[S]:
+            total += field.characteristic ** cell_dimension(J, S)
+            continue
+        for point in _cell_points(model, S):
+            total += 1
+            singular += not smooth[_opposite_limit(point)] and is_singular(point)
     return CensusResult(total, singular, total - singular)
 
 

@@ -23,9 +23,18 @@ from .classifier import (
     is_well_behaved_matrices,
     singular_summary,
 )
-from .errors import NotFlatError
+from .enumeration import (
+    cell_dimension,
+    check_search_space,
+    fixed_points,
+    points_with_singularity,
+    sigma_bijection_report,
+    singular_point_census,
+)
+from .errors import GuardExceededError, NotFlatError
 from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, rank
 from .orbits import (
+    RankSequence,
     decomposition_of,
     enumerate_orbits,
     representative,
@@ -332,8 +341,6 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
 
 def suite_sigma(seed: int = 0) -> SuiteResult:
     """Corank-one singular-locus model vs brute-force singular points over F_2."""
-    from .enumeration import sigma_bijection_report
-
     failures = []
     checks = 0
     expected: list[tuple[int, tuple[int, ...], int, int, int | None]] = [
@@ -358,12 +365,81 @@ def suite_sigma(seed: int = 0) -> SuiteResult:
     return SuiteResult("sigma", not failures, checks, tuple(failures))
 
 
+CELL_RANGES = ((2, 5), (3, 4))  # (p, largest m): the fields and sizes sampled
+CELL_SEARCH_BOUND = 1500
+
+
+def _cell_cases() -> list[tuple[int, RankSequence, DimVector]]:
+    """Every irreducible (p, orbit, d) with n <= 3 in CELL_RANGES whose point
+    search space is at most CELL_SEARCH_BOUND, in a fixed order."""
+    out = []
+    for p, top in CELL_RANGES:
+        for m in range(2, top + 1):
+            for n in range(1, min(3, m - 1) + 1):
+                orbits = enumerate_orbits(m, n)
+                for dv in _dim_vectors(m, n):
+                    try:
+                        check_search_space(GF(p), (m,) * n, dv.d, CELL_SEARCH_BOUND)
+                    except GuardExceededError:
+                        continue
+                    out.extend((p, rs, dv) for rs in orbits if is_irreducible(rs, dv))
+    return out
+
+
+def suite_cells(seed: int = 0, cases: int = 12) -> SuiteResult:
+    """Torus cells of irreducible Gr_d over F_2 and F_3 against brute force.
+
+    For seeded random irreducible orbits, every point of the representative
+    projection tuple J is analyzed and filed under its RREF pivot columns.
+    The pivot classes must be exactly the fixed points; the class of each
+    smooth fixed point S must have p^c(S) points (``cell_dimension``), none
+    singular; and ``singular_point_census`` of a random base change of J
+    must equal the brute-force count.
+    """
+    rng = random.Random(seed)
+    failures = []
+    checks = 0
+
+    def note(cond: bool, msg: str) -> None:
+        nonlocal checks
+        checks += 1
+        if not cond:
+            failures.append(msg)
+
+    for p, rs, dv in rng.sample(_cell_cases(), cases):
+        J = representative(rs)
+        rep = J.matrices(GF(p))
+        where = f"{rs}, d={dv.d}, p={p}"
+        sizes: dict[tuple, int] = {}
+        singular: dict[tuple, int] = {}
+        smooth_fixed = set()
+        for point, is_singular in points_with_singularity(rep, dv, CELL_SEARCH_BOUND):
+            key = tuple(tuple(c + 1 for c in space.pivots) for space in point.spaces)
+            sizes[key] = sizes.get(key, 0) + 1
+            singular[key] = singular.get(key, 0) + is_singular
+            if point.is_coordinate and not is_singular:
+                smooth_fixed.add(key)
+        note(sorted(sizes) == fixed_points(J, dv), f"pivot classes are not the fixed points: {where}")
+        for S in sorted(smooth_fixed):
+            c = cell_dimension(J, S)
+            note(sizes[S] == p**c, f"cell of {S} has {sizes[S]} points, not {p}^{c}: {where}")
+            note(not singular[S], f"cell of smooth {S} has {singular[S]} singular points: {where}")
+        census = singular_point_census(_conjugate(rng, rep), dv, CELL_SEARCH_BOUND)
+        total, bad = sum(sizes.values()), sum(singular.values())
+        note(
+            (census.total, census.singular) == (total, bad),
+            f"census {census.total}/{census.singular} != brute force {total}/{bad}: {where}",
+        )
+    return SuiteResult("cells", not failures, checks, tuple(failures))
+
+
 SUITES: dict[str, Callable[[int], SuiteResult]] = {
     "exthom": suite_exthom,
     "classify-consistency": suite_classify_consistency,
     "roundtrips": suite_roundtrips,
     "rank-composition": suite_rank_composition,
     "sigma": suite_sigma,
+    "cells": suite_cells,
 }
 
 

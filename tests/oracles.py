@@ -3,7 +3,8 @@
 Each oracle recomputes a library answer by a visibly different route:
 decompositions by solving the hom-count linear system, catenoid detection by
 path search in the irreducible-morphism digraph, orbit lists by brute force
-over all matrix tuples of F_2, Hasse covers by scanning all triples.
+over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
+point censuses by analyzing every point.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from lindeg import (
+    CensusResult,
     Decomposition,
+    DimVector,
     Interval,
     RankSequence,
     RepMatrices,
     hom_dim_intervals,
     intertwiner_space_dim,
     interval_rep,
+    points_with_singularity,
 )
 
 
@@ -168,3 +172,10 @@ def covering_pairs_oracle(orbits: Sequence[RankSequence]) -> list[tuple[int, int
             if less[i][j] and not any(less[i][t] and less[t][j] for t in range(k)):
                 covers.append((i, j))
     return covers
+
+
+def census_oracle(rep: RepMatrices, dv: DimVector, guard: int = 10**7) -> CensusResult:
+    """Census of an irreducible Gr_d(rep) by brute force: walk every point of
+    rep itself and analyze each one."""
+    flags = [is_singular for _, is_singular in points_with_singularity(rep, dv, guard)]
+    return CensusResult(len(flags), sum(flags), len(flags) - sum(flags))

@@ -584,6 +584,18 @@ class TestContract:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "GuardExceededError"
 
+    def test_huge_grassmannian_trips_the_guard_at_once(self, capsys):
+        # the exact size is a product of Gaussian binomials of about 2.25
+        # million bits; the guard is settled by a lower bound instead
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "3000", "--d", "1,1500", "--zero-sets", "1",
+            "--prime", "2", "--guard", "10",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert "at least 2^" in json.loads(err)["error"]["message"]
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_any_flag_values_exit_cleanly(self, data):

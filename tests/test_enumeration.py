@@ -1,6 +1,7 @@
 """Finite-field point enumeration, tangent analysis and the singular model."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from lindeg import (
     RepMatrices,
     ValidationError,
     analyze_point,
+    cell_dimension,
     check_search_space,
     classify,
     count_points,
@@ -24,12 +26,18 @@ from lindeg import (
     fixed_points,
     flat_flags,
     gaussian_binomial,
+    is_irreducible,
+    pivot_class_iter,
     points_with_singularity,
     representative,
     sigma_bijection_report,
     singular_point_census,
     subspaces_iter,
 )
+from lindeg import enumeration
+from lindeg.verification import _conjugate
+
+from oracles import census_oracle
 
 FLAG3 = DimVector(3, (1, 2))
 
@@ -68,6 +76,31 @@ class TestSubspacesIter:
         with pytest.raises(ValidationError):
             next(subspaces_iter(QQ, 2, 1))
 
+    def test_pivot_classes_chain_into_the_walk(self):
+        for p in (2, 3):
+            for m in range(5):
+                for k in range(m + 1):
+                    chained = [
+                        V
+                        for pivots in itertools.combinations(range(m), k)
+                        for V in pivot_class_iter(GF(p), m, pivots)
+                    ]
+                    assert chained == list(subspaces_iter(GF(p), m, k))
+
+    def test_pivot_class_is_an_affine_cell(self):
+        # pivots (0, 2) in F_3^4: free entries (0,1), (0,3), (1,3)
+        cls = list(pivot_class_iter(GF(3), 4, (0, 2)))
+        assert len(cls) == 3**3
+        assert cls[0].basis == ((1, 0, 0, 0), (0, 0, 1, 0))
+        assert {V.pivots for V in cls} == {(0, 2)}
+
+    def test_pivot_class_rejects_bad_pivots(self):
+        for pivots in [(2, 1), (1, 1), (0, 4), (-1,)]:
+            with pytest.raises(ValidationError):
+                next(pivot_class_iter(GF(2), 4, pivots))
+        with pytest.raises(ValidationError):
+            next(pivot_class_iter(QQ, 2, (0,)))
+
 
 class TestCountPoints:
     def test_full_flags_of_identity(self):
@@ -101,6 +134,26 @@ class TestCountPoints:
             count_points(rep, (1, 2, 3), guard=100)
         with pytest.raises(GuardExceededError):
             next(enumerate_subreps(RepMatrices.identity_tuple(GF(3), 4, 2), (1, 2), guard=5))
+
+    def test_sizes_of_64_bits_are_printed_exactly(self):
+        # the lower bound 2^4 already exceeds the guard, but 49 is printed
+        with pytest.raises(GuardExceededError, match="size 49 "):
+            check_search_space(GF(2), (3, 3), (1, 2), guard=1)
+        # 2^64 - 1 points, the largest size printed in full
+        with pytest.raises(GuardExceededError, match=f"size {2**64 - 1} "):
+            check_search_space(GF(2), (64,), (1,), guard=10)
+
+    def test_huge_search_space_skips_the_exact_size(self, monkeypatch):
+        """Past 64 bits the bound p^(sum t(m - t)) settles the guard, so the
+        exact product of Gaussian binomials is never built."""
+        def refuse(*args):
+            raise AssertionError("exact search-space size computed")
+
+        monkeypatch.setattr(enumeration, "gaussian_binomial", refuse)
+        with pytest.raises(GuardExceededError, match=r"at least 2\^2252999 "):
+            check_search_space(GF(2), (3000, 3000), (1, 1500), guard=10)
+        with pytest.raises(GuardExceededError, match=r"at least 2\^64 "):
+            check_search_space(GF(3), (16, 16), (8, 0), guard=10)
 
     def test_search_space_needs_no_maps(self):
         # Gr(1, F_2^3) and Gr(2, F_2^3) have 7 points each: 49 candidate pairs
@@ -144,6 +197,28 @@ class TestFixedPoints:
         assert len(fixed_points(J, FLAG3, guard=9)) == 7
         with pytest.raises(GuardExceededError, match="9"):
             fixed_points(J, FLAG3, guard=8)
+
+
+class TestCellDimension:
+    def test_full_flags_are_bruhat_cells(self):
+        J = ProjectionTuple(3, (frozenset(),))
+        dims = sorted(cell_dimension(J, S) for S in fixed_points(J, FLAG3))
+        assert dims == [0, 1, 1, 2, 2, 3]
+
+    def test_cells_of_smooth_varieties_count_the_points(self):
+        cases = [
+            (ProjectionTuple(3, (frozenset(),)), FLAG3),
+            (ProjectionTuple(3, ({1, 2, 3},)), FLAG3),
+            (ProjectionTuple(4, (frozenset(), {1, 2, 3, 4})), DimVector(4, (1, 2, 3))),
+        ]
+        for J, dv in cases:
+            for p in (2, 3):
+                cells = sum(p ** cell_dimension(J, S) for S in fixed_points(J, dv))
+                assert cells == count_points(J.matrices(GF(p)), dv)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValidationError):
+            cell_dimension(ProjectionTuple(3, (frozenset(),)), [(1,)])
 
 
 class TestAnalyzePoint:
@@ -233,6 +308,61 @@ class TestCensus:
                         has_middle_rank = any(0 < r < m for r in rs.edge_ranks())
                         assert (census.singular > 0) == has_middle_rank
                         assert (census.singular == 0) == classify(rs, dv).smooth
+
+
+class TestCellCensus:
+    """singular_point_census counts smooth cells as p^c(S) and walks only the
+    cells of singular fixed points; the brute-force walk is the oracle."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(0)
+        products = 0
+        for p, top in ((2, 5), (3, 4)):
+            for m in range(2, top + 1):
+                for n in range(1, min(3, m - 1) + 1):
+                    orbits = enumerate_orbits(m, n)
+                    for d in itertools.combinations(range(1, m), n):
+                        dv = DimVector(m, d)
+                        try:
+                            check_search_space(GF(p), (m,) * n, d, guard=3000)
+                        except GuardExceededError:
+                            continue
+                        for rs in orbits:
+                            if not is_irreducible(rs, dv):
+                                continue
+                            products += 0 in rs.edge_ranks()
+                            rep = representative(rs).matrices(GF(p))
+                            moved = _conjugate(rng, rep)
+                            expected = census_oracle(moved, dv)
+                            assert singular_point_census(rep, dv) == expected, (rs, dv, p)
+                            assert singular_point_census(moved, dv) == expected, (rs, dv, p)
+        assert products > 0
+
+    def test_smooth_cells_are_counted_not_analyzed(self, monkeypatch):
+        calls = []
+        real = enumeration.analyze_point
+        monkeypatch.setattr(
+            enumeration, "analyze_point", lambda rep, pt: calls.append(pt) or real(rep, pt)
+        )
+        census = singular_point_census(RepMatrices.identity_tuple(GF(2), 3, 2), FLAG3)
+        assert (census.total, census.singular) == (21, 0)
+        assert len(calls) == 6  # one per fixed point
+        calls.clear()
+        census = singular_point_census(ProjectionTuple(3, ({1},)).matrices(GF(2)), FLAG3)
+        assert (census.total, census.singular) == (25, 1)
+        # 7 fixed points, then the singular one again: the other 3 points of its
+        # cell tend to smooth fixed points as t -> infinity
+        assert len(calls) == 7 + 1
+
+    def test_guard_is_the_search_space(self):
+        # Gr(1, F_2^3) x Gr(2, F_2^3): 49 candidate pairs for 25 points
+        rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
+        assert singular_point_census(rep, FLAG3, guard=49).total == 25
+        with pytest.raises(GuardExceededError, match="49"):
+            singular_point_census(rep, FLAG3, guard=48)
+        reducible = ProjectionTuple(3, ({1, 2},)).matrices(GF(2))
+        with pytest.raises(NotIrreducibleError):
+            singular_point_census(reducible, FLAG3, guard=1)
 
 
 class TestSigma:

@@ -13,6 +13,7 @@ def test_suite_registry_names():
         "roundtrips",
         "rank-composition",
         "sigma",
+        "cells",
     }
 
 
@@ -44,3 +45,10 @@ def test_exthom_seed_stability():
     second = run_suites(["exthom"], seed=7)[0]
     assert first.passed and second.passed
     assert first.checks == second.checks
+
+
+def test_cells_suite_checks_every_sampled_case():
+    result = run_suites(["cells"], seed=3)[0]
+    assert result.passed, result.failures
+    # per case: pivot classes, the census, and two checks per smooth cell
+    assert result.checks > 3 * 12
