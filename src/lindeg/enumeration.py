@@ -63,30 +63,28 @@ def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, in canonical order.
 
     Order: pivot columns lexicographically, then within each pivot class the
-    order of ``pivot_class_iter``.  Coordinate subspaces come first in each
+    order of ``_pivot_class_iter``.  Coordinate subspaces come first in each
     pivot class.
     """
+    if not field.is_modular:
+        raise ValidationError("subspace enumeration needs a finite field")
     if not 0 <= dim <= ambient:
         raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
     for pivots in itertools.combinations(range(ambient), dim):
-        yield from pivot_class_iter(field, ambient, pivots)
+        yield from _pivot_class_iter(field, ambient, pivots)
 
 
-def pivot_class_iter(
+def _pivot_class_iter(
     field: Field, ambient: int, pivots: Sequence[int]
 ) -> Iterator[Subspace]:
-    """All subspaces of F_p^ambient whose RREF basis has the given 0-based
-    pivot columns, with the free entries counted up base p.
+    """All subspaces of F_p^ambient whose RREF basis has the given increasing
+    0-based pivot columns, with the free entries counted up base p.
 
     The coordinate subspace on ``pivots`` comes first.  A pivot class is one
     torus cell of the Grassmannian: under t*e_j = t^j e_j every member tends
     to that coordinate subspace as t -> 0.
     """
-    if not field.is_modular:
-        raise ValidationError("subspace enumeration needs a finite field")
     pivots = tuple(pivots)
-    if any(not 0 <= c < ambient for c in pivots) or list(pivots) != sorted(set(pivots)):
-        raise ValidationError(f"pivots {pivots} are not increasing within 0..{ambient - 1}")
     p = field.characteristic
     dim = len(pivots)
     pivset = set(pivots)
@@ -110,24 +108,30 @@ def check_search_space(
 ) -> None:
     """Raise GuardExceededError if the search space of a point enumeration, the
     product over v of the number of targets[v]-subspaces of F_p^dims[v], exceeds
-    ``guard``.  It needs no maps, so a caller can check it before building any."""
+    ``guard``.  It needs no maps, so a caller can check it before building any.
+
+    A size of at most 64 bits is printed exactly.  A larger one is printed as
+    "at least 2^k", k the bit length less one of the best lower bound at hand:
+    the exact size when it was computed, else the largest cells alone.
+    """
     if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
     p = field.characteristic
+    bound = None
+    k = 0
     if all(0 <= t <= amb for amb, t in zip(dims, targets)):
         # the largest cell of Gr(t, F_p^amb) has p^(t(amb - t)) points, at
-        # least 2^low_bits in all; past 64 bits this settles the guard without
-        # the exact product, whose size would not be printed in full anyway
-        low_bits = sum(t * (amb - t) for amb, t in zip(dims, targets)) * (p.bit_length() - 1)
-        if low_bits >= max(64, max(guard, 0).bit_length()):
-            raise GuardExceededError(
-                f"search space of size at least 2^{low_bits} exceeds the guard {guard}"
-            )
-    bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
-    if bound > guard:
-        # Python refuses to print an int of more than 4300 decimal digits
-        size = bound if bound.bit_length() <= 64 else f"at least 2^{bound.bit_length() - 1}"
-        raise GuardExceededError(f"search space of size {size} exceeds the guard {guard}")
+        # least 2^k in all; past 64 bits this settles the guard without the
+        # exact product, whose size would not be printed in full anyway
+        k = sum(t * (amb - t) for amb, t in zip(dims, targets)) * (p.bit_length() - 1)
+    if k < max(64, max(guard, 0).bit_length()):
+        bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
+        if bound <= guard:
+            return
+        k = bound.bit_length() - 1
+    # Python refuses to print an int of more than 4300 decimal digits
+    size = bound if k < 64 else f"at least 2^{k}"
+    raise GuardExceededError(f"search space of size {size} exceeds the guard {guard}")
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
@@ -169,7 +173,7 @@ def _cell_points(rep: RepMatrices, fixed: Sequence[Sequence[int]]) -> Iterator[S
     index subsets ``fixed``: the torus cell of that coordinate point, in the
     enumerate_subreps order.  The coordinate point comes first."""
     return _walk(
-        rep, lambda v: pivot_class_iter(rep.field, rep.dims[v], [j - 1 for j in fixed[v]])
+        rep, lambda v: _pivot_class_iter(rep.field, rep.dims[v], [j - 1 for j in fixed[v]])
     )
 
 

@@ -367,11 +367,12 @@ def suite_sigma(seed: int = 0) -> SuiteResult:
 
 CELL_RANGES = ((2, 5), (3, 4))  # (p, largest m): the fields and sizes sampled
 CELL_SEARCH_BOUND = 1500
+CELL_CASES = 12  # cases sampled per run of the cells suite
 
 
-def _cell_cases() -> list[tuple[int, RankSequence, DimVector]]:
+def _cell_cases(bound: int = CELL_SEARCH_BOUND) -> list[tuple[int, RankSequence, DimVector]]:
     """Every irreducible (p, orbit, d) with n <= 3 in CELL_RANGES whose point
-    search space is at most CELL_SEARCH_BOUND, in a fixed order."""
+    search space is at most ``bound``, in a fixed order."""
     out = []
     for p, top in CELL_RANGES:
         for m in range(2, top + 1):
@@ -379,17 +380,17 @@ def _cell_cases() -> list[tuple[int, RankSequence, DimVector]]:
                 orbits = enumerate_orbits(m, n)
                 for dv in _dim_vectors(m, n):
                     try:
-                        check_search_space(GF(p), (m,) * n, dv.d, CELL_SEARCH_BOUND)
+                        check_search_space(GF(p), (m,) * n, dv.d, bound)
                     except GuardExceededError:
                         continue
                     out.extend((p, rs, dv) for rs in orbits if is_irreducible(rs, dv))
     return out
 
 
-def suite_cells(seed: int = 0, cases: int = 12) -> SuiteResult:
+def suite_cells(seed: int = 0) -> SuiteResult:
     """Torus cells of irreducible Gr_d over F_2 and F_3 against brute force.
 
-    For seeded random irreducible orbits, every point of the representative
+    For CELL_CASES seeded random irreducible orbits, every point of the representative
     projection tuple J is analyzed and filed under its RREF pivot columns.
     The pivot classes must be exactly the fixed points; the class of each
     smooth fixed point S must have p^c(S) points (``cell_dimension``), none
@@ -406,7 +407,7 @@ def suite_cells(seed: int = 0, cases: int = 12) -> SuiteResult:
         if not cond:
             failures.append(msg)
 
-    for p, rs, dv in rng.sample(_cell_cases(), cases):
+    for p, rs, dv in rng.sample(_cell_cases(), CELL_CASES):
         J = representative(rs)
         rep = J.matrices(GF(p))
         where = f"{rs}, d={dv.d}, p={p}"

@@ -26,8 +26,6 @@ from lindeg import (
     fixed_points,
     flat_flags,
     gaussian_binomial,
-    is_irreducible,
-    pivot_class_iter,
     points_with_singularity,
     representative,
     sigma_bijection_report,
@@ -35,7 +33,8 @@ from lindeg import (
     subspaces_iter,
 )
 from lindeg import enumeration
-from lindeg.verification import _conjugate
+from lindeg.enumeration import _pivot_class_iter
+from lindeg.verification import _cell_cases, _conjugate
 
 from oracles import census_oracle
 
@@ -83,23 +82,16 @@ class TestSubspacesIter:
                     chained = [
                         V
                         for pivots in itertools.combinations(range(m), k)
-                        for V in pivot_class_iter(GF(p), m, pivots)
+                        for V in _pivot_class_iter(GF(p), m, pivots)
                     ]
                     assert chained == list(subspaces_iter(GF(p), m, k))
 
     def test_pivot_class_is_an_affine_cell(self):
         # pivots (0, 2) in F_3^4: free entries (0,1), (0,3), (1,3)
-        cls = list(pivot_class_iter(GF(3), 4, (0, 2)))
+        cls = list(_pivot_class_iter(GF(3), 4, (0, 2)))
         assert len(cls) == 3**3
         assert cls[0].basis == ((1, 0, 0, 0), (0, 0, 1, 0))
         assert {V.pivots for V in cls} == {(0, 2)}
-
-    def test_pivot_class_rejects_bad_pivots(self):
-        for pivots in [(2, 1), (1, 1), (0, 4), (-1,)]:
-            with pytest.raises(ValidationError):
-                next(pivot_class_iter(GF(2), 4, pivots))
-        with pytest.raises(ValidationError):
-            next(pivot_class_iter(QQ, 2, (0,)))
 
 
 class TestCountPoints:
@@ -142,6 +134,10 @@ class TestCountPoints:
         # 2^64 - 1 points, the largest size printed in full
         with pytest.raises(GuardExceededError, match=f"size {2**64 - 1} "):
             check_search_space(GF(2), (64,), (1,), guard=10)
+        # the cell bound 2^49 of Gr(1, F_3^50) settles nothing, so the exact
+        # size (3^50 - 1)/2 is computed and its bit length printed
+        with pytest.raises(GuardExceededError, match=r"at least 2\^78 "):
+            check_search_space(GF(3), (50,), (1,), guard=10)
 
     def test_huge_search_space_skips_the_exact_size(self, monkeypatch):
         """Past 64 bits the bound p^(sum t(m - t)) settles the guard, so the
@@ -317,25 +313,13 @@ class TestCellCensus:
     def test_matches_brute_force(self):
         rng = random.Random(0)
         products = 0
-        for p, top in ((2, 5), (3, 4)):
-            for m in range(2, top + 1):
-                for n in range(1, min(3, m - 1) + 1):
-                    orbits = enumerate_orbits(m, n)
-                    for d in itertools.combinations(range(1, m), n):
-                        dv = DimVector(m, d)
-                        try:
-                            check_search_space(GF(p), (m,) * n, d, guard=3000)
-                        except GuardExceededError:
-                            continue
-                        for rs in orbits:
-                            if not is_irreducible(rs, dv):
-                                continue
-                            products += 0 in rs.edge_ranks()
-                            rep = representative(rs).matrices(GF(p))
-                            moved = _conjugate(rng, rep)
-                            expected = census_oracle(moved, dv)
-                            assert singular_point_census(rep, dv) == expected, (rs, dv, p)
-                            assert singular_point_census(moved, dv) == expected, (rs, dv, p)
+        for p, rs, dv in _cell_cases(3000):
+            products += 0 in rs.edge_ranks()
+            rep = representative(rs).matrices(GF(p))
+            moved = _conjugate(rng, rep)
+            expected = census_oracle(moved, dv)
+            assert singular_point_census(rep, dv) == expected, (rs, dv, p)
+            assert singular_point_census(moved, dv) == expected, (rs, dv, p)
         assert products > 0
 
     def test_smooth_cells_are_counted_not_analyzed(self, monkeypatch):
