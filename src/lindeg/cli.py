@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Any, NoReturn, Sequence
 
@@ -31,7 +32,7 @@ from .enumeration import (
     check_search_space,
     enumerate_subreps,
     fixed_points,
-    points_with_singularity,
+    singular_point_census,
 )
 from .errors import GuardExceededError, LindegError, NotIrreducibleError, ValidationError
 from .linalg import QQ, Field, Matrix
@@ -510,18 +511,13 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     check_search_space(field, (dv.m,) * dv.n, dv.d, args.guard)
     if rep is None:
         rep = problem.matrices()
-    if args.census:
-        walk = points_with_singularity(rep, dv, args.guard)
-    else:
-        walk = ((point, False) for point in enumerate_subreps(rep, dv, guard=args.guard))
-    sample = []
-    total = singular = 0
-    for point, is_singular in walk:
-        if total < args.limit:
-            sample.append(_point_json(point))
-        total += 1
-        singular += is_singular
-    census = {"total": total, "singular": singular, "smooth": total - singular}
+    census = singular_point_census(rep, dv, args.guard) if args.census else None
+    # the census counts by torus cells, so points are walked only for a sample
+    # or, without a census, for the count
+    walk = census is None or args.limit > 0
+    points = enumerate_subreps(rep, dv, guard=args.guard) if walk else iter(())
+    sample = [_point_json(p) for p in itertools.islice(points, max(args.limit, 0))]
+    total = census.total if census else len(sample) + sum(1 for _ in points)
     payload: dict[str, Any] = {
         **_envelope("enumerate", problem.sha256),
         "m": dv.m,
@@ -529,7 +525,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
         "d": list(dv.d),
         "prime": field.characteristic,
         "points": total,
-        "census": census if args.census else None,
+        "census": asdict(census) if census else None,
         "fixed_points": len(fixed_points(J, dv, args.guard)) if J is not None else None,
     }
     if args.limit:

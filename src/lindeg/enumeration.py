@@ -279,7 +279,7 @@ def _irreducible_rank_sequence(rep: RepMatrices, dv: DimVector) -> RankSequence:
     return rs
 
 
-def points_with_singularity(
+def _points_with_singularity(
     rep: RepMatrices, dv: DimVector, guard: int
 ) -> Iterator[tuple[SubrepPoint, bool]]:
     """Each point of an irreducible Gr_d(rep), paired with whether it is
@@ -510,7 +510,7 @@ def sigma_bijection_report(
 
     singular_points = {
         point.spaces
-        for point, is_singular in points_with_singularity(ambient, dv, guard)
+        for point, is_singular in _points_with_singularity(ambient, dv, guard)
         if is_singular
     }
     failures: list[str] = []

@@ -20,6 +20,7 @@ from .representations import (
     RankTable,
     RepMatrices,
     decompose_from_ranks,
+    rank_profile,
     ranks_from_decomposition,
 )
 
@@ -72,8 +73,6 @@ class RankSequence:
 
     @staticmethod
     def from_rep(rep: RepMatrices) -> "RankSequence":
-        from .representations import rank_profile
-
         dims = set(rep.dims)
         if len(dims) != 1:
             raise ValidationError("representation does not have constant vertex dimension")

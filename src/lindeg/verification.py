@@ -24,15 +24,15 @@ from .classifier import (
     singular_summary,
 )
 from .enumeration import (
+    _points_with_singularity,
     cell_dimension,
     check_search_space,
     fixed_points,
-    points_with_singularity,
     sigma_bijection_report,
     singular_point_census,
 )
 from .errors import GuardExceededError, NotFlatError
-from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, rank
+from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, inverse, rank
 from .orbits import (
     RankSequence,
     decomposition_of,
@@ -109,8 +109,6 @@ def _random_invertible(rng: random.Random, field: Field, size: int) -> Matrix:
 
 def _conjugate(rng: random.Random, rep: RepMatrices) -> RepMatrices:
     """Change bases at every vertex by random invertible matrices."""
-    from .linalg import inverse
-
     gs = [_random_invertible(rng, rep.field, d) for d in rep.dims]
     maps = tuple(
         gs[i + 1] @ rep.maps[i] @ inverse(gs[i]) for i in range(rep.n - 1)
@@ -414,7 +412,7 @@ def suite_cells(seed: int = 0) -> SuiteResult:
         sizes: dict[tuple, int] = {}
         singular: dict[tuple, int] = {}
         smooth_fixed = set()
-        for point, is_singular in points_with_singularity(rep, dv, CELL_SEARCH_BOUND):
+        for point, is_singular in _points_with_singularity(rep, dv, CELL_SEARCH_BOUND):
             key = tuple(tuple(c + 1 for c in space.pivots) for space in point.spaces)
             sizes[key] = sizes.get(key, 0) + 1
             singular[key] = singular.get(key, 0) + is_singular

@@ -20,10 +20,12 @@ from lindeg import (
     Interval,
     RankSequence,
     RepMatrices,
+    analyze_point,
+    dimension,
+    enumerate_subreps,
     hom_dim_intervals,
     intertwiner_space_dim,
     interval_rep,
-    points_with_singularity,
 )
 
 
@@ -176,6 +178,11 @@ def covering_pairs_oracle(orbits: Sequence[RankSequence]) -> list[tuple[int, int
 
 def census_oracle(rep: RepMatrices, dv: DimVector, guard: int = 10**7) -> CensusResult:
     """Census of an irreducible Gr_d(rep) by brute force: walk every point of
-    rep itself and analyze each one."""
-    flags = [is_singular for _, is_singular in points_with_singularity(rep, dv, guard)]
-    return CensusResult(len(flags), sum(flags), len(flags) - sum(flags))
+    rep itself and call it singular when its tangent space is larger than the
+    variety."""
+    expected = dimension(RankSequence.from_rep(rep), dv)
+    total = singular = 0
+    for point in enumerate_subreps(rep, dv, guard=guard):
+        total += 1
+        singular += analyze_point(rep, point).tangent_dim > expected
+    return CensusResult(total, singular, total - singular)

@@ -5,10 +5,12 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,10 @@ from hypothesis import strategies as st
 
 import lindeg.cli as cli
 import lindeg.enumeration as enumeration
-from lindeg import ProjectionTuple, SuiteResult, __version__
+from lindeg import GF, DimVector, ProjectionTuple, SuiteResult, __version__
+from lindeg.verification import _conjugate
+
+from oracles import census_oracle
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli.json"
 
@@ -362,7 +367,10 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "NotIrreducibleError"
 
-    def test_census_and_sample_share_one_walk(self, capsys, monkeypatch):
+    def test_census_takes_the_cell_route(self, capsys, monkeypatch):
+        def no_pointwise_census(*args, **kwargs):
+            raise AssertionError("census walked every point")
+
         calls = []
         walk = enumeration.enumerate_subreps
 
@@ -370,17 +378,49 @@ class TestEnumerate:
             calls.append(args)
             return walk(*args, **kwargs)
 
+        monkeypatch.setattr(enumeration, "_points_with_singularity", no_pointwise_census)
         monkeypatch.setattr(enumeration, "enumerate_subreps", counted)
         monkeypatch.setattr(cli, "enumerate_subreps", counted)
-        code, out, _ = run_cli(
-            capsys, "enumerate", "--m", "3", "--d", "1,2", "--zero-sets", "1",
-            "--prime", "2", "--census", "--limit", "3", "--format", "json",
-        )
-        assert code == 0
+        argv = [
+            "enumerate", "--m", "3", "--d", "1,2", "--zero-sets", "1",
+            "--prime", "2", "--census", "--format", "json",
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--limit", "0")
+        assert code == 0 and not calls
+        assert json.loads(out)["census"] == {"total": 25, "singular": 1, "smooth": 24}
+        code, out, _ = run_cli(capsys, *argv, "--limit", "3")
+        assert code == 0 and len(calls) == 1
         payload = json.loads(out)
         assert payload["census"] == {"total": 25, "singular": 1, "smooth": 24}
         assert len(payload["sample_points"]) == 3
-        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "prime, m, d, zero_sets, base_change",
+        [
+            (2, 3, [1, 2], [[1]], False),
+            (3, 4, [1, 3], [[1]], False),
+            (2, 3, [1, 2], [[1, 2, 3]], False),
+            (2, 4, [1, 2, 3], [[1], [1, 2, 3, 4]], False),
+            (3, 3, [1, 2], [[1]], True),
+        ],
+    )
+    def test_census_matches_brute_force(
+        self, tmp_path, capsys, prime, m, d, zero_sets, base_change
+    ):
+        rep = ProjectionTuple(m, tuple(map(frozenset, zero_sets))).matrices(GF(prime))
+        problem = {"m": m, "d": d, "zero_sets": zero_sets}
+        if base_change:
+            rep = _conjugate(random.Random(0), rep)
+            problem = {"m": m, "d": d, "maps": [
+                {"kind": "matrix", "entries": [list(row) for row in A.entries]} for A in rep.maps
+            ]}
+        path = write_problem(tmp_path, "p.json", problem)
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--input", str(path), "--prime", str(prime),
+            "--census", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["census"] == asdict(census_oracle(rep, DimVector(m, d)))
 
 
 class TestFixedPoints:

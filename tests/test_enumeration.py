@@ -26,14 +26,13 @@ from lindeg import (
     fixed_points,
     flat_flags,
     gaussian_binomial,
-    points_with_singularity,
     representative,
     sigma_bijection_report,
     singular_point_census,
     subspaces_iter,
 )
 from lindeg import enumeration
-from lindeg.enumeration import _pivot_class_iter
+from lindeg.enumeration import _pivot_class_iter, _points_with_singularity
 from lindeg.verification import _cell_cases, _conjugate
 
 from oracles import census_oracle
@@ -276,7 +275,7 @@ class TestCensus:
 
     def test_points_come_in_enumeration_order(self):
         rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
-        flagged = list(points_with_singularity(rep, FLAG3, guard=100))
+        flagged = list(_points_with_singularity(rep, FLAG3, guard=100))
         assert [point for point, _ in flagged] == list(enumerate_subreps(rep, FLAG3))
         assert sum(is_singular for _, is_singular in flagged) == 1
 
