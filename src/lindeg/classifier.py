@@ -143,8 +143,7 @@ def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
     """Matrix-level test: corank of map i equals the step d_{i+1} - d_i and
 
     the kernels are in direct sum.  Equivalent to the rank-table test."""
-    if rep.dims != (dv.m,) * dv.n:
-        raise ValidationError("representation does not act on F^m at every vertex")
+    rep.check_endomorphisms(dv)
     steps = dv.steps()
     kernels = []
     for i, f in enumerate(rep.maps):
@@ -273,7 +272,6 @@ def construct_singular_witness(
     tangent space is too large and the point is singular.
     """
     rs = J.rank_sequence()
-    _check_pair(rs, dv)
     flags = flat_flags(rs, dv)
     if flags.stratum:
         raise ValidationError("witness construction needs all maps nonzero")
@@ -329,7 +327,6 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     The singular-locus summary is available exactly when the variety lies in
     the closure of the irreducible locus of its stratum.
     """
-    _check_pair(rs, dv)
     dec = decomposition_of(rs)
     flags = flat_flags(rs, dv)
     smooth = is_smooth(rs, dv)
@@ -356,6 +353,5 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
 
 def classify_matrices(rep: RepMatrices, dv: DimVector) -> DegenerationReport:
     """Classify a concrete endomorphism tuple via its rank table."""
-    if rep.dims != (dv.m,) * dv.n:
-        raise ValidationError("representation does not act on F^m at every vertex")
+    rep.check_endomorphisms(dv)
     return classify(RankSequence(dv.m, rank_profile(rep)), dv)

@@ -68,15 +68,10 @@ class Problem:
     """A problem: the flag dimensions, the field, and the one description of
     the tuple of maps that the input gives, built and checked at load."""
 
-    dv: DimVector | None
+    dv: DimVector
     field: Field
     maps: RankSequence | ProjectionTuple | RepMatrices
     sha256: str
-
-    def dim_vector(self) -> DimVector:
-        if self.dv is None:
-            raise ValidationError("this command needs the flag dimension vector d")
-        return self.dv
 
     def projection_tuple(self, what: str) -> ProjectionTuple:
         if not isinstance(self.maps, ProjectionTuple):
@@ -99,16 +94,18 @@ class Problem:
 
 
 def _parse_field(spec: Any) -> Field:
-    if spec is None or spec in (0, "0", "Q", "QQ", "rationals"):
-        return QQ
     if isinstance(spec, dict):
         return _parse_field(spec.get("prime", 0))
-    if isinstance(spec, (int, str)):
-        try:
-            return Field(int(spec))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad field spec {spec!r}: {exc}") from exc
-    raise ValidationError(f"bad field spec {spec!r}")
+    if spec is None:
+        return QQ
+    if not (_is_int(spec) or isinstance(spec, str)):  # JSON false and 0.0 are not 0
+        raise ValidationError(f"bad field spec {spec!r}")
+    if spec in (0, "0", "Q", "QQ", "rationals"):
+        return QQ
+    try:
+        return Field(int(spec))
+    except ValueError as exc:
+        raise ValidationError(f"bad field spec {spec!r}: {exc}") from exc
 
 
 def _is_int(x: Any) -> bool:
@@ -160,6 +157,8 @@ def _read_map(field: Field, m: int, spec: Any, index: int) -> frozenset[int] | M
             or any(not isinstance(row, list) or len(row) != m for row in entries)
         ):
             raise ValidationError(f"map {index + 1}: entries must be an {m} x {m} array")
+        if any(isinstance(x, bool) for row in entries for x in row):  # else read as 1 and 0
+            raise ValidationError(f"map {index + 1}: bad entry: booleans are not scalars")
         try:
             return Matrix.from_rows(field, entries, ncols=m)
         except (ValueError, ZeroDivisionError) as exc:
@@ -253,15 +252,12 @@ def load_problem(args: argparse.Namespace) -> Problem:
         raise ValidationError(f"inconsistent quiver lengths {sorted(lengths)}")
     if maps.n < 1:
         raise ValidationError("need at least one vertex")
-    dv = DimVector(m, d) if d is not None else None
-    return Problem(dv, field, maps, digest)
+    if d is None:
+        raise ValidationError("this command needs the flag dimension vector d")
+    return Problem(DimVector(m, d), field, maps, digest)
 
 
 # ------------------------------------------------------------- serialization
-
-
-def _entry_json(x) -> Any:
-    return x if isinstance(x, int) else str(x)
 
 
 def _decomposition_json(dec: Decomposition) -> list[dict]:
@@ -305,7 +301,7 @@ def _point_json(point: SubrepPoint) -> dict:
         return {"coordinates": [list(s) for s in point.coordinates]}
     return {
         "bases": [
-            [[_entry_json(x) for x in row] for row in space.basis]
+            [list(row) for row in space.basis]
             for space in point.spaces
         ]
     }
@@ -318,6 +314,12 @@ def _envelope(command: str, problem_hash: str | None) -> dict:
         "command": command,
         "input_sha256": problem_hash,
     }
+
+
+def _problem_envelope(command: str, problem: Problem) -> dict:
+    """The envelope of a report on a problem, then the problem's m, n and d."""
+    dv = problem.dv
+    return {**_envelope(command, problem.sha256), "m": dv.m, "n": dv.n, "d": list(dv.d)}
 
 
 def _as_text(payload: dict) -> str:
@@ -355,14 +357,10 @@ def _table(digest: str | None, title: str, lines: list[str]) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
-    dv = problem.dim_vector()
     rs = problem.rank_sequence()
-    report = classify(rs, dv)
+    report = classify(rs, problem.dv)
     payload = {
-        **_envelope("classify", problem.sha256),
-        "m": dv.m,
-        "n": dv.n,
-        "d": list(dv.d),
+        **_problem_envelope("classify", problem),
         "edge_ranks": list(report.edge_ranks),
         "rank_table": _table_json(rs.table),
         "decomposition": _decomposition_json(report.decomposition),
@@ -418,7 +416,8 @@ def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
     dv = _annotation_dim_vector(args)
     orbits = enumerate_orbits(args.m, args.n, guard=args.guard)
     ordered = sorted(orbits, key=lambda rs: rs.table.entries_flat(), reverse=True)
-    digest = _sha256_of({"m": args.m, "n": args.n, "d": list(dv.d) if dv else None})
+    head = {"m": args.m, "n": args.n, "d": list(dv.d) if dv else None}
+    digest = _sha256_of(head)
 
     if args.format == "dot":
         def annotate(rs: RankSequence) -> str:
@@ -444,9 +443,7 @@ def cmd_orbits(args: argparse.Namespace) -> tuple[str, int]:
         rows.append(row)
     payload = {
         **_envelope("orbits", digest),
-        "m": args.m,
-        "n": args.n,
-        "d": list(dv.d) if dv else None,
+        **head,
         "count": len(rows),
         "orbits": rows,
     }
@@ -468,7 +465,8 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
     dv = _annotation_dim_vector(args)
     if args.format == "dot":
         return strata_dot(args.n, guard=args.guard), 0
-    digest = _sha256_of({"n": args.n, "m": args.m, "d": list(dv.d) if dv else None})
+    head = {"n": args.n, "m": args.m, "d": list(dv.d) if dv else None}
+    digest = _sha256_of(head)
     rows = []
     for I in strata_subsets(args.n, guard=args.guard):
         row: dict[str, Any] = {"edges": list(I)}
@@ -479,9 +477,7 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
         rows.append(row)
     payload = {
         **_envelope("strata", digest),
-        "n": args.n,
-        "m": args.m,
-        "d": list(dv.d) if dv else None,
+        **head,
         "count": len(rows),
         "strata": rows,
     }
@@ -498,7 +494,7 @@ def cmd_strata(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
-    dv = problem.dim_vector()
+    dv = problem.dv
     field = problem.field
     if not field.is_modular:
         raise ValidationError("enumeration needs a finite field: pass --prime or a prime field spec")
@@ -519,10 +515,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     sample = [_point_json(p) for p in itertools.islice(points, max(args.limit, 0))]
     total = census.total if census else len(sample) + sum(1 for _ in points)
     payload: dict[str, Any] = {
-        **_envelope("enumerate", problem.sha256),
-        "m": dv.m,
-        "n": dv.n,
-        "d": list(dv.d),
+        **_problem_envelope("enumerate", problem),
         "prime": field.characteristic,
         "points": total,
         "census": asdict(census) if census else None,
@@ -535,14 +528,10 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
-    dv = problem.dim_vector()
     J = problem.projection_tuple("fixed-points")
-    pts = fixed_points(J, dv)
+    pts = fixed_points(J, problem.dv)
     payload = {
-        **_envelope("fixed-points", problem.sha256),
-        "m": dv.m,
-        "n": dv.n,
-        "d": list(dv.d),
+        **_problem_envelope("fixed-points", problem),
         "zero_sets": [sorted(s) for s in J.zero_sets],
         "count": len(pts),
         "points": [[list(S) for S in chain] for chain in pts],
@@ -558,14 +547,11 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
     problem = load_problem(args)
-    dv = problem.dim_vector()
+    dv = problem.dv
     rs = problem.rank_sequence()
     info = singular_summary(rs, dv)
     payload = {
-        **_envelope("singular", problem.sha256),
-        "m": dv.m,
-        "n": dv.n,
-        "d": list(dv.d),
+        **_problem_envelope("singular", problem),
         "edge_ranks": list(rs.edge_ranks()),
         "singular": _singular_json(info),
     }
@@ -590,15 +576,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             **_envelope("verify", None),
             "seed": args.seed,
             "passed": ok,
-            "suites": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checks": r.checks,
-                    "failures": list(r.failures),
-                }
-                for r in results
-            ],
+            "suites": [asdict(r) for r in results],
         }
         return _emit(payload, "json"), 0 if ok else 1
     lines = [r.summary_line() for r in results]

@@ -141,8 +141,7 @@ def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
 
 def _normalize_targets(rep: RepMatrices, targets) -> tuple[int, ...]:
     if isinstance(targets, DimVector):
-        if rep.dims != (targets.m,) * targets.n:
-            raise ValidationError("representation does not act on F^m at every vertex")
+        rep.check_endomorphisms(targets)
         return targets.d
     t = tuple(int(x) for x in targets)
     if len(t) != rep.n:
@@ -242,7 +241,7 @@ class PointAnalysis:
     ext: int
 
 
-def analyze_point(rep: RepMatrices, point) -> PointAnalysis:
+def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     """Tangent space Hom(L, M/L) and obstruction Ext^1(L, M/L) at a point.
 
     tangent_dim - ext is the Euler form of the dimension vectors, which is
@@ -251,9 +250,8 @@ def analyze_point(rep: RepMatrices, point) -> PointAnalysis:
     ext > 0 alone does not decide it, since with zero maps the variety is a
     product and the cross-segment extension classes are unobstructed.
     """
-    spaces = point.spaces if isinstance(point, SubrepPoint) else tuple(point)
-    sub = restrict_rep(rep, spaces)
-    quo = quotient_rep(rep, spaces)
+    sub = restrict_rep(rep, point.spaces)
+    quo = quotient_rep(rep, point.spaces)
     sub_dec = decompose_from_ranks(rank_profile(sub))
     quo_dec = decompose_from_ranks(rank_profile(quo))
     hom = hom_dim(sub_dec, quo_dec)
@@ -271,8 +269,7 @@ class CensusResult:
 
 def _irreducible_rank_sequence(rep: RepMatrices, dv: DimVector) -> RankSequence:
     """The orbit of rep, after checking that Gr_d(rep) is irreducible."""
-    if set(rep.dims) != {dv.m}:
-        raise ValidationError("representation does not act on F^m at every vertex")
+    rep.check_endomorphisms(dv)
     rs = RankSequence(dv.m, rank_profile(rep))
     if not is_irreducible(rs, dv):
         raise NotIrreducibleError("point census is defined for irreducible varieties")

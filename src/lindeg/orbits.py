@@ -156,9 +156,9 @@ class ProjectionTuple:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zero_sets", tuple(frozenset(s) for s in self.zero_sets))
-        allowed = set(range(1, self.m + 1))
+        allowed = range(1, self.m + 1)  # a range tests membership without a set of size m
         for s in self.zero_sets:
-            if not s <= allowed:
+            if not all(j in allowed for j in s):
                 raise ValidationError(f"zero set {sorted(s)} not within 1..{self.m}")
 
     @property

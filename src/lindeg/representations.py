@@ -151,22 +151,6 @@ class Decomposition:
                 dims[v - 1] += k
         return tuple(dims)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __add__(self, other: "Decomposition") -> "Decomposition":
-        if self.n != other.n:
-            raise ValidationError("cannot add decompositions of different lengths")
-        counts = {iv: k for iv, k in self.items}
-        for iv, k in other.items:
-            counts[iv] = counts.get(iv, 0) + k
-        return Decomposition.from_multiplicities(self.n, counts)
-
-    def __rmul__(self, scalar: int) -> "Decomposition":
-        if scalar < 0:
-            raise ValidationError("multiplicity scale must be nonnegative")
-        return Decomposition.from_multiplicities(self.n, {iv: k * scalar for iv, k in self.items})
-
     def __str__(self) -> str:
         if not self.items:
             return "0"
@@ -276,6 +260,12 @@ class RepMatrices:
     def n(self) -> int:
         return len(self.dims)
 
+    def check_endomorphisms(self, dv: DimVector) -> None:
+        """Raise ValidationError unless this is a tuple of endomorphisms of F^m
+        on the n vertices of dv: it acts on F^m at each of them."""
+        if self.dims != (dv.m,) * dv.n:
+            raise ValidationError("representation does not act on F^m at every vertex")
+
     @staticmethod
     def identity_tuple(field: Field, m: int, n: int) -> "RepMatrices":
         return RepMatrices(field, (m,) * n, tuple(Matrix.identity(field, m) for _ in range(n - 1)))
@@ -307,13 +297,6 @@ class RepMatrices:
 def interval_rep(n: int, interval: Interval | tuple[int, int], field: Field) -> RepMatrices:
     iv = interval if isinstance(interval, Interval) else Interval(*interval)
     return RepMatrices.from_decomposition(Decomposition.from_intervals(n, [iv]), field)
-
-
-def rep_hom_dim(A: RepMatrices, B: RepMatrices) -> int:
-    """dim Hom(A, B) computed from the matrices alone (intertwiner equations)."""
-    if A.field != B.field:
-        raise ValidationError("representations are over different fields")
-    return linalg.intertwiner_space_dim(A.field, A.dims, A.maps, B.dims, B.maps)
 
 
 def rank_profile(rep: RepMatrices) -> RankTable:

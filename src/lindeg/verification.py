@@ -72,6 +72,24 @@ class SuiteResult:
         return line
 
 
+class _Checks:
+    """The checks of one suite: counts them, keeps the failure messages in
+    order and builds the SuiteResult.  A message is a ``str.format`` template
+    with its arguments, formatted only when its check fails."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.failures: list[str] = []
+
+    def __call__(self, ok: bool, template: str, *args: object) -> None:
+        self.count += 1
+        if not ok:
+            self.failures.append(template.format(*args))
+
+    def result(self, name: str) -> SuiteResult:
+        return SuiteResult(name, not self.failures, self.count, tuple(self.failures))
+
+
 def _random_decomposition(
     rng: random.Random, n: int, max_mult: int = 2, max_vertex_dim: int = 5
 ) -> Decomposition:
@@ -124,8 +142,7 @@ def suite_exthom(seed: int = 0, pairs: int = 500) -> SuiteResult:
     and dim Ext is recovered from hom - ext = Euler form.
     """
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    check = _Checks()
     for k in range(pairs):
         if k % 50 == 0:
             field, n, max_mult = QQ, 2, 1
@@ -141,14 +158,15 @@ def suite_exthom(seed: int = 0, pairs: int = 500) -> SuiteResult:
         hom_tab = hom_dim(A, B)
         ext_tab = ext_dim(A, B)
         euler = euler_form(ra.dims, rb.dims)
-        checks += 2
-        if hom_mat != hom_tab:
-            failures.append(f"pair {k}: hom table {hom_tab} != matrices {hom_mat} ({A} -> {B})")
-        if hom_mat - ext_tab != euler:
-            failures.append(
-                f"pair {k}: hom {hom_mat} - ext {ext_tab} != euler {euler} ({A} -> {B})"
-            )
-    return SuiteResult("exthom", not failures, checks, tuple(failures))
+        check(
+            hom_mat == hom_tab,
+            "pair {}: hom table {} != matrices {} ({} -> {})", k, hom_tab, hom_mat, A, B,
+        )
+        check(
+            hom_mat - ext_tab == euler,
+            "pair {}: hom {} - ext {} != euler {} ({} -> {})", k, hom_mat, ext_tab, euler, A, B,
+        )
+    return check.result("exthom")
 
 
 def _dim_vectors(m: int, n: int) -> Iterable[DimVector]:
@@ -165,15 +183,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
     reproduce their orbit over different fields, and the matrix-level
     good-behavior test agrees with the rank-table one."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
-
-    def note(cond: bool, msg: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not cond:
-            failures.append(msg)
-
+    check = _Checks()
     for m in range(2, 5):
         for n in range(1, 4):
             if n >= m:
@@ -182,56 +192,56 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
             dvs = list(_dim_vectors(m, n))
             for rs in orbits:
                 dec = decomposition_of(rs)
-                note(
+                check(
                     ranks_from_decomposition(dec) == rs.table,
-                    f"decomposition round trip failed for {rs}",
+                    "decomposition round trip failed for {}", rs,
                 )
                 J = representative(rs)
-                note(
+                check(
                     J.rank_sequence() == rs,
-                    f"representative does not lie on its orbit for {rs}",
+                    "representative does not lie on its orbit for {}", rs,
                 )
                 p = rng.choice([2, 3, 101])
-                note(
+                check(
                     rank_profile(J.matrices(GF(p))) == rs.table,
-                    f"representative rank profile over F_{p} differs for {rs}",
+                    "representative rank profile over F_{} differs for {}", p, rs,
                 )
                 for dv in dvs:
                     flags = flat_flags(rs, dv)
                     irr = is_irreducible(rs, dv)
-                    note(
+                    check(
                         irr == flags.flat_irreducible,
-                        f"irreducibility criteria disagree for {rs}, d={dv.d}",
+                        "irreducibility criteria disagree for {}, d={}", rs, dv.d,
                     )
                     if is_smooth(rs, dv):
-                        note(irr, f"smooth but not irreducible: {rs}, d={dv.d}")
+                        check(irr, "smooth but not irreducible: {}, d={}", rs, dv.d)
                         info = singular_summary(rs, dv)
-                        note(
+                        check(
                             info.kind == "empty",
-                            f"smooth orbit with nonempty singular locus: {rs}, d={dv.d}",
+                            "smooth orbit with nonempty singular locus: {}, d={}", rs, dv.d,
                         )
                     if flags.flat_irreducible:
-                        note(flags.flat, f"flat-irreducible but not flat: {rs}, d={dv.d}")
+                        check(flags.flat, "flat-irreducible but not flat: {}, d={}", rs, dv.d)
                     try:
                         dimension(rs, dv)
                         got_dim = True
                     except NotFlatError:
                         got_dim = False
-                    note(
+                    check(
                         got_dim == flags.flat,
-                        f"dimension formula availability != flatness for {rs}, d={dv.d}",
+                        "dimension formula availability != flatness for {}, d={}", rs, dv.d,
                     )
                     wb = is_well_behaved(rs, dv)
                     if wb:
-                        note(
+                        check(
                             flags.flat_irreducible and not flags.stratum,
-                            f"well-behaved orbit not flat-irreducible: {rs}, d={dv.d}",
+                            "well-behaved orbit not flat-irreducible: {}, d={}", rs, dv.d,
                         )
-                    note(
+                    check(
                         is_well_behaved_matrices(J.matrices(GF(5)), dv) == wb,
-                        f"matrix-level good behavior disagrees for {rs}, d={dv.d}",
+                        "matrix-level good behavior disagrees for {}, d={}", rs, dv.d,
                     )
-    return SuiteResult("classify-consistency", not failures, checks, tuple(failures))
+    return check.result("classify-consistency")
 
 
 def suite_roundtrips(seed: int = 0) -> SuiteResult:
@@ -242,38 +252,39 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
     exactly the upper stratum rank target as its table.
     """
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    check = _Checks()
     for k in range(300):
         n = rng.randint(1, 5)
         D = _random_decomposition(rng, n, max_mult=3, max_vertex_dim=50)
-        table = ranks_from_decomposition(D)
-        checks += 1
-        if decompose_from_ranks(table) != D:
-            failures.append(f"case {k}: decomposition round trip failed for {D}")
+        back = decompose_from_ranks(ranks_from_decomposition(D))
+        check(back == D, "case {}: decomposition round trip failed for {}", k, D)
     for m in range(1, 4):
         for n in range(1, 5):
             for rs in enumerate_orbits(m, n):
                 dec = decomposition_of(rs)
                 J = representative(rs)
-                checks += 3
-                if ranks_from_decomposition(dec) != rs.table:
-                    failures.append(f"rank/decomposition round trip failed for {rs}")
-                if J.rank_sequence() != rs:
-                    failures.append(f"representative combinatorial ranks differ for {rs}")
-                if rank_profile(J.matrices(GF(7))) != rs.table:
-                    failures.append(f"representative matrix ranks differ for {rs}")
+                check(
+                    ranks_from_decomposition(dec) == rs.table,
+                    "rank/decomposition round trip failed for {}", rs,
+                )
+                check(
+                    J.rank_sequence() == rs,
+                    "representative combinatorial ranks differ for {}", rs,
+                )
+                check(
+                    rank_profile(J.matrices(GF(7))) == rs.table,
+                    "representative matrix ranks differ for {}", rs,
+                )
     for m in range(2, 9):
         for n in range(1, m):
             for dv in _dim_vectors(m, n):
                 dec = well_behaved_rep(dv)
                 target, _ = stratum_rank_targets((), dv)
-                checks += 1
-                if ranks_from_decomposition(dec) != target.table:
-                    failures.append(
-                        f"generic construction has wrong ranks for m={m}, d={dv.d}"
-                    )
-    return SuiteResult("roundtrips", not failures, checks, tuple(failures))
+                check(
+                    ranks_from_decomposition(dec) == target.table,
+                    "generic construction has wrong ranks for m={}, d={}", m, dv.d,
+                )
+    return check.result("roundtrips")
 
 
 def _random_matrix_of_rank(rng: random.Random, field: Field, m: int, r: int) -> Matrix:
@@ -303,8 +314,7 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
     """
     rng = random.Random(seed)
     field = GF(P_LARGE)
-    failures = []
-    checks = 0
+    check = _Checks()
     for k in range(cases):
         n = rng.randint(2, 4)
         m = rng.randint(n + 1, 6)
@@ -321,26 +331,24 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
                 prod = Matrix.identity(field, m)
                 for i in range(a, b):
                     prod = maps[i - 1] @ prod
-                checks += 1
-                if rank(prod) != table.r(a, b):
-                    failures.append(
-                        f"case {k}: composite {a}->{b} rank {rank(prod)} != table {table.r(a, b)}"
-                    )
+                got, want = rank(prod), table.r(a, b)
+                check(
+                    got == want,
+                    "case {}: composite {}->{} rank {} != table {}", k, a, b, got, want,
+                )
                 if a < b:
-                    checks += 1
                     bound = m + dv.d[a - 1] - dv.d[b - 1]
-                    if table.r(a, b) < bound:
-                        failures.append(
-                            f"case {k}: composite {a}->{b} rank {table.r(a, b)} below {bound} "
-                            f"(m={m}, d={dv.d})"
-                        )
-    return SuiteResult("rank-composition", not failures, checks, tuple(failures))
+                    check(
+                        want >= bound,
+                        "case {}: composite {}->{} rank {} below {} (m={}, d={})",
+                        k, a, b, want, bound, m, dv.d,
+                    )
+    return check.result("rank-composition")
 
 
 def suite_sigma(seed: int = 0) -> SuiteResult:
     """Corank-one singular-locus model vs brute-force singular points over F_2."""
-    failures = []
-    checks = 0
+    check = _Checks()
     expected: list[tuple[int, tuple[int, ...], int, int, int | None]] = [
         (3, (1, 2), 1, 2, 1),
         (4, (1, 2), 1, 2, 7),
@@ -351,16 +359,14 @@ def suite_sigma(seed: int = 0) -> SuiteResult:
     for m, d, h, p, count in expected:
         dv = DimVector(m, d)
         rep = sigma_bijection_report(m, dv, h, prime=p)
-        checks += 1
-        if not rep.ok:
-            failures.append(f"sigma mismatch for m={m}, d={d}, h={h}, p={p}: {rep.failures}")
+        check(rep.ok, "sigma mismatch for m={}, d={}, h={}, p={}: {}", m, d, h, p, rep.failures)
         if count is not None:
-            checks += 1
-            if rep.singular_count != count:
-                failures.append(
-                    f"singular count for m={m}, d={d}, h={h}: got {rep.singular_count}, want {count}"
-                )
-    return SuiteResult("sigma", not failures, checks, tuple(failures))
+            check(
+                rep.singular_count == count,
+                "singular count for m={}, d={}, h={}: got {}, want {}",
+                m, d, h, rep.singular_count, count,
+            )
+    return check.result("sigma")
 
 
 CELL_RANGES = ((2, 5), (3, 4))  # (p, largest m): the fields and sizes sampled
@@ -396,15 +402,7 @@ def suite_cells(seed: int = 0) -> SuiteResult:
     must equal the brute-force count.
     """
     rng = random.Random(seed)
-    failures = []
-    checks = 0
-
-    def note(cond: bool, msg: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not cond:
-            failures.append(msg)
-
+    check = _Checks()
     for p, rs, dv in rng.sample(_cell_cases(), CELL_CASES):
         J = representative(rs)
         rep = J.matrices(GF(p))
@@ -418,18 +416,28 @@ def suite_cells(seed: int = 0) -> SuiteResult:
             singular[key] = singular.get(key, 0) + is_singular
             if point.is_coordinate and not is_singular:
                 smooth_fixed.add(key)
-        note(sorted(sizes) == fixed_points(J, dv), f"pivot classes are not the fixed points: {where}")
+        check(
+            sorted(sizes) == fixed_points(J, dv),
+            "pivot classes are not the fixed points: {}", where,
+        )
         for S in sorted(smooth_fixed):
             c = cell_dimension(J, S)
-            note(sizes[S] == p**c, f"cell of {S} has {sizes[S]} points, not {p}^{c}: {where}")
-            note(not singular[S], f"cell of smooth {S} has {singular[S]} singular points: {where}")
+            check(
+                sizes[S] == p**c,
+                "cell of {} has {} points, not {}^{}: {}", S, sizes[S], p, c, where,
+            )
+            check(
+                not singular[S],
+                "cell of smooth {} has {} singular points: {}", S, singular[S], where,
+            )
         census = singular_point_census(_conjugate(rng, rep), dv, CELL_SEARCH_BOUND)
         total, bad = sum(sizes.values()), sum(singular.values())
-        note(
+        check(
             (census.total, census.singular) == (total, bad),
-            f"census {census.total}/{census.singular} != brute force {total}/{bad}: {where}",
+            "census {}/{} != brute force {}/{}: {}",
+            census.total, census.singular, total, bad, where,
         )
-    return SuiteResult("cells", not failures, checks, tuple(failures))
+    return check.result("cells")
 
 
 SUITES: dict[str, Callable[[int], SuiteResult]] = {

@@ -153,6 +153,15 @@ class TestClassify:
             {"m": 3, "d": "12"},
             {"m": 3, "n": "x"},
             {"m": 3, "d": [1, 2], "maps": [{"kind": "projection", "zero_indices": ["a"]}]},
+            # JSON booleans are not numbers, nor is 0.0 the field spec 0
+            {
+                "m": 3,
+                "d": [1, 2],
+                "maps": [{"kind": "matrix", "entries": [[True, 0, 0], [0, False, 0], [0, 0, True]]}],
+            },
+            {"m": 3, "d": [1, 2], "field": False, "ranks": [[3, 2], [3]]},
+            {"m": 3, "d": [1, 2], "field": 0.0, "ranks": [[3, 2], [3]]},
+            {"m": 3, "d": [1, 2], "field": {"prime": False}, "ranks": [[3, 2], [3]]},
         ],
     )
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, problem):

@@ -10,6 +10,7 @@ from lindeg import (
     QQ,
     DimVector,
     GuardExceededError,
+    Matrix,
     NotIrreducibleError,
     ProjectionTuple,
     RankSequence,
@@ -19,6 +20,7 @@ from lindeg import (
     cell_dimension,
     check_search_space,
     classify,
+    classify_matrices,
     count_points,
     dimension,
     enumerate_orbits,
@@ -26,6 +28,7 @@ from lindeg import (
     fixed_points,
     flat_flags,
     gaussian_binomial,
+    is_well_behaved_matrices,
     representative,
     sigma_bijection_report,
     singular_point_census,
@@ -251,6 +254,26 @@ class TestAnalyzePoint:
         assert all(a.ext >= 1 for a in analyses)
         assert all(a.tangent_dim == dim for a in analyses)
         assert singular_point_census(rep, FLAG3).singular == 0
+
+
+@pytest.mark.parametrize(
+    "entry", [classify_matrices, is_well_behaved_matrices, enumerate_subreps, singular_point_census]
+)
+@pytest.mark.parametrize(
+    "rep",
+    [
+        RepMatrices(GF(2), (3, 2), (Matrix.zeros(GF(2), 2, 3),)),
+        RepMatrices.identity_tuple(GF(2), 3, 3),
+    ],
+    ids=["vertex-of-dimension-2", "three-vertices"],
+)
+def test_a_tuple_that_does_not_act_on_fm_is_rejected_alike(entry, rep):
+    """Every entry point that takes a tuple of endomorphisms of F^m and a
+    dimension vector rejects a wrong vertex dimension and a wrong number of
+    vertices with one message."""
+    with pytest.raises(ValidationError) as exc:
+        entry(rep, FLAG3)
+    assert str(exc.value) == "representation does not act on F^m at every vertex"
 
 
 class TestCensus:

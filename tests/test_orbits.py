@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,16 @@ class TestRepresentatives:
                 pt = representative(rs)
                 assert 1 in pt.zero_sets[0]
 
+    def test_zero_sets_are_checked_in_memory_independent_of_m(self):
+        # checking against a set of all m coordinates peaked at 67 MB here
+        tracemalloc.start()
+        try:
+            ProjectionTuple(10**6, (frozenset({1}),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_single_kill(self):
         pt = single_kill_tuple(4, 3, 2)
         assert pt.zero_sets == (frozenset(), frozenset({1}))
@@ -212,8 +223,9 @@ class TestRepresentatives:
         assert rs.r(1, 3) == 3
 
     def test_projection_validation(self):
-        with pytest.raises(ValidationError):
-            ProjectionTuple(2, (frozenset({3}),))
+        for bad in (3, 0):
+            with pytest.raises(ValidationError, match=rf"zero set \[{bad}\] not within 1\.\.2"):
+                ProjectionTuple(2, (frozenset({bad}),))
         with pytest.raises(ValidationError):
             single_kill_tuple(3, 2, 2)
 

@@ -25,6 +25,7 @@ from lindeg import (
     euler_form,
     hom_dim,
     hom_dim_intervals,
+    intertwiner_space_dim,
     interval_rep,
     is_catenoid,
     is_realizable_table,
@@ -32,7 +33,6 @@ from lindeg import (
     quotient_rep,
     rank_profile,
     ranks_from_decomposition,
-    rep_hom_dim,
     restrict_rep,
     schubert_embedding_target,
     span,
@@ -78,7 +78,8 @@ class TestIntervalHomExt:
         for field in (QQ, GF(2)):
             for x in _all_intervals(n):
                 for y in _all_intervals(n):
-                    got = rep_hom_dim(interval_rep(n, x, field), interval_rep(n, y, field))
+                    A, B = interval_rep(n, x, field), interval_rep(n, y, field)
+                    got = intertwiner_space_dim(field, A.dims, A.maps, B.dims, B.maps)
                     assert got == hom_dim_intervals(x, y), (x, y, field)
 
     def test_euler_is_hom_minus_ext(self):
@@ -131,12 +132,6 @@ class TestDecomposition:
         assert str(D) == "U[1,1] + 2*U[1,2]"
         assert D.vertex_dims() == (3, 2)
         assert D.total() == 3
-
-    def test_add_and_scale(self):
-        A = Decomposition.from_intervals(2, [(1, 1)])
-        B = Decomposition.from_intervals(2, [(1, 1), (2, 2)])
-        assert (A + B).multiplicity((1, 1)) == 2
-        assert (2 * A).vertex_dims() == (2, 0)
 
     def test_rejects_misfit(self):
         with pytest.raises(ValidationError):
@@ -235,7 +230,7 @@ class TestResolution:
     def test_projective_has_no_kernel(self):
         D = Decomposition.from_intervals(3, [(2, 3)])
         P, Q = minimal_projective_resolution(D)
-        assert P == D and Q.is_zero()
+        assert P == D and Q.items == ()
 
     def test_dims_close_up(self):
         rng = random.Random(23)

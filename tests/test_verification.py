@@ -36,7 +36,7 @@ def test_run_selected_suite():
 def test_sigma_suite_deterministic():
     a = suite_sigma(seed=0)
     b = suite_sigma(seed=1)
-    assert a.checks == b.checks
+    assert a.checks == b.checks == 8
     assert a.passed and b.passed
 
 
