@@ -48,7 +48,7 @@ for chain in chains:
 # Corank-one singular locus over F_2, checked point by point: the singular
 # points of Gr_d(M) biject with the model Grassmannian, here Gr(2, 3)(F_2).
 print()
-rep = sigma_bijection_report(4, DimVector(4, (1, 2)), 1, prime=2)
+rep = sigma_bijection_report(DimVector(4, (1, 2)), 1, prime=2)
 print(f"m = 4, d = (1, 2), corank one at edge 1 over F_2:")
 print(f"  singular points found : {rep.singular_count}")
 print(f"  model Grassmannian    : {rep.model_count} points "

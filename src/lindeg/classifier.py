@@ -76,7 +76,6 @@ def _check_pair(rs: RankSequence, dv: DimVector) -> None:
 
 def is_smooth(rs: RankSequence, dv: DimVector) -> bool:
     """Smooth iff every map has rank 0 or m (then the variety is a product of
-
     ordinary flag varieties)."""
     _check_pair(rs, dv)
     return all(r in (0, rs.m) for r in rs.edge_ranks())
@@ -84,7 +83,6 @@ def is_smooth(rs: RankSequence, dv: DimVector) -> bool:
 
 def is_irreducible(rs: RankSequence, dv: DimVector) -> bool:
     """Irreducible iff at every nonzero map i the corank is at most the flag
-
     step: m - r_i <= d_{i+1} - d_i."""
     _check_pair(rs, dv)
     steps = dv.steps()
@@ -141,7 +139,6 @@ def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:
 
 def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
     """Matrix-level test: corank of map i equals the step d_{i+1} - d_i and
-
     the kernels are in direct sum.  Equivalent to the rank-table test."""
     rep.check_endomorphisms(dv)
     steps = dv.steps()

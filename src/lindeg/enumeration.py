@@ -484,36 +484,29 @@ def _sigma_backward(
     return tuple(spaces)
 
 
-def sigma_bijection_report(
-    m: int,
-    dv: DimVector,
-    h: int,
-    prime: int = 2,
-    guard: int = POINT_GUARD,
-) -> SigmaReport:
+def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport:
     """Verify the singular-locus model point by point over F_prime.
 
-    Enumerates the singular points of Gr_d of the corank-one tuple and the
-    points of the model Grassmannian, checks that sigma lands on singular
-    points, hits all of them exactly once, and that sigma' inverts it.
+    Enumerates the singular points of Gr_d of the corank-one tuple on F^m,
+    m = dv.m, and the points of the model Grassmannian, checks that sigma
+    lands on singular points, hits all of them exactly once, and that sigma'
+    inverts it.  Both walks are bounded by POINT_GUARD.
     """
-    if dv.m != m:
-        raise ValidationError("ambient dimension does not match the dimension vector")
     model_info = singular_model(dv, h)
     field = Field(prime)
-    ambient = single_kill_tuple(m, dv.n, h).matrices(field)
-    model = singular_model_rep(field, m, dv.n, h)
+    ambient = single_kill_tuple(dv.m, dv.n, h).matrices(field)
+    model = singular_model_rep(field, dv.m, dv.n, h)
     assert model.dims == model_info.module_dims
 
     singular_points = {
         point.spaces
-        for point, is_singular in _points_with_singularity(ambient, dv, guard)
+        for point, is_singular in _points_with_singularity(ambient, dv, POINT_GUARD)
         if is_singular
     }
     failures: list[str] = []
     image: set[tuple[Subspace, ...]] = set()
     model_count = 0
-    for mp in enumerate_subreps(model, model_info.sub_dims, guard=guard):
+    for mp in enumerate_subreps(model, model_info.sub_dims, guard=POINT_GUARD):
         model_count += 1
         fwd = _sigma_forward(ambient, h, mp)
         if fwd not in singular_points:
@@ -531,7 +524,7 @@ def sigma_bijection_report(
             f"sigma image has {len(image)} of {len(singular_points)} singular points"
         )
     return SigmaReport(
-        m=m,
+        m=dv.m,
         dims=dv.d,
         h=h,
         prime=prime,

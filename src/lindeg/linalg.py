@@ -86,10 +86,6 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _coerce_vector(field: Field, vector: Sequence) -> list:
-    return [field.coerce(x) for x in vector]
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix with exact entries."""
@@ -149,16 +145,6 @@ class Matrix:
         if self.nrows == 0:
             return Matrix(self.field, self.ncols, 0, tuple(() for _ in range(self.ncols)))
         return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.entries)))
-
-    def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
-        v = _coerce_vector(self.field, vector)
-        if len(v) != self.ncols:
-            raise ValidationError("vector length does not match column count")
-        if self.field.is_modular:
-            p = self.field.characteristic
-            return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
@@ -286,7 +272,7 @@ class Subspace:
 
     def reduce(self, vector: Sequence) -> tuple:
         """Canonical residue of a vector modulo this subspace."""
-        v = _coerce_vector(self.field, vector)
+        v = [self.field.coerce(x) for x in vector]
         if len(v) != self.ambient:
             raise ValidationError("vector length differs from ambient dimension")
         p = self.field.characteristic
@@ -301,13 +287,6 @@ class Subspace:
 
     def contains_vector(self, vector: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(vector))
-
-    def coordinates(self, vector: Sequence) -> tuple:
-        """Coefficients of a member vector in the RREF basis."""
-        v = _coerce_vector(self.field, vector)
-        if any(x != 0 for x in self.reduce(v)):
-            raise ValidationError("vector is not in the subspace")
-        return tuple(v[c] for c in self.pivots)
 
     def complement_positions(self) -> tuple[int, ...]:
         """Non-pivot coordinate positions, increasing; they span a complement."""
@@ -328,10 +307,6 @@ def zero_subspace(field: Field, ambient: int) -> Subspace:
     return Subspace(field, ambient, (), ())
 
 
-def full_subspace(field: Field, ambient: int) -> Subspace:
-    return Subspace(field, ambient, Matrix.identity(field, ambient).entries, tuple(range(ambient)))
-
-
 def coordinate_subspace(field: Field, ambient: int, positions: Iterable[int]) -> Subspace:
     """Span of the standard basis vectors at the given 0-based positions."""
     pos = tuple(sorted(set(positions)))
@@ -345,11 +320,6 @@ def coordinate_subspace(field: Field, ambient: int, positions: Iterable[int]) ->
         row[c] = one
         basis.append(tuple(row))
     return Subspace(field, ambient, tuple(basis), pos)
-
-
-def image(A: Matrix) -> Subspace:
-    """Column space of A, as a subspace of F^nrows."""
-    return span(A.field, A.nrows, A.transpose().entries)
 
 
 def kernel(A: Matrix) -> Subspace:

@@ -117,20 +117,9 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
             emit()
             return
         a, b = intervals[pos]
-        if b == n:
-            # last interval starting at a: it must drain vertex a exactly
-            k = caps[a]
-            if all(caps[v] >= k for v in range(a, n + 1)):
-                for v in range(a, n + 1):
-                    caps[v] -= k
-                counts[(a, b)] = k
-                rec(pos + 1)
-                del counts[(a, b)]
-                for v in range(a, n + 1):
-                    caps[v] += k
-            return
         maxk = min(caps[v] for v in range(a, b + 1))
-        for k in range(maxk + 1):
+        # the last interval starting at a must drain vertex a exactly
+        for k in range(maxk + 1) if b < n else range(caps[a], maxk + 1):
             for v in range(a, b + 1):
                 caps[v] -= k
             counts[(a, b)] = k

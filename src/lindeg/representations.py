@@ -124,13 +124,6 @@ class Decomposition:
             counts[iv] = counts.get(iv, 0) + 1
         return Decomposition.from_multiplicities(n, counts)
 
-    def multiplicity(self, interval: Interval | tuple[int, int]) -> int:
-        iv = interval if isinstance(interval, Interval) else Interval(*interval)
-        for item, k in self.items:
-            if item == iv:
-                return k
-        return 0
-
     def intervals(self) -> tuple[Interval, ...]:
         return tuple(iv for iv, _ in self.items)
 
@@ -140,9 +133,6 @@ class Decomposition:
         for iv, k in self.items:
             out.extend([iv] * k)
         return tuple(out)
-
-    def total(self) -> int:
-        return sum(k for _, k in self.items)
 
     def vertex_dims(self) -> tuple[int, ...]:
         dims = [0] * self.n
@@ -294,11 +284,6 @@ class RepMatrices:
         return RepMatrices(field, dims, tuple(maps))
 
 
-def interval_rep(n: int, interval: Interval | tuple[int, int], field: Field) -> RepMatrices:
-    iv = interval if isinstance(interval, Interval) else Interval(*interval)
-    return RepMatrices.from_decomposition(Decomposition.from_intervals(n, [iv]), field)
-
-
 def rank_profile(rep: RepMatrices) -> RankTable:
     """Table of all composite ranks (diagonal = vertex dimensions)."""
     rows = []
@@ -342,15 +327,6 @@ def ranks_from_decomposition(D: Decomposition) -> RankTable:
         return sum(k for iv, k in D.items if iv.start <= a and b <= iv.end)
 
     return RankTable.from_function(D.n, entry)
-
-
-def is_realizable_table(table: RankTable) -> bool:
-    """True iff some quiver representation has exactly this rank table."""
-    try:
-        decompose_from_ranks(table)
-    except NotRealizableError:
-        return False
-    return True
 
 
 def well_behaved_rep(dv: DimVector) -> Decomposition:
@@ -434,10 +410,6 @@ class SubrepPoint:
             raise ValidationError("a point needs at least one vertex")
 
     @property
-    def n(self) -> int:
-        return len(self.spaces)
-
-    @property
     def coordinates(self) -> tuple[tuple[int, ...], ...] | None:
         for space in self.spaces:
             if any(
@@ -487,15 +459,22 @@ def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> None:
             raise NotSubrepresentationError(f"map {i + 1} does not preserve the subspaces")
 
 
+def _columns_at(field: Field, columns: Sequence[Sequence], positions: Sequence[int]) -> Matrix:
+    """The matrix whose column j is ``columns[j]`` read at ``positions``."""
+    rows = tuple(tuple(w[c] for w in columns) for c in positions)
+    return Matrix(field, len(positions), len(columns), rows)
+
+
 def restrict_rep(rep: RepMatrices, spaces: Sequence[Subspace]) -> RepMatrices:
     """The subrepresentation on the given subspaces, in their RREF bases."""
     _check_subrep(rep, spaces)
     maps = []
     for i, f in enumerate(rep.maps):
-        src, tgt = spaces[i], spaces[i + 1]
-        cols = [tgt.coordinates(f.apply(row)) for row in src.basis]
-        rows = list(zip(*cols)) if cols else [() for _ in range(tgt.dim)]
-        maps.append(Matrix.from_rows(rep.field, [list(r) for r in rows], ncols=src.dim))
+        # row j of the product is f(b_j) for the basis row b_j at vertex i; it
+        # lies in the RREF-basis subspace at i + 1, so its coordinates there
+        # are its entries at the pivots
+        images = linalg.compose(spaces[i].basis_matrix(), f.transpose()).entries
+        maps.append(_columns_at(rep.field, images, spaces[i + 1].pivots))
     return RepMatrices(rep.field, tuple(s.dim for s in spaces), tuple(maps))
 
 
@@ -509,14 +488,8 @@ def quotient_rep(rep: RepMatrices, spaces: Sequence[Subspace]) -> RepMatrices:
     comps = [s.complement_positions() for s in spaces]
     maps = []
     for i, f in enumerate(rep.maps):
-        src_comp, tgt_comp = comps[i], comps[i + 1]
-        tgt_space = spaces[i + 1]
-        cols = []
-        for j in src_comp:
-            e = [0] * rep.dims[i]
-            e[j] = 1
-            w = tgt_space.reduce(f.apply(e))
-            cols.append(tuple(w[c] for c in tgt_comp))
-        rows = list(zip(*cols)) if cols else [() for _ in range(len(tgt_comp))]
-        maps.append(Matrix.from_rows(rep.field, [list(r) for r in rows], ncols=len(src_comp)))
+        # column j of f is f(e_j); its residue mod L is read on the complement
+        cols = f.transpose().entries
+        images = [spaces[i + 1].reduce(cols[j]) for j in comps[i]]
+        maps.append(_columns_at(rep.field, images, comps[i + 1]))
     return RepMatrices(rep.field, tuple(len(c) for c in comps), tuple(maps))

@@ -176,7 +176,6 @@ def _dim_vectors(m: int, n: int) -> Iterable[DimVector]:
 
 def suite_classify_consistency(seed: int = 0) -> SuiteResult:
     """Sweep all orbits for small (m, n) and check the theorems against
-
     each other: the fiber irreducibility criterion matches the rank-target
     comparison, smooth implies irreducible with empty singular locus, the
     dimension formula applies exactly to the flat orbits, representatives
@@ -357,8 +356,7 @@ def suite_sigma(seed: int = 0) -> SuiteResult:
         (4, (1, 2, 3), 2, 2, None),
     ]
     for m, d, h, p, count in expected:
-        dv = DimVector(m, d)
-        rep = sigma_bijection_report(m, dv, h, prime=p)
+        rep = sigma_bijection_report(DimVector(m, d), h, prime=p)
         check(rep.ok, "sigma mismatch for m={}, d={}, h={}, p={}: {}", m, d, h, p, rep.failures)
         if count is not None:
             check(

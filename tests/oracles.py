@@ -25,7 +25,6 @@ from lindeg import (
     enumerate_subreps,
     hom_dim_intervals,
     intertwiner_space_dim,
-    interval_rep,
 )
 
 
@@ -59,7 +58,7 @@ def decomposition_oracle(rep: RepMatrices) -> Decomposition:
     ]
     rhs = []
     for x in intervals:
-        ux = interval_rep(n, x, rep.field)
+        ux = RepMatrices.from_decomposition(Decomposition.from_intervals(n, [x]), rep.field)
         rhs.append(
             Fraction(intertwiner_space_dim(rep.field, ux.dims, ux.maps, rep.dims, rep.maps))
         )

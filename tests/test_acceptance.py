@@ -97,7 +97,7 @@ def test_c4_singular_point_bijection_over_f2():
     t0 = time.monotonic()
     cases = [(3, (1, 2)), (4, (1, 2)), (4, (1, 3))]
     reports = {
-        (m, d): sigma_bijection_report(m, DimVector(m, d), 1, prime=2)
+        (m, d): sigma_bijection_report(DimVector(m, d), 1, prime=2)
         for m, d in cases
     }
     for key, rep in reports.items():

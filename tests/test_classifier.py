@@ -8,6 +8,7 @@ from lindeg import (
     GF,
     QQ,
     DimVector,
+    Interval,
     NotFlatError,
     NotIrreducibleError,
     ProjectionTuple,
@@ -175,7 +176,7 @@ class TestSingularModel:
         assert model.singular_dim == 3
         assert model.module_dims == (4, 3, 3)
         assert model.sub_dims == (1, 1, 3)
-        assert model.module.multiplicity((1, 1)) == 1
+        assert dict(model.module.items)[Interval(1, 1)] == 1
 
     def test_consistency_sweep(self):
         """dim + codim must equal the ambient flag dimension everywhere."""

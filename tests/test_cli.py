@@ -94,6 +94,19 @@ class TestClassify:
         assert payload["regular_in_codim_2"] is None
         assert payload["singular"] is None
 
+    def test_zero_map_kind_matches_rank_table(self, tmp_path, capsys):
+        problem = {"m": 3, "d": [1, 2], "maps": [{"kind": "zero"}]}
+        path = write_problem(tmp_path, "zero.json", problem)
+        reports = []
+        for source in (["--input", str(path)], ["--m", "3", "--d", "1,2", "--ranks", "3,0;3"]):
+            code, out, err = run_cli(capsys, "classify", *source, "--format", "json")
+            assert code == 0 and err == ""
+            payload = json.loads(out)
+            del payload["input_sha256"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
+        assert reports[0]["edge_ranks"] == [0] and reports[0]["smooth"] is True
+
     def test_matrix_entries_exact(self, tmp_path, capsys):
         problem = {
             "m": 3,
@@ -226,6 +239,14 @@ class TestOrbits:
         assert '"r_3_1_3" [label="r=1\\nflat"];' in out
         assert '"r_3_3_3" -> "r_3_2_3";' in out
 
+    def test_dot_label_of_an_orbit_with_no_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "orbits", "--m", "4", "--n", "2", "--d", "1,2", "--format", "dot"
+        )
+        assert code == 0
+        # rank 1 on F^4 with d = (1, 2) is neither smooth nor flat
+        assert '  "r_4_1_4" [label="r=1"];' in out.splitlines()
+
     def test_dot_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "orbits", "--m", "3", "--n", "3", "--format", "dot")
         _, second, _ = run_cli(capsys, "orbits", "--m", "3", "--n", "3", "--format", "dot")
@@ -262,6 +283,12 @@ class TestStrata:
         assert by_stratum[()]["r1"] == [[6, 3], [6]]
         assert by_stratum[()]["r2"] == [[6, 2], [6]]
         assert by_stratum[(1,)]["r1"] == [[6, 0], [6]]
+
+    def test_table_with_targets(self, capsys):
+        code, out, _ = run_cli(capsys, "strata", "--n", "2", "--m", "4", "--d", "1,2")
+        assert code == 0
+        assert "  I={} r1=[[4, 3], [4]] r2=[[4, 2], [4]]" in out.splitlines()
+        assert "  I={1} r1=[[4, 0], [4]] r2=[[4, 0], [4]]" in out.splitlines()
 
     def test_dot(self, capsys):
         code, out, _ = run_cli(capsys, "strata", "--n", "3", "--format", "dot")

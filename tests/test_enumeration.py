@@ -29,8 +29,12 @@ from lindeg import (
     flat_flags,
     gaussian_binomial,
     is_well_behaved_matrices,
+    rank_profile,
+    ranks_from_decomposition,
     representative,
     sigma_bijection_report,
+    singular_model,
+    singular_model_rep,
     singular_point_census,
     subspaces_iter,
 )
@@ -373,22 +377,40 @@ class TestCellCensus:
 
 class TestSigma:
     def test_grassmannian_example(self):
-        report = sigma_bijection_report(4, DimVector(4, (1, 2)), 1, prime=2)
+        report = sigma_bijection_report(DimVector(4, (1, 2)), 1, prime=2)
         assert report.ok, report.failures
         assert report.singular_count == 7
         assert report.model_count == 7
         assert report.model_count == gaussian_binomial(3, 2, 2)
 
     def test_tiny_example(self):
-        report = sigma_bijection_report(3, FLAG3, 1, prime=2)
+        report = sigma_bijection_report(FLAG3, 1, prime=2)
         assert report.ok, report.failures
         assert report.singular_count == 1
 
     def test_middle_edge(self):
-        report = sigma_bijection_report(4, DimVector(4, (1, 2, 3)), 2, prime=2)
+        report = sigma_bijection_report(DimVector(4, (1, 2, 3)), 2, prime=2)
         assert report.ok, report.failures
         assert report.singular_count == report.model_count
 
-    def test_rejects_mismatched_m(self):
-        with pytest.raises(ValidationError):
-            sigma_bijection_report(5, DimVector(4, (1, 2)), 1)
+    def test_first_edge_of_the_full_flag(self):
+        report = sigma_bijection_report(DimVector(4, (1, 2, 3)), 1)
+        assert report.ok, report.failures
+        assert report.singular_count == report.model_count == 21
+
+    def test_model_matrices_realize_the_model_module(self):
+        # every edge h, so each branch of singular_model_rep runs: the deletion
+        # into h, the identity inside, the embedding out of h + 1, identities
+        cases = 0
+        for p in (2, 3):
+            for n in range(2, 5):
+                for m in range(n + 1, 7):
+                    for d in itertools.combinations(range(1, m), n):
+                        dv = DimVector(m, d)
+                        for h in range(1, n):
+                            model = singular_model(dv, h)
+                            rep = singular_model_rep(GF(p), m, n, h)
+                            assert rep.dims == model.module_dims
+                            assert rank_profile(rep) == ranks_from_decomposition(model.module)
+                            cases += 1
+        assert cases == 136
