@@ -56,17 +56,19 @@ def split_product(rs: RankSequence, dv: DimVector) -> tuple[Segment, ...]:
     every question below is answered segment by segment.
     """
     _check_pair(rs, dv)
-    cuts = stratum_of(rs)
-    starts = [1] + [i + 1 for i in cuts]
-    ends = list(cuts) + [rs.n]
     segments = []
-    for lo, hi in zip(starts, ends):
+    for lo, hi in _segment_bounds(stratum_of(rs), rs.n):
         k = hi - lo + 1
         table = RankTable.from_function(k, lambda a, b: rs.r(a + lo - 1, b + lo - 1))
         segments.append(
             Segment(lo, DimVector(dv.m, dv.d[lo - 1 : hi]), RankSequence(rs.m, table))
         )
     return tuple(segments)
+
+
+def _segment_bounds(stratum: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """First and last vertex (1-based) of each segment between the zero maps."""
+    return list(zip([1] + [i + 1 for i in stratum], list(stratum) + [n]))
 
 
 def _check_pair(rs: RankSequence, dv: DimVector) -> None:
@@ -101,19 +103,30 @@ class FlatFlags:
 
 
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
-    """Compare the rank table with the two stratum targets.
+    """Flatness over the orbit's own stratum, in one pass over the rank table.
 
-    At least the lower target means the fiber dimension stays at the flag
-    dimension (flat over the stratum); at least the upper target additionally
-    forces irreducible fibers, which for a point of its own stratum is the
-    same as lying in the closure of the generic irreducible locus.
+    The stratum is the set of zero maps.  For a < b with no zero map between
+    them, the slack is r(a, b) - (m + d_a - d_b).  Every slack at least -1
+    means the fiber dimension stays at the flag dimension (flat over the
+    stratum); every slack at least 0 additionally forces irreducible fibers,
+    which for a point of its own stratum is the same as lying in the closure
+    of the generic irreducible locus.  This is the entrywise comparison with
+    the two tables of ``stratum_rank_targets``, the rule's oracle.
     """
     _check_pair(rs, dv)
-    I = stratum_of(rs)
-    upper, lower = stratum_rank_targets(I, dv)
-    flat = lower.leq(rs)
-    flat_irr = upper.leq(rs)
-    return FlatFlags(I, flat, flat_irr)
+    rows, m, d = rs.table.rows, rs.m, dv.d
+    zero = [row[1] == 0 for row in rows[:-1]]
+    slack = 0
+    for a, row in enumerate(rows):
+        base = m + d[a]
+        for b in range(a + 1, rs.n):
+            if zero[b - 1]:
+                break
+            s = row[b - a] - base + d[b]
+            if s < slack:
+                slack = s
+    stratum = tuple(i for i, z in enumerate(zero, start=1) if z)
+    return FlatFlags(stratum, slack >= -1, slack >= 0)
 
 
 def dimension(rs: RankSequence, dv: DimVector) -> int:
@@ -122,12 +135,18 @@ def dimension(rs: RankSequence, dv: DimVector) -> int:
     Defined here for fibers that are flat over their stratum; each segment
     contributes the ordinary flag dimension of its restricted data.
     """
-    flags = flat_flags(rs, dv)
+    return _dimension(dv, flat_flags(rs, dv))
+
+
+def _dimension(dv: DimVector, flags: FlatFlags) -> int:
     if not flags.flat:
         raise NotFlatError(
             f"orbit is not flat over its stratum {flags.stratum}; dimension formula does not apply"
         )
-    return sum(seg.dims.flag_dimension() for seg in split_product(rs, dv))
+    return sum(
+        DimVector(dv.m, dv.d[lo - 1 : hi]).flag_dimension()
+        for lo, hi in _segment_bounds(flags.stratum, dv.n)
+    )
 
 
 def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:
@@ -238,7 +257,10 @@ def singular_summary(rs: RankSequence, dv: DimVector) -> SingularInfo:
     3 <= codim <= 2 * min step over the low-rank edges.  The whole variety is
     the product of the segments, so the overall codimension is the minimum.
     """
-    flags = flat_flags(rs, dv)
+    return _singular_summary(rs, dv, flat_flags(rs, dv))
+
+
+def _singular_summary(rs: RankSequence, dv: DimVector, flags: FlatFlags) -> SingularInfo:
     if not flags.flat_irreducible:
         raise NotIrreducibleError(
             "singular locus analysis needs an irreducible degeneration"
@@ -328,8 +350,8 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     flags = flat_flags(rs, dv)
     smooth = is_smooth(rs, dv)
     irr = is_irreducible(rs, dv)
-    dim = dimension(rs, dv) if flags.flat else None
-    singular = singular_summary(rs, dv) if flags.flat_irreducible else None
+    dim = _dimension(dv, flags) if flags.flat else None
+    singular = _singular_summary(rs, dv, flags) if flags.flat_irreducible else None
     return DegenerationReport(
         m=dv.m,
         dims=dv.d,

@@ -349,7 +349,8 @@ def singular_point_census(
     torus cell at a time.  The torus t*e_j = t^j e_j commutes with coordinate
     projections; the cell of a fixed point S (``fixed_points``) is the set of
     points whose RREF pivots are S, all of which tend to S as t -> 0.
-    ``analyze_point`` runs once at each S.  Two facts make the count exact:
+    ``analyze_point`` runs once at each S; the walk of a singular S's cell
+    counts S itself from that answer.  Two facts make the count exact:
 
     - the singular locus is closed and torus-stable, so a cell whose fixed
       point is smooth holds no singular point;
@@ -381,7 +382,11 @@ def singular_point_census(
         if smooth[S]:
             total += field.characteristic ** cell_dimension(J, S)
             continue
-        for point in _cell_points(model, S):
+        cell = _cell_points(model, S)
+        next(cell)  # the coordinate point S itself, singular by the table
+        total += 1
+        singular += 1
+        for point in cell:
             total += 1
             singular += not smooth[_opposite_limit(point)] and is_singular(point)
     return CensusResult(total, singular, total - singular)

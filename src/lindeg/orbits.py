@@ -300,7 +300,9 @@ def hasse_dot(
     seen: dict[str, RankSequence] = {}
     for rs in orbits:
         seen.setdefault(rs.node_id(), rs)
-    ordered = sorted(seen.values(), key=lambda rs: rs.table.entries_flat(), reverse=True)
+    nodes = sorted(seen.items(), key=lambda item: item[1].table.entries_flat(), reverse=True)
+    ids = [node for node, _ in nodes]
+    ordered = [rs for _, rs in nodes]
     if ordered:
         m0, n0 = ordered[0].m, ordered[0].n
         if any(rs.m != m0 or rs.n != n0 for rs in ordered):
@@ -313,7 +315,6 @@ def hasse_dot(
             text += "\\n" + extra
         return text
 
-    ids = [rs.node_id() for rs in ordered]
     lines = ["digraph orbits {", "  rankdir=TB;"]
     for rs, node in zip(ordered, ids):
         lines.append(f'  "{node}" [label="{label(rs)}"];')

@@ -10,6 +10,7 @@ conversely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -218,7 +219,7 @@ class RankTable:
         """Entrywise comparison (same shape required)."""
         if self.n != other.n:
             raise ValidationError("rank tables have different lengths")
-        return all(x <= y for x, y in zip(self.entries_flat(), other.entries_flat()))
+        return all(map(operator.le, self.entries_flat(), other.entries_flat()))
 
     def multiplicity(self, a: int, b: int) -> int:
         """Second difference giving the multiplicity of U[a,b] in any realization."""

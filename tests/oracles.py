@@ -4,7 +4,8 @@ Each oracle recomputes a library answer by a visibly different route:
 decompositions by solving the hom-count linear system, catenoid detection by
 path search in the irreducible-morphism digraph, orbit lists by brute force
 over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
-point censuses by analyzing every point.
+point censuses by analyzing every point, flatness flags by comparing with the
+stratum's target rank tables.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from lindeg import (
     CensusResult,
     Decomposition,
     DimVector,
+    FlatFlags,
     Interval,
     RankSequence,
     RepMatrices,
@@ -25,6 +27,8 @@ from lindeg import (
     enumerate_subreps,
     hom_dim_intervals,
     intertwiner_space_dim,
+    stratum_of,
+    stratum_rank_targets,
 )
 
 
@@ -185,3 +189,11 @@ def census_oracle(rep: RepMatrices, dv: DimVector, guard: int = 10**7) -> Census
         total += 1
         singular += analyze_point(rep, point).tangent_dim > expected
     return CensusResult(total, singular, total - singular)
+
+
+def flat_flags_oracle(rs: RankSequence, dv: DimVector) -> FlatFlags:
+    """Flatness flags by building both target tables of the orbit's stratum
+    and comparing the rank table with each entry by entry."""
+    stratum = stratum_of(rs)
+    upper, lower = stratum_rank_targets(stratum, dv)
+    return FlatFlags(stratum, lower.leq(rs), upper.leq(rs))

@@ -35,6 +35,7 @@ from lindeg import (
     split_product,
     well_behaved_rep,
 )
+from oracles import flat_flags_oracle
 
 
 def _all_dvs(m, n):
@@ -88,6 +89,21 @@ class TestFlatFlags:
         flags = flat_flags(RankSequence.zero_orbit(6, 2), FLAG64)
         assert flags.flat and flags.flat_irreducible
         assert flags.stratum == (1,)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matches_target_tables(self, m):
+        # every orbit, zero maps and product varieties included, against
+        # both stratum targets
+        for n in range(1, min(m - 1, 4) + 1):
+            for rs in enumerate_orbits(m, n):
+                for dv in _all_dvs(m, n):
+                    assert flat_flags(rs, dv) == flat_flags_oracle(rs, dv), (rs.table, dv)
+
+    def test_mismatched_inputs(self):
+        with pytest.raises(ValidationError):
+            flat_flags(RankSequence.two_step(4, 2), FLAG3)
+        with pytest.raises(ValidationError):
+            flat_flags(RankSequence.identity_orbit(3, 3), FLAG3)
 
 
 class TestDimension:

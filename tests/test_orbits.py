@@ -112,6 +112,14 @@ class TestClosureOrder:
         b = RankSequence(2, RankTable(3, ((2, 0, 0), (2, 1), (2,))))
         assert not degenerates_to(a, b) and not degenerates_to(b, a)
 
+    def test_leq_needs_same_quiver(self):
+        with pytest.raises(ValidationError):
+            RankSequence.two_step(3, 1).leq(RankSequence.two_step(4, 1))
+        with pytest.raises(ValidationError):
+            RankSequence.two_step(3, 1).leq(RankSequence.identity_orbit(3, 3))
+        with pytest.raises(ValidationError):
+            degenerates_to(RankSequence.two_step(3, 1), RankSequence.identity_orbit(3, 3))
+
 
 class TestStrata:
     def test_stratum_of(self):
@@ -253,6 +261,11 @@ class TestDot:
     def test_hasse_deterministic(self):
         orbits = enumerate_orbits(3, 3)
         assert hasse_dot(orbits) == hasse_dot(tuple(reversed(orbits)))
+
+    def test_hasse_ignores_repeats(self):
+        orbits = enumerate_orbits(3, 3)
+        repeated = list(orbits[::2]) + list(orbits) + list(orbits[1::3])
+        assert hasse_dot(repeated) == hasse_dot(orbits)
 
     def test_strata_dot_structure(self):
         dot = strata_dot(3)

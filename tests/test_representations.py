@@ -169,6 +169,10 @@ class TestRankTable:
         hi = RankTable(2, ((3, 1), (2,)))
         assert lo.leq(hi) and not hi.leq(lo)
 
+    def test_leq_needs_same_shape(self):
+        with pytest.raises(ValidationError):
+            RankTable(2, ((3, 0), (2,))).leq(RankTable(1, ((3,),)))
+
 
 class TestRoundTrips:
     def test_decompose_inverts_ranks(self):
