@@ -17,18 +17,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import QQ, Field, kernel, rank, subspace_sum, zero_subspace
-from .orbits import (
-    ProjectionTuple,
-    RankSequence,
-    decomposition_of,
-    stratum_of,
-    stratum_rank_targets,
-)
+from .orbits import ProjectionTuple, RankSequence, decomposition_of
 from .representations import (
     Decomposition,
     DimVector,
     Interval,
-    RankTable,
     RepMatrices,
     SubrepPoint,
     euler_form,
@@ -36,38 +29,9 @@ from .representations import (
 )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A maximal stretch of the quiver with no zero map, with restricted data.
-
-    ``start`` is the 1-based position of the segment's first vertex in the
-    ambient quiver; ``dims`` and ``ranks`` are the restrictions of d and r.
-    """
-
-    start: int
-    dims: DimVector
-    ranks: RankSequence
-
-
-def split_product(rs: RankSequence, dv: DimVector) -> tuple[Segment, ...]:
-    """Cut the quiver at the zero maps.
-
-    The degeneration is the product of the degenerations of the segments, so
-    every question below is answered segment by segment.
-    """
-    _check_pair(rs, dv)
-    segments = []
-    for lo, hi in _segment_bounds(stratum_of(rs), rs.n):
-        k = hi - lo + 1
-        table = RankTable.from_function(k, lambda a, b: rs.r(a + lo - 1, b + lo - 1))
-        segments.append(
-            Segment(lo, DimVector(dv.m, dv.d[lo - 1 : hi]), RankSequence(rs.m, table))
-        )
-    return tuple(segments)
-
-
 def _segment_bounds(stratum: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """First and last vertex (1-based) of each segment between the zero maps."""
+    """First and last vertex (1-based) of each segment between the zero maps.
+    The variety is the product of the segment varieties."""
     return list(zip([1] + [i + 1 for i in stratum], list(stratum) + [n]))
 
 
@@ -152,8 +116,9 @@ def _dimension(dv: DimVector, flags: FlatFlags) -> int:
 def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:
     """Flat with irreducible normal fibers: rank table exactly m + d_a - d_b."""
     _check_pair(rs, dv)
-    target, _ = stratum_rank_targets((), dv)
-    return rs.table == target.table
+    m, d = rs.m, dv.d
+    rows = enumerate(rs.table.rows)
+    return all(x == m + d[a] - d[a + j] for a, row in rows for j, x in enumerate(row))
 
 
 def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
@@ -229,18 +194,20 @@ class SingularInfo:
             raise ValidationError(f"unknown singular-locus kind {self.kind!r}")
 
 
-def _segment_singular(seg: Segment) -> tuple[int, int, SingularModel | None] | None:
-    """(codim lower, codim upper, model or None) of one segment; None if smooth."""
-    m, k = seg.dims.m, seg.dims.n
-    ranks = seg.ranks.edge_ranks()
-    low_edges = [i for i in range(1, k) if ranks[i - 1] < m]
+def _segment_singular(
+    dims: DimVector, ranks: tuple[int, ...]
+) -> tuple[int, int, SingularModel | None] | None:
+    """(codim lower, codim upper, model or None) of one segment, given its
+    restricted flag data and edge ranks; None if smooth."""
+    m = dims.m
+    low_edges = [i for i, r in enumerate(ranks, start=1) if r < m]
     if not low_edges:
         return None
-    steps = seg.dims.steps()
+    steps = dims.steps()
     if len(low_edges) == 1 and ranks[low_edges[0] - 1] == m - 1:
         # every other edge is invertible, so every composite across the low
         # edge has rank m - 1: the table is the corank-one model's
-        model = singular_model(seg.dims, low_edges[0])
+        model = singular_model(dims, low_edges[0])
         return model.singular_codim, model.singular_codim, model
     if all(s == 1 for s in steps):
         return 3, 3, None
@@ -265,15 +232,19 @@ def _singular_summary(rs: RankSequence, dv: DimVector, flags: FlatFlags) -> Sing
         raise NotIrreducibleError(
             "singular locus analysis needs an irreducible degeneration"
         )
-    segments = split_product(rs, dv)
-    ambient = sum(seg.dims.flag_dimension() for seg in segments)
-    found = [(info, seg) for seg in segments if (info := _segment_singular(seg))]
+    ranks = rs.edge_ranks()
+    segments = [
+        (DimVector(dv.m, dv.d[lo - 1 : hi]), ranks[lo - 1 : hi - 1])
+        for lo, hi in _segment_bounds(flags.stratum, dv.n)
+    ]
+    ambient = sum(dims.flag_dimension() for dims, _ in segments)
+    found = [info for seg in segments if (info := _segment_singular(*seg))]
     if not found:
         return SingularInfo("empty", ambient)
-    lo = min(info[0] for info, _ in found)
-    hi = min(info[1] for info, _ in found)
+    lo = min(info[0] for info in found)
+    hi = min(info[1] for info in found)
     if lo == hi:
-        model = found[0][0][2] if len(segments) == 1 else None
+        model = found[0][2] if len(segments) == 1 else None
         return SingularInfo(
             "exact", ambient, lo, hi, singular_dim=ambient - lo, model=model
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classifier import dimension, is_irreducible, singular_model
 from .errors import GuardExceededError, NotIrreducibleError, ValidationError
@@ -109,29 +109,36 @@ def check_search_space(
     """Raise GuardExceededError if the search space of a point enumeration, the
     product over v of the number of targets[v]-subspaces of F_p^dims[v], exceeds
     ``guard``.  It needs no maps, so a caller can check it before building any.
-
-    A size of at most 64 bits is printed exactly.  A larger one is printed as
-    "at least 2^k", k the bit length less one of the best lower bound at hand:
-    the exact size when it was computed, else the largest cells alone.
+    A size over 64 bits is reported as "at least 2^k".
     """
     if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
     p = field.characteristic
-    bound = None
     k = 0
     if all(0 <= t <= amb for amb, t in zip(dims, targets)):
-        # the largest cell of Gr(t, F_p^amb) has p^(t(amb - t)) points, at
-        # least 2^k in all; past 64 bits this settles the guard without the
-        # exact product, whose size would not be printed in full anyway
+        # the largest cell of Gr(t, F_p^amb) has p^(t(amb - t)) points
         k = sum(t * (amb - t) for amb, t in zip(dims, targets)) * (p.bit_length() - 1)
+    sizes = (gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
+    _check_size("search space", k, sizes, guard)
+
+
+def _check_size(what: str, k: int, factors: Iterable[int], guard: int) -> None:
+    """Raise GuardExceededError if a search space of at least 2^k points, the
+    product of the lazy ``factors``, exceeds ``guard``.
+
+    The product is taken only when 2^k does not settle the guard.  A size of
+    at most 64 bits is printed exactly, a larger one as "at least 2^k", k the
+    bit length less one of the exact size if taken, since Python refuses to
+    print an int of more than 4300 decimal digits.
+    """
+    size = None
     if k < max(64, max(guard, 0).bit_length()):
-        bound = math.prod(gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
-        if bound <= guard:
+        size = math.prod(factors)
+        if size <= guard:
             return
-        k = bound.bit_length() - 1
-    # Python refuses to print an int of more than 4300 decimal digits
-    size = bound if k < 64 else f"at least 2^{k}"
-    raise GuardExceededError(f"search space of size {size} exceeds the guard {guard}")
+        k = size.bit_length() - 1
+    shown = size if k < 64 else f"at least 2^{k}"
+    raise GuardExceededError(f"{what} of size {shown} exceeds the guard {guard}")
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
@@ -204,15 +211,15 @@ def fixed_points(
     These are the points fixed by the diagonal torus: chains S_1, ..., S_n of
     index subsets with |S_v| = d_v and S_v minus the killed indices contained
     in S_{v+1}.  Listed lexicographically.  Raises GuardExceededError if the
-    search space, prod_v C(m, d_v) chains, exceeds ``guard``.
+    search space, prod_v C(m, d_v) chains, exceeds ``guard``; a lower bound
+    settles that first, so a huge m costs nothing.
     """
     if J.m != dv.m or J.n != dv.n:
         raise ValidationError("projection tuple and dimension vector do not match")
-    bound = math.prod(math.comb(dv.m, d) for d in dv.d)
-    if bound > guard:
-        raise GuardExceededError(
-            f"fixed-point search space of size {bound} exceeds the guard {guard}"
-        )
+    m = dv.m
+    # C(m, t) >= (m / t)^t with t = min(d, m - d)
+    k = sum(t * ((m // t).bit_length() - 1) for t in (min(d, m - d) for d in dv.d))
+    _check_size("fixed-point search space", k, (math.comb(m, d) for d in dv.d), guard)
     out: list[tuple[tuple[int, ...], ...]] = []
     universe = range(1, dv.m + 1)
 

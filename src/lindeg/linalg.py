@@ -18,6 +18,9 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 _PRIME_LIMIT = 2**16
+# the largest |exponent| of an exact string: Python's own digit limit for
+# integer strings, since 1eN stands for an integer of N + 1 digits
+_EXPONENT_LIMIT = 4300
 
 
 def _is_prime(n: int) -> bool:
@@ -53,8 +56,13 @@ class Field:
         return self.characteristic != 0
 
     def coerce(self, value):
-        """Coerce an int, Fraction or exact string like ``-3/7`` into the field."""
+        """Coerce an int, Fraction or exact string like ``-3/7`` or ``1e3`` into
+        the field.  A string exponent above 4300 in absolute value is refused
+        before ``Fraction`` would build the power of ten."""
         if isinstance(value, str):
+            exp = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if exp.isdecimal() and (len(exp) > 4 or int(exp) > _EXPONENT_LIMIT):
+                raise ValidationError(f"exponent of {value!r} exceeds {_EXPONENT_LIMIT}")
             try:
                 value = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:

@@ -87,20 +87,27 @@ def decomposition_of(rs: RankSequence) -> Decomposition:
 
 
 def degenerates_to(r: RankSequence, s: RankSequence) -> bool:
-    """True iff the orbit of s lies in the closure of the orbit of r."""
-    if r.m != s.m or r.n != s.n:
-        raise ValidationError("rank sequences live on different quivers")
-    return s.table.leq(r.table)
+    """True iff the orbit of s lies in the closure of the orbit of r (same quiver)."""
+    return s.leq(r)
 
 
 def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequence, ...]:
     """All realizable orbits for (m, n), one per multiplicity table.
 
     Enumerates nonnegative interval multiplicities with every vertex sum equal
-    to m; aborts with GuardExceededError past ``guard`` orbits.
+    to m; aborts with GuardExceededError past ``guard`` orbits, and before
+    building any when (m + 1)^(n - 1) exceeds ``guard``: projection tuples
+    realize every vector of edge ranks in 0..m, so there are that many orbits.
+    It also aborts in advance when one orbit has more than ``guard`` intervals.
     """
     if m < 0 or n < 1:
         raise ValidationError("need m >= 0 and n >= 1")
+    # bit lengths first, so that a huge n costs nothing
+    low_bits = (n - 1) * ((m + 1).bit_length() - 1)
+    if low_bits >= max(guard, 0).bit_length() or (m + 1) ** (n - 1) > guard:
+        raise GuardExceededError(f"more than {guard} orbits for m={m}, n={n}")
+    if n * (n + 1) // 2 > guard:
+        raise GuardExceededError(f"more than {guard} intervals for n={n}")
     intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     caps = [m] * (n + 1)  # caps[v] for 1-based v; caps[0] unused
     counts: dict[tuple[int, int], int] = {}
@@ -113,20 +120,26 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
         out.append(RankSequence(m, ranks_from_decomposition(dec)))
 
     def rec(pos: int) -> None:
-        if pos == len(intervals):
+        # an interval whose only multiplicity is 0 is passed over in this
+        # loop, not by a call of its own, so the depth counts real choices
+        while pos < len(intervals):
+            a, b = intervals[pos]
+            maxk = min(caps[a : b + 1])
+            # the last interval starting at a must drain vertex a exactly
+            choices = range(maxk + 1) if b < n else range(caps[a], maxk + 1)
+            if choices != range(1):
+                break
+            # no room at a..b (b < n) leaves none for a longer interval from a
+            pos += max(n - b, 1)
+        else:
             emit()
             return
-        a, b = intervals[pos]
-        maxk = min(caps[v] for v in range(a, b + 1))
-        # the last interval starting at a must drain vertex a exactly
-        for k in range(maxk + 1) if b < n else range(caps[a], maxk + 1):
-            for v in range(a, b + 1):
-                caps[v] -= k
+        for k in choices:
+            caps[a : b + 1] = [c - k for c in caps[a : b + 1]]
             counts[(a, b)] = k
             rec(pos + 1)
             del counts[(a, b)]
-            for v in range(a, b + 1):
-                caps[v] += k
+            caps[a : b + 1] = [c + k for c in caps[a : b + 1]]
 
     rec(0)
     return tuple(out)

@@ -32,7 +32,7 @@ from lindeg import (
     single_kill_tuple,
     singular_model,
     singular_summary,
-    split_product,
+    stratum_rank_targets,
     well_behaved_rep,
 )
 from oracles import flat_flags_oracle
@@ -124,26 +124,6 @@ class TestDimension:
             dimension(RankSequence.two_step(6, 1), FLAG64)
 
 
-class TestSplitProduct:
-    def test_no_cut(self):
-        segs = split_product(RankSequence.two_step(6, 3), FLAG64)
-        assert len(segs) == 1
-        assert segs[0].start == 1 and segs[0].dims == FLAG64
-
-    def test_cut_at_zero_edge(self):
-        rs = RankSequence(4, RankTable(3, ((4, 0, 0), (4, 3), (4,))))
-        dv = DimVector(4, (1, 2, 3))
-        segs = split_product(rs, dv)
-        assert [seg.start for seg in segs] == [1, 2]
-        assert segs[0].dims == DimVector(4, (1,))
-        assert segs[1].dims == DimVector(4, (2, 3))
-        assert segs[1].ranks.edge_ranks() == (3,)
-
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValidationError):
-            split_product(RankSequence.two_step(4, 2), FLAG3)
-
-
 class TestWellBehaved:
     def test_only_one_orbit_per_flag_data(self):
         for r in range(7):
@@ -162,6 +142,14 @@ class TestWellBehaved:
         good = ProjectionTuple(4, ({1}, {2})).matrices(QQ)
         assert not is_well_behaved_matrices(bad, dv)
         assert is_well_behaved_matrices(good, dv)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matches_target_table(self, m):
+        for n in range(1, min(m - 1, 4) + 1):
+            for rs in enumerate_orbits(m, n):
+                for dv in _all_dvs(m, n):
+                    target, _ = stratum_rank_targets((), dv)
+                    assert is_well_behaved(rs, dv) == (rs.table == target.table)
 
     def test_matrix_equals_table_criterion(self):
         dv = DimVector(4, (1, 3))
@@ -260,6 +248,33 @@ class TestSingularSummary:
         assert info.codim_lower == 3 and info.model is None
         assert info.ambient_dim == 3 + 5
 
+    def test_three_segments_take_the_minimum(self):
+        # segments [1,2], [3], [4,5]: the corank-one model of step 2 gives
+        # codim 5, the lone vertex is smooth, corank 2 on step 2 gives 3..5
+        dv = DimVector(8, (1, 3, 4, 5, 7))
+        every = frozenset(range(1, 9))
+        rs = ProjectionTuple(8, ({1}, every, every, {1, 2})).rank_sequence()
+        info = singular_summary(rs, dv)
+        assert info.kind == "bounded"
+        assert (info.codim_lower, info.codim_upper) == (3, 5)
+        # Fl(1,3; 8) + Gr(4, 8) + Fl(5,7; 8)
+        assert info.ambient_dim == 17 + 16 + 17
+
+    def test_one_vertex_segments(self):
+        # a lone middle vertex between two corank-one unit-step segments
+        dv = DimVector(6, (1, 2, 3, 4, 5))
+        every = frozenset(range(1, 7))
+        rs = ProjectionTuple(6, ({1}, every, every, {2})).rank_sequence()
+        info = singular_summary(rs, dv)
+        assert info.kind == "exact"
+        assert info.codim_lower == info.codim_upper == 3 and info.model is None
+        assert info.ambient_dim == 9 + 9 + 9
+        # only one-vertex segments: a product of Grassmannians, smooth
+        info = singular_summary(RankSequence.zero_orbit(4, 3), DimVector(4, (1, 2, 3)))
+        assert info.kind == "empty" and info.ambient_dim == 3 + 4 + 3
+        info = singular_summary(RankSequence.identity_orbit(5, 1), DimVector(5, (2,)))
+        assert info.kind == "empty" and info.ambient_dim == 6
+
     def test_needs_irreducible(self):
         with pytest.raises(NotIrreducibleError):
             singular_summary(RankSequence.two_step(3, 1), FLAG3)
@@ -356,6 +371,27 @@ class TestClassify:
         assert report.normal is None
         assert report.regular_in_codim_2 is None
         assert report.singular is None
+
+    def test_reads_only_the_orbit_table(self, monkeypatch):
+        # no rank table or rank sequence is built past the one given
+        orbits = [rs for n in (1, 2, 3) for rs in enumerate_orbits(5, n)]
+        built = []
+
+        def counting(cls):
+            post_init = cls.__post_init__
+
+            def wrapper(self):
+                built.append(cls.__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", wrapper)
+
+        counting(RankTable)
+        counting(RankSequence)
+        for rs in orbits:
+            for dv in _all_dvs(5, rs.n):
+                classify(rs, dv)
+        assert built == []
 
     def test_matrices_agree_with_orbit(self):
         rs = RankSequence.two_step(6, 4)

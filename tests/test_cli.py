@@ -144,6 +144,23 @@ class TestClassify:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    def test_matrix_entry_huge_exponent(self, tmp_path, capsys):
+        problem = {
+            "m": 3,
+            "d": [1, 2],
+            "maps": [
+                {
+                    "kind": "matrix",
+                    "entries": [["1e30000000", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                }
+            ],
+        }
+        path = write_problem(tmp_path, "m.json", problem)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "exponent" in json.loads(err)["error"]["message"]
+
     def test_byte_identical_runs(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", RANK5_PROBLEM)
         _, first, _ = run_cli(capsys, "classify", "--input", str(path), "--format", "json")
@@ -265,6 +282,17 @@ class TestOrbits:
         code, _, err = run_cli(capsys, "orbits", "--m", "3", "--n", "3", "--guard", "2")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
+    @pytest.mark.parametrize("m,n", [(100000000, 2), (3, 30), (1, 45)])
+    def test_guard_trips_in_advance(self, capsys, m, n):
+        code, _, err = run_cli(capsys, "orbits", "--m", str(m), "--n", str(n))
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "GuardExceededError"
+
+    def test_long_quiver_on_zero_space(self, capsys):
+        code, out, _ = run_cli(capsys, "orbits", "--m", "0", "--n", "45", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == 1
 
 
 class TestStrata:
@@ -482,6 +510,13 @@ class TestFixedPoints:
             capsys, "fixed-points", "--m", "3", "--d", "1,2", "--ranks", "3,2;3"
         )
         assert code == 2
+
+    def test_huge_search_space_exits_3(self, capsys):
+        code, _, err = run_cli(
+            capsys, "fixed-points", "--m", "300000", "--d", "1,150000", "--zero-sets=-"
+        )
+        assert code == 3
+        assert "at least 2^" in json.loads(err)["error"]["message"]
 
 
 class TestSingular:

@@ -200,6 +200,18 @@ class TestFixedPoints:
         with pytest.raises(GuardExceededError, match="9"):
             fixed_points(J, FLAG3, guard=8)
 
+    @pytest.mark.parametrize("m,d,k", [(300000, (1, 150000), 150018), (10**3000, (1, 2), 29893)])
+    def test_huge_search_space_skips_the_exact_size(self, monkeypatch, m, d, k):
+        # C(m, t) >= (m/t)^t settles the guard; the exact product has more
+        # digits than Python prints
+        def refuse(*args):
+            raise AssertionError("exact size computed")
+
+        monkeypatch.setattr(enumeration.math, "comb", refuse)
+        J = ProjectionTuple(m, (frozenset(),))
+        with pytest.raises(GuardExceededError, match=rf"at least 2\^{k} "):
+            fixed_points(J, DimVector(m, d))
+
 
 class TestCellDimension:
     def test_full_flags_are_bruhat_cells(self):

@@ -1,6 +1,7 @@
 """Exact linear algebra over Q and F_p."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,20 @@ class TestField:
         f = GF(7)
         # -3/2 mod 7: inverse of 2 is 4, so -12 = 2 mod 7
         assert f.coerce("-3/2") == 2
+
+    def test_string_exponent_limit(self):
+        assert QQ.coerce("1e3") == 1000
+        assert QQ.coerce(" 1E-4300 ") == Fraction(1, 10**4300)
+        # refused before Fraction builds the power of ten
+        for text in ("1e30000000", "1e100000000", "-2.5E-4301", "1e" + "9" * 5000, "1e30_000_000"):
+            with pytest.raises(ValidationError, match="exponent"):
+                QQ.coerce(text)
+        with pytest.raises(ValidationError, match="not an exact scalar"):
+            QQ.coerce("1e3x")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="Fraction reads underscores from 3.11")
+    def test_string_exponent_with_underscores(self):
+        assert GF(7).coerce("1e4_300") == pow(10, 4300, 7)
 
     def test_modular_bad_denominator(self):
         with pytest.raises((ValidationError, ValueError)):

@@ -71,6 +71,32 @@ class TestEnumeration:
         with pytest.raises(GuardExceededError):
             enumerate_orbits(3, 3, guard=2)
 
+    def test_guard_checks_the_bound_in_advance(self, monkeypatch):
+        # m = 1 has exactly 2^(n-1) orbits, one per set of zero maps
+        assert len(enumerate_orbits(1, 5, guard=16)) == 16
+
+        def refuse(*args):
+            raise AssertionError("an orbit was built past the guard")
+
+        monkeypatch.setattr("lindeg.orbits.ranks_from_decomposition", refuse)
+        with pytest.raises(GuardExceededError, match="more than 15 orbits"):
+            enumerate_orbits(1, 5, guard=15)
+        for m, n in [(10**8, 2), (3, 30), (1, 45), (2, 10**9)]:
+            with pytest.raises(GuardExceededError):
+                enumerate_orbits(m, n)
+
+    def test_forced_zero_intervals_take_no_frame(self):
+        # m = 0 gives every interval multiplicity 0: n(n+1)/2 intervals, one orbit
+        (only,) = enumerate_orbits(0, 60)
+        assert only == RankSequence.zero_orbit(0, 60)
+
+    def test_guard_bounds_the_intervals_of_one_orbit(self):
+        # m = 0 has one orbit for every n, but n(n+1)/2 intervals
+        assert len(enumerate_orbits(0, 100, guard=5050)) == 1
+        for n in (100, 10**9):
+            with pytest.raises(GuardExceededError, match="intervals"):
+                enumerate_orbits(0, n, guard=5049)
+
 
 class TestBruteForce:
     """Orbit tables must exactly match exhaustion over all F_2 matrix tuples."""
@@ -111,6 +137,19 @@ class TestClosureOrder:
         a = RankSequence(2, RankTable(3, ((2, 2, 0), (2, 0), (2,))))
         b = RankSequence(2, RankTable(3, ((2, 0, 0), (2, 1), (2,))))
         assert not degenerates_to(a, b) and not degenerates_to(b, a)
+
+    def test_degenerates_to_is_the_entrywise_order(self, monkeypatch):
+        calls = []
+        leq = RankSequence.leq
+
+        def counted(self, other):
+            calls.append((self, other))
+            return leq(self, other)
+
+        monkeypatch.setattr(RankSequence, "leq", counted)
+        top, low = RankSequence.two_step(3, 3), RankSequence.two_step(3, 1)
+        assert degenerates_to(top, low)
+        assert calls == [(low, top)]
 
     def test_leq_needs_same_quiver(self):
         with pytest.raises(ValidationError):
