@@ -7,194 +7,21 @@ loci, and validate everything against brute-force enumeration over small
 finite fields.
 """
 
-from .errors import (
-    GuardExceededError,
-    LindegError,
-    NotFlatError,
-    NotIrreducibleError,
-    NotRealizableError,
-    NotSubrepresentationError,
-    ValidationError,
-)
-from .linalg import (
-    GF,
-    QQ,
-    Field,
-    Matrix,
-    Subspace,
-    contains,
-    coordinate_subspace,
-    intertwiner_space_dim,
-    inverse,
-    kernel,
-    map_subspace,
-    rank,
-    rref,
-    span,
-    subspace_sum,
-    zero_subspace,
-)
-from .representations import (
-    Decomposition,
-    DimVector,
-    Interval,
-    RankTable,
-    RepMatrices,
-    SubrepPoint,
-    decompose_from_ranks,
-    euler_form,
-    ext_dim,
-    ext_dim_intervals,
-    hom_dim,
-    hom_dim_intervals,
-    is_catenoid,
-    minimal_projective_resolution,
-    quotient_rep,
-    rank_profile,
-    ranks_from_decomposition,
-    restrict_rep,
-    schubert_embedding_target,
-    well_behaved_rep,
-)
-from .orbits import (
-    ProjectionTuple,
-    RankSequence,
-    decomposition_of,
-    degenerates_to,
-    enumerate_orbits,
-    hasse_dot,
-    representative,
-    single_kill_tuple,
-    strata_dot,
-    strata_subsets,
-    stratum_node_id,
-    stratum_of,
-    stratum_rank_targets,
-)
-from .classifier import (
-    DegenerationReport,
-    FlatFlags,
-    SingularInfo,
-    SingularModel,
-    classify,
-    classify_matrices,
-    construct_singular_witness,
-    dimension,
-    flat_flags,
-    is_irreducible,
-    is_smooth,
-    is_well_behaved,
-    is_well_behaved_matrices,
-    singular_model,
-    singular_summary,
-)
-from .enumeration import (
-    CensusResult,
-    PointAnalysis,
-    SigmaReport,
-    analyze_point,
-    cell_dimension,
-    check_search_space,
-    count_points,
-    enumerate_subreps,
-    fixed_points,
-    gaussian_binomial,
-    sigma_bijection_report,
-    singular_model_rep,
-    singular_point_census,
-    subspaces_iter,
-)
-from .verification import SUITES, SuiteResult, run_suites
+from .errors import *
+from .linalg import *
+from .representations import *
+from .orbits import *
+from .classifier import *
+from .enumeration import *
+from .verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "QQ",
-    "SUITES",
-    "CensusResult",
-    "Decomposition",
-    "DegenerationReport",
-    "DimVector",
-    "Field",
-    "FlatFlags",
-    "GuardExceededError",
-    "Interval",
-    "LindegError",
-    "Matrix",
-    "NotFlatError",
-    "NotIrreducibleError",
-    "NotRealizableError",
-    "NotSubrepresentationError",
-    "PointAnalysis",
-    "ProjectionTuple",
-    "RankSequence",
-    "RankTable",
-    "RepMatrices",
-    "SigmaReport",
-    "SingularInfo",
-    "SingularModel",
-    "Subspace",
-    "SubrepPoint",
-    "SuiteResult",
-    "ValidationError",
-    "analyze_point",
-    "cell_dimension",
-    "check_search_space",
-    "classify",
-    "classify_matrices",
-    "construct_singular_witness",
-    "contains",
-    "coordinate_subspace",
-    "count_points",
-    "decompose_from_ranks",
-    "decomposition_of",
-    "degenerates_to",
-    "dimension",
-    "enumerate_orbits",
-    "enumerate_subreps",
-    "euler_form",
-    "ext_dim",
-    "ext_dim_intervals",
-    "fixed_points",
-    "flat_flags",
-    "gaussian_binomial",
-    "hasse_dot",
-    "hom_dim",
-    "hom_dim_intervals",
-    "intertwiner_space_dim",
-    "inverse",
-    "is_catenoid",
-    "is_irreducible",
-    "is_smooth",
-    "is_well_behaved",
-    "is_well_behaved_matrices",
-    "kernel",
-    "map_subspace",
-    "minimal_projective_resolution",
-    "quotient_rep",
-    "rank",
-    "rank_profile",
-    "ranks_from_decomposition",
-    "representative",
-    "restrict_rep",
-    "rref",
-    "run_suites",
-    "schubert_embedding_target",
-    "sigma_bijection_report",
-    "single_kill_tuple",
-    "singular_model",
-    "singular_model_rep",
-    "singular_point_census",
-    "singular_summary",
-    "span",
-    "strata_dot",
-    "strata_subsets",
-    "stratum_node_id",
-    "stratum_of",
-    "stratum_rank_targets",
-    "subspace_sum",
-    "subspaces_iter",
-    "well_behaved_rep",
-    "zero_subspace",
-]
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += linalg.__all__
+__all__ += representations.__all__
+__all__ += orbits.__all__
+__all__ += classifier.__all__
+__all__ += enumeration.__all__
+__all__ += verification.__all__

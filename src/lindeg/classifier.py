@@ -28,6 +28,24 @@ from .representations import (
     rank_profile,
 )
 
+__all__ = [
+    "DegenerationReport",
+    "FlatFlags",
+    "SingularInfo",
+    "SingularModel",
+    "classify",
+    "classify_matrices",
+    "construct_singular_witness",
+    "dimension",
+    "flat_flags",
+    "is_irreducible",
+    "is_smooth",
+    "is_well_behaved",
+    "is_well_behaved_matrices",
+    "singular_model",
+    "singular_summary",
+]
+
 
 def _segment_bounds(stratum: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     """First and last vertex (1-based) of each segment between the zero maps.

@@ -512,7 +512,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     # or, without a census, for the count
     walk = census is None or args.limit > 0
     points = enumerate_subreps(rep, dv, guard=args.guard) if walk else iter(())
-    sample = [_point_json(p) for p in itertools.islice(points, max(args.limit, 0))]
+    sample = [_point_json(p) for p in itertools.islice(points, args.limit)]
     total = census.total if census else len(sample) + sum(1 for _ in points)
     payload: dict[str, Any] = {
         **_problem_envelope("enumerate", problem),
@@ -604,6 +604,17 @@ def _add_problem_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _count(text: str) -> int:
+    """A flag value that counts something: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose rejections leave through the JSON error path; its
     subparsers are of the same class."""
@@ -649,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_enumerate)
     _add_problem_flags(sp)
     sp.add_argument("--census", action="store_true", help="count singular points too")
-    sp.add_argument("--limit", type=int, default=0, help="include up to LIMIT sample points")
+    sp.add_argument("--limit", type=_count, default=0, help="include up to LIMIT sample points")
     sp.add_argument("--guard", type=int, default=POINT_GUARD)
     sp.add_argument("--format", choices=["table", "json"], default="table")
 

@@ -29,7 +29,6 @@ from .linalg import (
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
-    Decomposition,
     DimVector,
     Interval,
     RepMatrices,
@@ -43,6 +42,23 @@ from .representations import (
     rank_profile,
     restrict_rep,
 )
+
+__all__ = [
+    "CensusResult",
+    "PointAnalysis",
+    "SigmaReport",
+    "analyze_point",
+    "cell_dimension",
+    "check_search_space",
+    "count_points",
+    "enumerate_subreps",
+    "fixed_points",
+    "gaussian_binomial",
+    "sigma_bijection_report",
+    "singular_model_rep",
+    "singular_point_census",
+    "subspaces_iter",
+]
 
 POINT_GUARD = 10**7
 
@@ -242,8 +258,6 @@ def fixed_points(
 class PointAnalysis:
     """Local data of one Grassmannian point: L inside M with quotient M/L."""
 
-    sub: Decomposition
-    quotient: Decomposition
     tangent_dim: int
     ext: int
 
@@ -264,7 +278,7 @@ def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     hom = hom_dim(sub_dec, quo_dec)
     ext = ext_dim(sub_dec, quo_dec)
     assert hom - ext == euler_form(sub.dims, quo.dims)
-    return PointAnalysis(sub_dec, quo_dec, hom, ext)
+    return PointAnalysis(hom, ext)
 
 
 @dataclass(frozen=True)
@@ -410,11 +424,7 @@ def _drop_first_matrix(field: Field, m: int) -> Matrix:
 
 def _include_last_matrix(field: Field, m: int) -> Matrix:
     """m x (m-1) matrix embedding onto the last m-1 coordinates."""
-    return Matrix.from_rows(
-        field,
-        [[1 if i == j + 1 else 0 for j in range(m - 1)] for i in range(m)],
-        ncols=m - 1,
-    )
+    return _drop_first_matrix(field, m).transpose()
 
 
 def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:

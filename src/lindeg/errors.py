@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GuardExceededError",
+    "LindegError",
+    "NotFlatError",
+    "NotIrreducibleError",
+    "NotRealizableError",
+    "NotSubrepresentationError",
+    "ValidationError",
+]
+
 
 class LindegError(Exception):
     """Base class for package-specific errors."""

@@ -17,6 +17,25 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
+__all__ = [
+    "GF",
+    "QQ",
+    "Field",
+    "Matrix",
+    "Subspace",
+    "contains",
+    "coordinate_subspace",
+    "intertwiner_space_dim",
+    "inverse",
+    "kernel",
+    "map_subspace",
+    "rank",
+    "rref",
+    "span",
+    "subspace_sum",
+    "zero_subspace",
+]
+
 _PRIME_LIMIT = 2**16
 # the largest |exponent| of an exact string: Python's own digit limit for
 # integer strings, since 1eN stands for an integer of N + 1 digits

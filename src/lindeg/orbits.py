@@ -24,6 +24,22 @@ from .representations import (
     ranks_from_decomposition,
 )
 
+__all__ = [
+    "ProjectionTuple",
+    "RankSequence",
+    "decomposition_of",
+    "degenerates_to",
+    "enumerate_orbits",
+    "hasse_dot",
+    "representative",
+    "single_kill_tuple",
+    "strata_dot",
+    "strata_subsets",
+    "stratum_node_id",
+    "stratum_of",
+    "stratum_rank_targets",
+]
+
 ORBIT_GUARD = 10**6
 STRATA_GUARD = 10**6
 

@@ -18,6 +18,29 @@ from . import linalg
 from .errors import NotRealizableError, NotSubrepresentationError, ValidationError
 from .linalg import Field, Matrix, Subspace
 
+__all__ = [
+    "Decomposition",
+    "DimVector",
+    "Interval",
+    "RankTable",
+    "RepMatrices",
+    "SubrepPoint",
+    "decompose_from_ranks",
+    "euler_form",
+    "ext_dim",
+    "ext_dim_intervals",
+    "hom_dim",
+    "hom_dim_intervals",
+    "is_catenoid",
+    "minimal_projective_resolution",
+    "quotient_rep",
+    "rank_profile",
+    "ranks_from_decomposition",
+    "restrict_rep",
+    "schubert_embedding_target",
+    "well_behaved_rep",
+]
+
 
 @dataclass(frozen=True, order=True)
 class Interval:

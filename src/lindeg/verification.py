@@ -34,6 +34,7 @@ from .enumeration import (
 from .errors import GuardExceededError, NotFlatError
 from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, inverse, rank
 from .orbits import (
+    ProjectionTuple,
     RankSequence,
     decomposition_of,
     enumerate_orbits,
@@ -53,6 +54,12 @@ from .representations import (
     ranks_from_decomposition,
     well_behaved_rep,
 )
+
+__all__ = [
+    "SUITES",
+    "SuiteResult",
+    "run_suites",
+]
 
 P_LARGE = 101
 
@@ -174,6 +181,23 @@ def _dim_vectors(m: int, n: int) -> Iterable[DimVector]:
         yield DimVector(m, d)
 
 
+def _check_orbit_roundtrips(check: _Checks, rs: RankSequence, p: int) -> ProjectionTuple:
+    """Three checks of one orbit: its decomposition gives back its rank table,
+    and its representative has that table from its zero sets and as matrices
+    over F_p.  Returns the representative."""
+    check(
+        ranks_from_decomposition(decomposition_of(rs)) == rs.table,
+        "decomposition round trip failed for {}", rs,
+    )
+    J = representative(rs)
+    check(J.rank_sequence() == rs, "representative does not lie on its orbit for {}", rs)
+    check(
+        rank_profile(J.matrices(GF(p))) == rs.table,
+        "representative rank profile over F_{} differs for {}", p, rs,
+    )
+    return J
+
+
 def suite_classify_consistency(seed: int = 0) -> SuiteResult:
     """Sweep all orbits for small (m, n) and check the theorems against
     each other: the fiber irreducibility criterion matches the rank-target
@@ -190,21 +214,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
             orbits = enumerate_orbits(m, n)
             dvs = list(_dim_vectors(m, n))
             for rs in orbits:
-                dec = decomposition_of(rs)
-                check(
-                    ranks_from_decomposition(dec) == rs.table,
-                    "decomposition round trip failed for {}", rs,
-                )
-                J = representative(rs)
-                check(
-                    J.rank_sequence() == rs,
-                    "representative does not lie on its orbit for {}", rs,
-                )
-                p = rng.choice([2, 3, 101])
-                check(
-                    rank_profile(J.matrices(GF(p))) == rs.table,
-                    "representative rank profile over F_{} differs for {}", p, rs,
-                )
+                J = _check_orbit_roundtrips(check, rs, rng.choice([2, 3, 101]))
                 for dv in dvs:
                     flags = flat_flags(rs, dv)
                     irr = is_irreducible(rs, dv)
@@ -260,20 +270,7 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
     for m in range(1, 4):
         for n in range(1, 5):
             for rs in enumerate_orbits(m, n):
-                dec = decomposition_of(rs)
-                J = representative(rs)
-                check(
-                    ranks_from_decomposition(dec) == rs.table,
-                    "rank/decomposition round trip failed for {}", rs,
-                )
-                check(
-                    J.rank_sequence() == rs,
-                    "representative combinatorial ranks differ for {}", rs,
-                )
-                check(
-                    rank_profile(J.matrices(GF(7))) == rs.table,
-                    "representative matrix ranks differ for {}", rs,
-                )
+                _check_orbit_roundtrips(check, rs, 7)
     for m in range(2, 9):
         for n in range(1, m):
             for dv in _dim_vectors(m, n):

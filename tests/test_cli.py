@@ -651,6 +651,12 @@ class TestEntrypoint:
         assert result.stdout.strip() == "False"
 
 
+NEGATIVE_LIMIT = [
+    "enumerate", "--m", "3", "--d", "1,2", "--zero-sets", "1", "--prime", "2",
+    "--limit", "-1", "--format", "json",
+]
+
+
 class TestContract:
     """Every rejection is exit 2 with a JSON error object on stderr."""
 
@@ -661,8 +667,13 @@ class TestContract:
             ["classify", "--m", "x"],
             ["singular", "--m", "5", "--d", "1,2,4", "--zero-sets", "-;1", "--witness"],
             [],
+            NEGATIVE_LIMIT,
+            [*NEGATIVE_LIMIT, "--census"],
         ],
-        ids=["unknown-suite", "non-integer", "value-like-an-option", "no-command"],
+        ids=[
+            "unknown-suite", "non-integer", "value-like-an-option", "no-command",
+            "negative-limit", "negative-limit-census",
+        ],
     )
     def test_parser_rejections_are_json_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
