@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .classifier import dimension, is_irreducible, singular_model
-from .errors import GuardExceededError, NotIrreducibleError, ValidationError
+from .errors import NotIrreducibleError, ValidationError, _check_size
 from .linalg import (
     Field,
     Matrix,
@@ -24,8 +24,8 @@ from .linalg import (
     contains,
     coordinate_subspace,
     map_subspace,
-    span,
     subspace_sum,
+    _rref_rows,
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
@@ -125,7 +125,7 @@ def check_search_space(
     """Raise GuardExceededError if the search space of a point enumeration, the
     product over v of the number of targets[v]-subspaces of F_p^dims[v], exceeds
     ``guard``.  It needs no maps, so a caller can check it before building any.
-    A size over 64 bits is reported as "at least 2^k".
+    The comparison, and its error for a negative guard, is ``_check_size``.
     """
     if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
@@ -135,26 +135,7 @@ def check_search_space(
         # the largest cell of Gr(t, F_p^amb) has p^(t(amb - t)) points
         k = sum(t * (amb - t) for amb, t in zip(dims, targets)) * (p.bit_length() - 1)
     sizes = (gaussian_binomial(amb, t, p) for amb, t in zip(dims, targets))
-    _check_size("search space", k, sizes, guard)
-
-
-def _check_size(what: str, k: int, factors: Iterable[int], guard: int) -> None:
-    """Raise GuardExceededError if a search space of at least 2^k points, the
-    product of the lazy ``factors``, exceeds ``guard``.
-
-    The product is taken only when 2^k does not settle the guard.  A size of
-    at most 64 bits is printed exactly, a larger one as "at least 2^k", k the
-    bit length less one of the exact size if taken, since Python refuses to
-    print an int of more than 4300 decimal digits.
-    """
-    size = None
-    if k < max(64, max(guard, 0).bit_length()):
-        size = math.prod(factors)
-        if size <= guard:
-            return
-        k = size.bit_length() - 1
-    shown = size if k < 64 else f"at least 2^{k}"
-    raise GuardExceededError(f"{what} of size {shown} exceeds the guard {guard}")
+    _check_size("search space", k, lambda: math.prod(sizes), guard)
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
@@ -235,7 +216,8 @@ def fixed_points(
     m = dv.m
     # C(m, t) >= (m / t)^t with t = min(d, m - d)
     k = sum(t * ((m // t).bit_length() - 1) for t in (min(d, m - d) for d in dv.d))
-    _check_size("fixed-point search space", k, (math.comb(m, d) for d in dv.d), guard)
+    sizes = (math.comb(m, d) for d in dv.d)
+    _check_size("fixed-point search space", k, lambda: math.prod(sizes), guard)
     out: list[tuple[tuple[int, ...], ...]] = []
     universe = range(1, dv.m + 1)
 
@@ -352,11 +334,11 @@ def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
 def _opposite_limit(point: SubrepPoint) -> tuple[tuple[int, ...], ...]:
     """The limit of a point under t*e_j = t^-j e_j as t -> 0, as 1-based
     index subsets: at each vertex, the columns of the last nonzero entries of
-    an echelon basis, found as the pivots of the column-reversed span."""
+    an echelon basis, found as the pivots of the column-reversed basis."""
     out = []
     for V in point.spaces:
-        reversed_span = span(V.field, V.ambient, [row[::-1] for row in V.basis])
-        out.append(tuple(sorted(V.ambient - c for c in reversed_span.pivots)))
+        _, pivots = _rref_rows([list(row[::-1]) for row in V.basis], V.field.characteristic)
+        out.append(tuple(sorted(V.ambient - c for c in pivots)))
     return tuple(out)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one guard rule."""
+
+from typing import Callable
 
 __all__ = [
     "GuardExceededError",
@@ -41,3 +43,23 @@ class NotIrreducibleError(LindegError):
 
 class GuardExceededError(LindegError):
     """An enumeration size guard would be exceeded."""
+
+
+def _check_size(what: str, k: int, size: Callable[[], int], guard: int) -> None:
+    """Raise GuardExceededError if an enumeration of ``size()`` items, at least
+    2^k, exceeds ``guard``, and ValidationError if ``guard`` is negative.
+
+    ``size`` runs only when 2^k does not settle the guard.  A size past 64
+    bits is printed as "at least 2^k" (k from the exact size if taken), since
+    Python refuses to print an int of more than 4300 decimal digits.
+    """
+    if guard < 0:
+        raise ValidationError(f"guard must be an integer >= 0, got {guard}")
+    exact = None
+    if k < max(64, guard.bit_length()):
+        exact = size()
+        if exact <= guard:
+            return
+        k = exact.bit_length() - 1
+    shown = exact if k < 64 else f"at least 2^{k}"
+    raise GuardExceededError(f"{what} of size {shown} exceeds the guard {guard}")

@@ -9,10 +9,11 @@ projections.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import GuardExceededError, ValidationError
+from .errors import GuardExceededError, ValidationError, _check_size
 from .linalg import Field, Matrix
 from .representations import (
     Decomposition,
@@ -113,17 +114,14 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
     Enumerates nonnegative interval multiplicities with every vertex sum equal
     to m; aborts with GuardExceededError past ``guard`` orbits, and before
     building any when (m + 1)^(n - 1) exceeds ``guard``: projection tuples
-    realize every vector of edge ranks in 0..m, so there are that many orbits.
+    realize each vector of edge ranks in 0..m, so there are at least that many.
     It also aborts in advance when one orbit has more than ``guard`` intervals.
     """
     if m < 0 or n < 1:
         raise ValidationError("need m >= 0 and n >= 1")
-    # bit lengths first, so that a huge n costs nothing
-    low_bits = (n - 1) * ((m + 1).bit_length() - 1)
-    if low_bits >= max(guard, 0).bit_length() or (m + 1) ** (n - 1) > guard:
-        raise GuardExceededError(f"more than {guard} orbits for m={m}, n={n}")
-    if n * (n + 1) // 2 > guard:
-        raise GuardExceededError(f"more than {guard} intervals for n={n}")
+    what = f"orbit enumeration for m={m}, n={n}"
+    _check_size(what, (n - 1) * ((m + 1).bit_length() - 1), lambda: (m + 1) ** (n - 1), guard)
+    _check_size(f"interval list for n={n}", 0, lambda: n * (n + 1) // 2, guard)
     intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     caps = [m] * (n + 1)  # caps[v] for 1-based v; caps[0] unused
     counts: dict[tuple[int, int], int] = {}
@@ -131,7 +129,8 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
 
     def emit() -> None:
         if len(out) >= guard:
-            raise GuardExceededError(f"more than {guard} orbits for m={m}, n={n}")
+            size = f"at least {guard + 1}"
+            raise GuardExceededError(f"{what} of size {size} exceeds the guard {guard}")
         dec = Decomposition.from_multiplicities(n, dict(counts))
         out.append(RankSequence(m, ranks_from_decomposition(dec)))
 
@@ -357,21 +356,14 @@ def hasse_dot(
 def strata_subsets(n: int, guard: int = STRATA_GUARD) -> tuple[tuple[int, ...], ...]:
     """All strata (subsets of edges 1..n-1), sorted by size then entries.
 
-    Raises ValidationError if n < 1, and GuardExceededError, before building
-    any, if the 2^(n-1) strata exceed ``guard``.
+    Raises ValidationError if n < 1 or guard < 0, and GuardExceededError,
+    before building any, if the 2^(n-1) strata exceed ``guard``.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    # 2^(n-1) > guard exactly when n - 1 >= guard.bit_length(); checked on n
-    # alone so that a huge n allocates nothing
-    if n - 1 >= max(guard, 0).bit_length():
-        raise GuardExceededError(f"2^{n - 1} strata for n={n} exceed the guard {guard}")
-    edges = list(range(1, n))
-    count = 1 << len(edges)
-    subsets: list[tuple[int, ...]] = []
-    for mask in range(count):
-        subsets.append(tuple(e for k, e in enumerate(edges) if mask >> k & 1))
-    return tuple(sorted(subsets, key=lambda s: (len(s), s)))
+    _check_size(f"strata for n={n}", n - 1, lambda: 1 << (n - 1), guard)
+    edges = range(1, n)
+    return tuple(s for k in range(n) for s in itertools.combinations(edges, k))
 
 
 def stratum_node_id(I: Sequence[int]) -> str:

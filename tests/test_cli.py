@@ -669,10 +669,15 @@ class TestContract:
             [],
             NEGATIVE_LIMIT,
             [*NEGATIVE_LIMIT, "--census"],
+            ["enumerate", "--m", "3", "--d", "1,2", "--zero-sets", "1", "--prime", "2",
+             "--guard", "-5"],
+            ["orbits", "--m", "3", "--n", "2", "--guard", "-5"],
+            ["strata", "--n", "3", "--guard", "-5"],
         ],
         ids=[
             "unknown-suite", "non-integer", "value-like-an-option", "no-command",
-            "negative-limit", "negative-limit-census",
+            "negative-limit", "negative-limit-census", "negative-guard-enumerate",
+            "negative-guard-orbits", "negative-guard-strata",
         ],
     )
     def test_parser_rejections_are_json_errors(self, capsys, argv):

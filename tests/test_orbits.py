@@ -79,7 +79,10 @@ class TestEnumeration:
             raise AssertionError("an orbit was built past the guard")
 
         monkeypatch.setattr("lindeg.orbits.ranks_from_decomposition", refuse)
-        with pytest.raises(GuardExceededError, match="more than 15 orbits"):
+        with pytest.raises(
+            GuardExceededError,
+            match="orbit enumeration for m=1, n=5 of size 16 exceeds the guard 15",
+        ):
             enumerate_orbits(1, 5, guard=15)
         for m, n in [(10**8, 2), (3, 30), (1, 45), (2, 10**9)]:
             with pytest.raises(GuardExceededError):
@@ -94,7 +97,7 @@ class TestEnumeration:
         # m = 0 has one orbit for every n, but n(n+1)/2 intervals
         assert len(enumerate_orbits(0, 100, guard=5050)) == 1
         for n in (100, 10**9):
-            with pytest.raises(GuardExceededError, match="intervals"):
+            with pytest.raises(GuardExceededError, match=f"interval list for n={n} of size "):
                 enumerate_orbits(0, n, guard=5049)
 
 
@@ -203,9 +206,13 @@ class TestStrata:
         # n vertices have 2^(n-1) strata
         assert len(strata_subsets(4, guard=8)) == 8
         assert strata_dot(4, guard=8) == strata_dot(4)
-        with pytest.raises(GuardExceededError, match=r"2\^3 "):
+        with pytest.raises(
+            GuardExceededError, match="strata for n=4 of size 8 exceeds the guard 7"
+        ):
             strata_subsets(4, guard=7)
-        with pytest.raises(GuardExceededError, match=r"2\^4 "):
+        with pytest.raises(
+            GuardExceededError, match="strata for n=5 of size 16 exceeds the guard 15"
+        ):
             strata_dot(5, guard=15)
         assert len(strata_subsets(1, guard=1)) == 1
         with pytest.raises(GuardExceededError):
@@ -219,7 +226,9 @@ class TestStrata:
 
     def test_guard_trips_before_allocating(self):
         # a list of 10^9 edges would not fit; the check must come first
-        with pytest.raises(GuardExceededError, match=r"2\^999999999 "):
+        with pytest.raises(
+            GuardExceededError, match=r"strata for n=1000000000 of size at least 2\^999999999 "
+        ):
             strata_subsets(10**9, guard=10**6)
 
 
