@@ -16,7 +16,7 @@ from .errors import (
     NotIrreducibleError,
     ValidationError,
 )
-from .linalg import QQ, Field, kernel, rank, subspace_sum, zero_subspace
+from .linalg import QQ, Field, coordinate_subspace, kernel, rank, subspace_sum
 from .orbits import ProjectionTuple, RankSequence, decomposition_of
 from .representations import (
     Decomposition,
@@ -25,7 +25,6 @@ from .representations import (
     RepMatrices,
     SubrepPoint,
     euler_form,
-    rank_profile,
 )
 
 __all__ = [
@@ -149,7 +148,7 @@ def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
         if rank(f) != dv.m - steps[i]:
             return False
         kernels.append(kernel(f))
-    total = zero_subspace(rep.field, dv.m)
+    total = coordinate_subspace(rep.field, dv.m, ())
     for K in kernels:
         total = subspace_sum(total, K)
     return total.dim == sum(steps)
@@ -311,8 +310,6 @@ def construct_singular_witness(
 class DegenerationReport:
     """Everything the classifier knows about one (orbit, flag data) pair."""
 
-    m: int
-    dims: tuple[int, ...]
     edge_ranks: tuple[int, ...]
     decomposition: Decomposition
     stratum: tuple[int, ...]
@@ -342,8 +339,6 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     dim = _dimension(dv, flags) if flags.flat else None
     singular = _singular_summary(rs, dv, flags) if flags.flat_irreducible else None
     return DegenerationReport(
-        m=dv.m,
-        dims=dv.d,
         edge_ranks=rs.edge_ranks(),
         decomposition=dec,
         stratum=flags.stratum,
@@ -362,4 +357,4 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
 def classify_matrices(rep: RepMatrices, dv: DimVector) -> DegenerationReport:
     """Classify a concrete endomorphism tuple via its rank table."""
     rep.check_endomorphisms(dv)
-    return classify(RankSequence(dv.m, rank_profile(rep)), dv)
+    return classify(RankSequence.from_rep(rep), dv)

@@ -297,8 +297,9 @@ def _singular_json(info) -> dict | None:
 
 
 def _point_json(point: SubrepPoint) -> dict:
-    if point.is_coordinate:
-        return {"coordinates": [list(s) for s in point.coordinates]}
+    coordinates = point.coordinates
+    if coordinates is not None:
+        return {"coordinates": [list(s) for s in coordinates]}
     return {
         "bases": [
             [list(row) for row in space.basis]

@@ -273,7 +273,7 @@ class CensusResult:
 def _irreducible_rank_sequence(rep: RepMatrices, dv: DimVector) -> RankSequence:
     """The orbit of rep, after checking that Gr_d(rep) is irreducible."""
     rep.check_endomorphisms(dv)
-    rs = RankSequence(dv.m, rank_profile(rep))
+    rs = RankSequence.from_rep(rep)
     if not is_irreducible(rs, dv):
         raise NotIrreducibleError("point census is defined for irreducible varieties")
     return rs
@@ -412,9 +412,9 @@ def _include_last_matrix(field: Field, m: int) -> Matrix:
 def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
     """Concrete matrices for the corank-one singular-locus module.
 
-    Vertex dimensions are m except m - 1 at h and h + 1; the maps are
-    identities except the coordinate deletion into vertex h and the shifted
-    embedding out of vertex h + 1.
+    Vertex dimensions are m except m - 1 at h and h + 1; every edge is the
+    identity on its source vertex except the coordinate deletion into vertex
+    h and the shifted embedding out of vertex h + 1.
     """
     if n < 2 or not 1 <= h <= n - 1:
         raise ValidationError(f"edge index h={h} out of range 1..{n - 1}")
@@ -423,12 +423,10 @@ def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
     for i in range(1, n):
         if i == h - 1:
             maps.append(_drop_first_matrix(field, m))
-        elif i == h:
-            maps.append(Matrix.identity(field, m - 1))
         elif i == h + 1:
             maps.append(_include_last_matrix(field, m))
         else:
-            maps.append(Matrix.identity(field, m))
+            maps.append(Matrix.identity(field, dims[i - 1]))
     return RepMatrices(field, dims, tuple(maps))
 
 
@@ -441,10 +439,6 @@ class SigmaReport:
     sigma is the forward map and sigma' the inverse.
     """
 
-    m: int
-    dims: tuple[int, ...]
-    h: int
-    prime: int
     singular_count: int
     model_count: int
     ok: bool
@@ -528,10 +522,6 @@ def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport
             f"sigma image has {len(image)} of {len(singular_points)} singular points"
         )
     return SigmaReport(
-        m=dv.m,
-        dims=dv.d,
-        h=h,
-        prime=prime,
         singular_count=len(singular_points),
         model_count=model_count,
         ok=not failures,

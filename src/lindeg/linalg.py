@@ -33,7 +33,6 @@ __all__ = [
     "rref",
     "span",
     "subspace_sum",
-    "zero_subspace",
 ]
 
 _PRIME_LIMIT = 2**16
@@ -176,9 +175,6 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
 
-    def rank(self) -> int:
-        return rank(self)
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
@@ -278,17 +274,19 @@ class Subspace:
     def __post_init__(self) -> None:
         if len(self.basis) != len(self.pivots):
             raise ValidationError("basis and pivot counts differ")
-        prev = -1
+        if not all(a < b for a, b in zip([-1, *self.pivots], [*self.pivots, self.ambient])):
+            raise ValidationError("pivots must be strictly increasing and in range")
+        q = self.field.characteristic
         for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
             if len(row) != self.ambient:
                 raise ValidationError("basis row length differs from ambient dimension")
-            if not prev < p < self.ambient:
-                raise ValidationError("pivots must be strictly increasing and in range")
-            if row[p] != 1 or any(row[c] != 0 for c in self.pivots if c != p) or any(
-                row[c] != 0 for c in range(p)
-            ):
+            # another type would break structural equality and hashing
+            for x in row:
+                if not (type(x) is int and 0 <= x < q if q else type(x) is Fraction):
+                    raise ValidationError(f"basis entries are not elements of {self.field}")
+            # a zero is falsy in both fields
+            if row[p] != 1 or any(row[:p]) or any(row[c] for c in self.pivots[i + 1 :]):
                 raise ValidationError("basis is not in reduced row echelon form")
-            prev = p
 
     @property
     def dim(self) -> int:
@@ -328,10 +326,6 @@ def span(field: Field, ambient: int, rows: Iterable[Sequence]) -> Subspace:
     """Subspace spanned by the given row vectors, in canonical form."""
     M = Matrix.from_rows(field, rows, ncols=ambient)
     return _span_rows(field, ambient, [list(r) for r in M.entries])
-
-
-def zero_subspace(field: Field, ambient: int) -> Subspace:
-    return Subspace(field, ambient, (), ())
 
 
 def coordinate_subspace(field: Field, ambient: int, positions: Iterable[int]) -> Subspace:

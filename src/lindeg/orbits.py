@@ -189,14 +189,9 @@ class ProjectionTuple:
         return RepMatrices(field, (self.m,) * self.n, maps)
 
     def rank_sequence(self) -> RankSequence:
-        """Rank table of the tuple; composites of projections kill unions."""
+        """Rank table: entry (a, b) is m less the coordinates killed on edges a..b-1."""
         def entry(a: int, b: int) -> int:
-            if a == b:
-                return self.m
-            killed: set[int] = set()
-            for i in range(a, b):
-                killed |= self.zero_sets[i - 1]
-            return self.m - len(killed)
+            return self.m - len(frozenset().union(*self.zero_sets[a - 1 : b - 1]))
 
         return RankSequence(self.m, RankTable.from_function(self.n, entry))
 
@@ -217,33 +212,22 @@ def representative(rs: RankSequence) -> ProjectionTuple:
     """Canonical projection-tuple representative of an orbit.
 
     Scans vertices left to right, assigning each summand strand a coordinate
-    index; indices freed by strands that end are reused in increasing order.
+    index; the strands starting at a vertex take the free indices in
+    increasing order, shortest first, and an ending strand frees its index.
     The zero set of edge i collects the indices of strands ending at vertex i.
     """
-    dec = decompose_from_ranks(rs.table)
-    n, m = rs.n, rs.m
-    zero_sets: list[frozenset[int]] = []
-    # strand bookkeeping: alive[index] = end vertex of the strand using it
-    alive: dict[int, int] = {}
-    fresh = list(range(1, m + 1))
-
-    def start_strands(v: int, available: list[int]) -> None:
-        starters = sorted(
-            (iv for iv in dec.summands() if iv.start == v), key=lambda iv: iv.end
-        )
-        if len(starters) > len(available):
-            raise AssertionError("representative ran out of coordinate indices")
-        for iv, idx in zip(starters, available):
-            alive[idx] = iv.end
-
-    start_strands(1, fresh)
-    for v in range(1, n):
-        ending = sorted(idx for idx, end in alive.items() if end == v)
-        zero_sets.append(frozenset(ending))
-        for idx in ending:
-            del alive[idx]
-        start_strands(v + 1, ending)
-    return ProjectionTuple(m, tuple(zero_sets))
+    strands = decompose_from_ranks(rs.table).summands()  # sorted by (start, end)
+    free = list(range(1, rs.m + 1))
+    ending: dict[int, list[int]] = {}  # end vertex -> indices of the strands ending there
+    zero_sets = []
+    for v in range(1, rs.n):
+        ends = [iv.end for iv in strands if iv.start == v]
+        assert len(ends) == len(free), "starting strands do not fit the free indices"
+        for idx, end in zip(free, ends):
+            ending.setdefault(end, []).append(idx)
+        free = sorted(ending.pop(v, []))
+        zero_sets.append(frozenset(free))
+    return ProjectionTuple(rs.m, tuple(zero_sets))
 
 
 def stratum_of(rs: RankSequence) -> tuple[int, ...]:

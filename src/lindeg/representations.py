@@ -292,20 +292,14 @@ class RepMatrices:
     def from_decomposition(D: Decomposition, field: Field) -> "RepMatrices":
         """0/1 block realization: one basis strand per summand, in sorted order."""
         strands = D.summands()
-        layout = []  # layout[v-1]: strand indices alive at vertex v, in order
-        for v in range(1, D.n + 1):
-            layout.append([s for s, iv in enumerate(strands) if iv.contains(v)])
-        dims = tuple(len(layer) for layer in layout)
-        maps = []
-        for v in range(1, D.n):
-            here, there = layout[v - 1], layout[v]
-            pos_there = {s: r for r, s in enumerate(there)}
-            rows = [[0] * len(here) for _ in range(len(there))]
-            for c, s in enumerate(here):
-                if s in pos_there:
-                    rows[pos_there[s]][c] = 1
-            maps.append(Matrix.from_rows(field, rows, ncols=len(here)))
-        return RepMatrices(field, dims, tuple(maps))
+        # layout[v-1]: the strands alive at vertex v, in order
+        layout = [[s for s, iv in enumerate(strands) if iv.contains(v)] for v in range(1, D.n + 1)]
+        # entry (r, c) of a map is 1 exactly when row r and column c are one strand
+        maps = tuple(
+            Matrix.from_rows(field, [[int(r == c) for c in here] for r in there], ncols=len(here))
+            for here, there in zip(layout, layout[1:])
+        )
+        return RepMatrices(field, tuple(map(len, layout)), maps)
 
 
 def rank_profile(rep: RepMatrices) -> RankTable:
@@ -316,7 +310,7 @@ def rank_profile(rep: RepMatrices) -> RankTable:
         acc: Matrix | None = None
         for b in range(a + 1, rep.n + 1):
             acc = rep.maps[b - 2] if acc is None else rep.maps[b - 2] @ acc
-            row.append(acc.rank())
+            row.append(linalg.rank(acc))
         rows.append(tuple(row))
     return RankTable(rep.n, tuple(rows))
 
@@ -444,13 +438,6 @@ class SubrepPoint:
             ):
                 return None
         return tuple(tuple(c + 1 for c in space.pivots) for space in self.spaces)
-
-    @property
-    def is_coordinate(self) -> bool:
-        return self.coordinates is not None
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.spaces)
 
     @staticmethod
     def from_coordinates(

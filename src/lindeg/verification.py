@@ -409,7 +409,7 @@ def suite_cells(seed: int = 0) -> SuiteResult:
             key = tuple(tuple(c + 1 for c in space.pivots) for space in point.spaces)
             sizes[key] = sizes.get(key, 0) + 1
             singular[key] = singular.get(key, 0) + is_singular
-            if point.is_coordinate and not is_singular:
+            if point.coordinates is not None and not is_singular:
                 smooth_fixed.add(key)
         check(
             sorted(sizes) == fixed_points(J, dv),

@@ -325,6 +325,23 @@ class TestWitness:
         analysis = analyze_point(J.matrices(GF(3)), pt)
         assert analysis.tangent_dim > dimension(J.rank_sequence(), dv)
 
+    def test_canonical_representative_always_gives_a_singular_witness(self):
+        # the CLI's advice "use the canonical orbit representative" relies on this
+        cases = 0
+        for m in range(2, 7):
+            for n in range(2, 5):
+                for dv in _all_dvs(m, n):
+                    for rs in enumerate_orbits(m, n):
+                        flags = flat_flags(rs, dv)
+                        if flags.stratum or not flags.flat_irreducible or is_smooth(rs, dv):
+                            continue
+                        J = representative(rs)
+                        pt = construct_singular_witness(J, dv, GF(2))
+                        analysis = analyze_point(J.matrices(GF(2)), pt)
+                        assert analysis.tangent_dim > dimension(rs, dv), (rs, dv)
+                        cases += 1
+        assert cases == 250
+
     def test_rejects_zero_map(self):
         J = ProjectionTuple(3, ({1, 2, 3},))
         with pytest.raises(ValidationError):

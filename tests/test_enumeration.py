@@ -185,7 +185,7 @@ class TestFixedPoints:
             got = sorted(
                 pt.coordinates
                 for pt in enumerate_subreps(J.matrices(GF(2)), FLAG3)
-                if pt.is_coordinate
+                if pt.coordinates is not None
             )
             assert got == expected
 
@@ -410,6 +410,32 @@ class TestSigma:
         report = sigma_bijection_report(DimVector(4, (1, 2, 3)), 1)
         assert report.ok, report.failures
         assert report.singular_count == report.model_count == 21
+
+    def test_forward_map_off_the_singular_locus(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_sigma_forward", lambda ambient, h, mp: mp.spaces)
+        report = sigma_bijection_report(FLAG3, 1)
+        assert not report.ok
+        assert report.failures == (
+            "sigma misses the singular locus at model point 1",
+            "sigma image has 0 of 1 singular points",
+        )
+
+    def test_forward_map_that_collides(self, monkeypatch):
+        forward, images = enumeration._sigma_forward, []
+
+        def first_image(ambient, h, mp):
+            images.append(forward(ambient, h, mp))
+            return images[0]
+
+        monkeypatch.setattr(enumeration, "_sigma_forward", first_image)
+        report = sigma_bijection_report(DimVector(4, (1, 2)), 1)
+        assert "sigma collides at model point 2" in report.failures
+        assert not report.ok
+
+    def test_backward_map_that_does_not_invert(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_sigma_backward", lambda ambient, h, pt: pt.spaces)
+        report = sigma_bijection_report(FLAG3, 1)
+        assert report.failures == ("sigma' does not invert sigma at model point 1",)
 
     def test_model_matrices_realize_the_model_module(self):
         # every edge h, so each branch of singular_model_rep runs: the deletion

@@ -25,7 +25,6 @@ from lindeg import (
     rref,
     span,
     subspace_sum,
-    zero_subspace,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
@@ -194,11 +193,44 @@ class TestSubspace:
                 assert V.basis == W.basis
 
     def test_zero_and_full(self):
-        Z = zero_subspace(QQ, 3)
+        Z = coordinate_subspace(QQ, 3, ())
         F = coordinate_subspace(QQ, 3, range(3))
         assert Z.dim == 0 and F.dim == 3
         assert contains(F, Z)
         assert subspace_sum(Z, F) == F
+
+    @pytest.mark.parametrize(
+        "field, basis, pivots, message",
+        [
+            (QQ, ((Fraction(1), Fraction(0)),), (), "basis and pivot counts differ"),
+            (QQ, ((Fraction(1),),), (0,), "basis row length differs"),
+            (QQ, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))), (1, 0), "pivots must"),
+            (QQ, ((Fraction(1), Fraction(0)),), (2,), "pivots must"),
+            (QQ, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), (0, 5), "pivots must"),
+            (QQ, ((Fraction(2), Fraction(0)),), (0,), "reduced row echelon"),
+            (QQ, ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))), (0, 1), "reduced row"),
+            (QQ, ((Fraction(1), Fraction(1)),), (1,), "reduced row echelon"),
+            (GF(2), ((1, 5),), (0,), "not elements of F_2"),
+            (GF(2), ((1, -1),), (0,), "not elements of F_2"),
+            (GF(2), ((1, Fraction(1)),), (0,), "not elements of F_2"),
+            (QQ, ((Fraction(1), 0.5),), (0,), "not elements of Q"),
+            (QQ, ((1, 0),), (0,), "not elements of Q"),
+        ],
+        ids=[
+            "counts", "row-length", "pivot-order", "pivot-range", "later-pivot-range", "pivot-not-one",
+            "other-pivot-column", "left-of-pivot", "int-too-large", "int-negative",
+            "fraction-over-fp", "float-over-q", "int-over-q",
+        ],
+    )
+    def test_every_invariant_is_checked(self, field, basis, pivots, message):
+        with pytest.raises(ValidationError, match=message):
+            Subspace(field, 2, basis, pivots)
+
+    def test_entries_outside_the_field_are_rejected(self):
+        # (1, 5) over F_2 used to pass and compare unequal to span [[1, 1]]
+        assert span(GF(2), 2, [[1, 5]]) == Subspace(GF(2), 2, ((1, 1),), (0,))
+        with pytest.raises(ValidationError):
+            Subspace(GF(2), 2, ((1, 5),), (0,))
 
     def test_rank_nullity(self):
         rng = random.Random(3)

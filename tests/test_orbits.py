@@ -9,12 +9,14 @@ import pytest
 from lindeg import (
     GF,
     QQ,
+    Decomposition,
     DimVector,
     GuardExceededError,
     NotRealizableError,
     ProjectionTuple,
     RankSequence,
     RankTable,
+    RepMatrices,
     ValidationError,
     decomposition_of,
     degenerates_to,
@@ -247,6 +249,29 @@ class TestRepresentatives:
         pt = representative(rs)
         for field in (QQ, GF(2), GF(101)):
             assert RankSequence.from_rep(pt.matrices(field)) == rs
+
+    def test_from_rep_needs_one_vertex_dimension(self):
+        rep = RepMatrices.from_decomposition(Decomposition.from_intervals(2, [(1, 2), (2, 2)]), QQ)
+        assert rep.dims == (1, 2)
+        with pytest.raises(ValidationError, match="does not have constant vertex dimension"):
+            RankSequence.from_rep(rep)
+
+    def test_rank_sequence_of_random_tuples_matches_the_matrices(self):
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(2000):
+            m, n = rng.randint(1, 5), rng.randint(2, 5)
+            zero_sets = []
+            for _ in range(n - 1):
+                size = rng.choice([0, m, rng.randint(0, m)])
+                zero_sets.append(frozenset(rng.sample(range(1, m + 1), size)))
+                kinds.add("empty" if size == 0 else "full" if size == m else "partial")
+            kinds.update(
+                "overlapping" for s, t in itertools.combinations(zero_sets, 2) if s & t and s != t
+            )
+            J = ProjectionTuple(m, tuple(zero_sets))
+            assert J.rank_sequence().table == rank_profile(J.matrices(GF(2))), J
+        assert kinds == {"empty", "partial", "full", "overlapping"}
 
     def test_kills_first_coordinate_when_rank_drops(self):
         """Below-full first edge: v_1 must be in the first zero set."""

@@ -395,8 +395,8 @@ class TestSubrep:
 class TestSubrepPoint:
     def test_from_coordinates(self):
         pt = SubrepPoint.from_coordinates(GF(2), (3, 3), [(1,), (1, 3)])
-        assert pt.is_coordinate
-        assert pt.dims() == (1, 2)
+        assert pt.coordinates is not None
+        assert tuple(s.dim for s in pt.spaces) == (1, 2)
         assert pt.coordinates == ((1,), (1, 3))
 
     def test_coordinates_are_derived_from_spaces(self):
@@ -411,7 +411,7 @@ class TestSubrepPoint:
         same = SubrepPoint(pt.spaces)
         assert pt == same
         assert hash(pt) == hash(same)
-        assert same.is_coordinate
+        assert same.coordinates is not None
         assert same.coordinates == ((1,), (1, 3))
 
     def test_rejects_out_of_range(self):

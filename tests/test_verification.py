@@ -52,3 +52,15 @@ def test_cells_suite_checks_every_sampled_case():
     assert result.passed, result.failures
     # per case: pivot classes, the census, and two checks per smooth cell
     assert result.checks > 3 * 12
+
+
+def test_exthom_reports_a_table_that_disagrees(monkeypatch):
+    from lindeg import verification
+
+    hom_dim = verification.hom_dim
+    monkeypatch.setattr(verification, "hom_dim", lambda A, B: hom_dim(A, B) + 1)
+    result = verification.suite_exthom(0, pairs=3)
+    assert not result.passed
+    assert result.failures[0] == (
+        "pair 0: hom table 4 != matrices 3 (U[1,1] + U[1,2] -> U[1,1] + U[1,2] + U[2,2])"
+    )
