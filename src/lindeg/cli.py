@@ -28,9 +28,9 @@ from .classifier import (
 )
 from .enumeration import (
     POINT_GUARD,
-    analyze_point,
     check_search_space,
     enumerate_subreps,
+    fixed_point_analysis,
     fixed_points,
     singular_point_census,
 )
@@ -559,7 +559,7 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
     if args.witness:
         J = problem.projection_tuple("--witness")
         point = construct_singular_witness(J, dv, field=problem.field)
-        analysis = analyze_point(problem.matrices(), point)
+        analysis = fixed_point_analysis(J, point.coordinates)
         payload["witness"] = {
             **_point_json(point),
             "tangent_dim": analysis.tangent_dim,

@@ -29,6 +29,7 @@ from .linalg import (
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
+    Decomposition,
     DimVector,
     Interval,
     RepMatrices,
@@ -52,6 +53,7 @@ __all__ = [
     "check_search_space",
     "count_points",
     "enumerate_subreps",
+    "fixed_point_analysis",
     "fixed_points",
     "gaussian_binomial",
     "sigma_bijection_report",
@@ -289,21 +291,33 @@ def _points_with_singularity(
         yield point, analyze_point(rep, point).tangent_dim > expected
 
 
-def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
-    """Dimension c(S) of the torus cell of a fixed point S of Gr_d(J).
+def _strands(
+    J: ProjectionTuple, fixed: Sequence[Sequence[int]]
+) -> tuple[list[list[Interval]], list[list[Interval]]]:
+    """The coordinate strands of a fixed point S of Gr_d(J), given as 1-based
+    index subsets, one per vertex, as ``fixed_points`` lists them.
 
-    ``fixed`` gives S as 1-based index subsets, one per vertex, as
-    ``fixed_points`` lists them.  L_i, the strand of coordinate i in the
-    subrepresentation L on S, lives at the vertices v with i in S_v; Q_j, the
-    strand of j in the quotient M/L, at the vertices with j not in S_v.  Each
-    breaks into intervals at the edges that kill its coordinate.  Then
-    c(S) = sum over i < j of dim Hom(L_i, Q_j), the part of the tangent
-    space Hom(L, M/L) on which the torus t*e_j = t^j e_j acts with positive
-    weight.
+    L_i, the strand of coordinate i in the subrepresentation L on S, lives
+    at the vertices v with i in S_v; Q_j, the strand of j in the quotient
+    M/L, at the vertices with j not in S_v.  Each breaks into intervals at
+    the edges that kill its coordinate.  Returns the intervals of L_1..L_m
+    and of Q_1..Q_m.  Raises ValidationError unless S is a fixed point: an
+    index outside 1..m, or S_v minus the zero set of edge v not inside
+    S_{v+1}, is not a subrepresentation.
     """
     if len(fixed) != J.n:
         raise ValidationError("need one index subset per vertex")
     members = [set(S) for S in fixed]
+    for v, S in enumerate(members, start=1):
+        bad = [i for i in S if not (isinstance(i, int) and 1 <= i <= J.m)]
+        if bad:
+            raise ValidationError(f"index {bad[0]!r} at vertex {v} is outside 1..{J.m}")
+    for v in range(1, J.n):
+        if not members[v - 1] - J.zero_sets[v - 1] <= members[v]:
+            raise ValidationError(
+                f"S_{v} minus the zero set of edge {v} is not inside S_{v + 1}: "
+                "not a fixed point"
+            )
 
     def strand(i: int, in_sub: bool) -> list[Interval]:
         out, start = [], None
@@ -320,15 +334,57 @@ def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
                 start = None
         return out
 
-    subs = [strand(i, True) for i in range(1, J.m + 1)]
-    quos = [strand(j, False) for j in range(1, J.m + 1)]
+    coords = range(1, J.m + 1)
+    return [strand(i, True) for i in coords], [strand(j, False) for j in coords]
+
+
+def _cell_dimension(subs: list[list[Interval]], quos: list[list[Interval]]) -> int:
     return sum(
         hom_dim_intervals(x, y)
-        for i in range(J.m)
-        for j in range(i + 1, J.m)
+        for i in range(len(subs))
+        for j in range(i + 1, len(quos))
         for x in subs[i]
         for y in quos[j]
     )
+
+
+def _strand_analysis(
+    J: ProjectionTuple,
+    fixed: Sequence[Sequence[int]],
+    subs: list[list[Interval]],
+    quos: list[list[Interval]],
+) -> PointAnalysis:
+    sub = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(subs))
+    quo = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(quos))
+    hom = hom_dim(sub, quo)
+    ext = ext_dim(sub, quo)
+    dims = [len(set(S)) for S in fixed]
+    assert hom - ext == euler_form(dims, [J.m - k for k in dims])
+    return PointAnalysis(hom, ext)
+
+
+def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
+    """Dimension c(S) of the torus cell of a fixed point S of Gr_d(J).
+
+    ``fixed`` gives S as 1-based index subsets, one per vertex, as
+    ``fixed_points`` lists them.  With L_i and Q_j the coordinate strands of
+    the sub and the quotient (``_strands``), c(S) = sum over i < j of
+    dim Hom(L_i, Q_j), the part of the tangent space Hom(L, M/L) on which
+    the torus t*e_j = t^j e_j acts with positive weight.
+    """
+    return _cell_dimension(*_strands(J, fixed))
+
+
+def fixed_point_analysis(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> PointAnalysis:
+    """``analyze_point`` at a fixed point S of Gr_d(J), with no matrices.
+
+    ``fixed`` gives S as for ``cell_dimension``.  L and M/L are the direct
+    sums of the coordinate strands L_i and Q_j (``_strands``), so their
+    interval decompositions are read off the strands, and the tangent space
+    Hom(L, M/L) and Ext^1(L, M/L) follow as in ``analyze_point``, Euler-form
+    check included.
+    """
+    return _strand_analysis(J, fixed, *_strands(J, fixed))
 
 
 def _opposite_limit(point: SubrepPoint) -> tuple[tuple[int, ...], ...]:
@@ -352,8 +408,10 @@ def singular_point_census(
     torus cell at a time.  The torus t*e_j = t^j e_j commutes with coordinate
     projections; the cell of a fixed point S (``fixed_points``) is the set of
     points whose RREF pivots are S, all of which tend to S as t -> 0.
-    ``analyze_point`` runs once at each S; the walk of a singular S's cell
-    counts S itself from that answer.  Two facts make the count exact:
+    Each S is analyzed once from its coordinate strands, with no matrices
+    (``fixed_point_analysis``, whose oracle is ``analyze_point``); the same
+    strands give c(S), and the walk of a singular S's cell counts S itself
+    from that answer.  Two facts make the count exact:
 
     - the singular locus is closed and torus-stable, so a cell whose fixed
       point is smooth holds no singular point;
@@ -377,13 +435,15 @@ def singular_point_census(
         return analyze_point(model, point).tangent_dim > expected
 
     fixed = fixed_points(J, dv, guard)
-    smooth = {
-        S: not is_singular(SubrepPoint.from_coordinates(field, model.dims, S)) for S in fixed
-    }
+    smooth = {}
     total = singular = 0
     for S in fixed:
+        subs, quos = _strands(J, S)
+        smooth[S] = _strand_analysis(J, S, subs, quos).tangent_dim <= expected
         if smooth[S]:
-            total += field.characteristic ** cell_dimension(J, S)
+            total += field.characteristic ** _cell_dimension(subs, quos)
+    for S in fixed:
+        if smooth[S]:
             continue
         cell = _cell_points(model, S)
         next(cell)  # the coordinate point S itself, singular by the table

@@ -430,12 +430,8 @@ class SubrepPoint:
     @property
     def coordinates(self) -> tuple[tuple[int, ...], ...] | None:
         for space in self.spaces:
-            if any(
-                x != 0
-                for row in space.basis
-                for c, x in enumerate(row)
-                if c not in space.pivots
-            ):
+            # RREF: a row is zero before its pivot, and a zero is falsy
+            if any(any(row[pivot + 1 :]) for row, pivot in zip(space.basis, space.pivots)):
                 return None
         return tuple(tuple(c + 1 for c in space.pivots) for space in self.spaces)
 

@@ -25,8 +25,10 @@ from .classifier import (
 )
 from .enumeration import (
     _points_with_singularity,
+    analyze_point,
     cell_dimension,
     check_search_space,
+    fixed_point_analysis,
     fixed_points,
     sigma_bijection_report,
     singular_point_census,
@@ -391,7 +393,8 @@ def suite_cells(seed: int = 0) -> SuiteResult:
 
     For CELL_CASES seeded random irreducible orbits, every point of the representative
     projection tuple J is analyzed and filed under its RREF pivot columns.
-    The pivot classes must be exactly the fixed points; the class of each
+    The pivot classes must be exactly the fixed points; at each fixed point
+    ``fixed_point_analysis`` must equal ``analyze_point``; the class of each
     smooth fixed point S must have p^c(S) points (``cell_dimension``), none
     singular; and ``singular_point_census`` of a random base change of J
     must equal the brute-force count.
@@ -409,7 +412,15 @@ def suite_cells(seed: int = 0) -> SuiteResult:
             key = tuple(tuple(c + 1 for c in space.pivots) for space in point.spaces)
             sizes[key] = sizes.get(key, 0) + 1
             singular[key] = singular.get(key, 0) + is_singular
-            if point.coordinates is not None and not is_singular:
+            if point.coordinates is None:
+                continue
+            strands = fixed_point_analysis(J, key)
+            matrices = analyze_point(rep, point)
+            check(
+                strands == matrices,
+                "strands give {}, matrices {} at {}: {}", strands, matrices, key, where,
+            )
+            if not is_singular:
                 smooth_fixed.add(key)
         check(
             sorted(sizes) == fixed_points(J, dv),

@@ -15,6 +15,7 @@ from lindeg import (
     ProjectionTuple,
     RankSequence,
     RepMatrices,
+    SubrepPoint,
     ValidationError,
     analyze_point,
     cell_dimension,
@@ -25,6 +26,7 @@ from lindeg import (
     dimension,
     enumerate_orbits,
     enumerate_subreps,
+    fixed_point_analysis,
     fixed_points,
     flat_flags,
     gaussian_binomial,
@@ -234,6 +236,20 @@ class TestCellDimension:
         with pytest.raises(ValidationError):
             cell_dimension(ProjectionTuple(3, (frozenset(),)), [(1,)])
 
+    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
+    @pytest.mark.parametrize("index", [0, 4, "1"])
+    def test_rejects_an_index_outside_the_coordinates(self, route, index):
+        with pytest.raises(ValidationError, match="outside 1..3"):
+            route(ProjectionTuple(3, (frozenset(),)), [(index,), (2, 3)])
+
+    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
+    def test_rejects_a_chain_that_is_not_a_subrepresentation(self, route):
+        # the identity keeps coordinate 1, which {2, 3} does not contain;
+        # killing it at the edge makes the same subsets a fixed point
+        with pytest.raises(ValidationError, match="not a fixed point"):
+            route(ProjectionTuple(3, (frozenset(),)), [(1,), (2, 3)])
+        route(ProjectionTuple(3, ({1},)), [(1,), (2, 3)])
+
 
 class TestAnalyzePoint:
     def test_smooth_point(self):
@@ -257,6 +273,24 @@ class TestAnalyzePoint:
         assert len(singular) == 1
         assert singular[0].tangent_dim == 4
         assert singular[0].ext == 1
+
+    def test_fixed_points_from_strands_match_the_matrices(self):
+        """fixed_point_analysis against analyze_point at every fixed point of
+        every orbit with m <= 4 and n <= 3, over F_2."""
+        points = 0
+        for m in range(2, 5):
+            for n in (2, 3):
+                for rs in enumerate_orbits(m, n):
+                    J = representative(rs)
+                    rep = J.matrices(GF(2))
+                    for d in itertools.combinations(range(1, m), n):
+                        for S in fixed_points(J, DimVector(m, d)):
+                            point = SubrepPoint.from_coordinates(GF(2), rep.dims, S)
+                            assert fixed_point_analysis(J, S) == analyze_point(rep, point), (
+                                rs, d, S,
+                            )
+                            points += 1
+        assert points == 2170
 
     def test_ext_alone_does_not_decide_singularity(self):
         """The zero tuple is a smooth product P^2 x P^2: every point has an
@@ -361,21 +395,28 @@ class TestCellCensus:
         assert products > 0
 
     def test_smooth_cells_are_counted_not_analyzed(self, monkeypatch):
-        calls = []
-        real = enumeration.analyze_point
+        matrix_calls, strand_calls = [], []
+        analyze, strands = enumeration.analyze_point, enumeration._strands
         monkeypatch.setattr(
-            enumeration, "analyze_point", lambda rep, pt: calls.append(pt) or real(rep, pt)
+            enumeration,
+            "analyze_point",
+            lambda rep, pt: matrix_calls.append(pt) or analyze(rep, pt),
+        )
+        monkeypatch.setattr(
+            enumeration, "_strands", lambda J, S: strand_calls.append(S) or strands(J, S)
         )
         census = singular_point_census(RepMatrices.identity_tuple(GF(2), 3, 2), FLAG3)
         assert (census.total, census.singular) == (21, 0)
-        assert len(calls) == 6  # one per fixed point
-        calls.clear()
+        # one strand build per fixed point gives its analysis and its cell
+        assert (len(matrix_calls), len(strand_calls)) == (0, 6)
+        matrix_calls.clear()
+        strand_calls.clear()
         census = singular_point_census(ProjectionTuple(3, ({1},)).matrices(GF(2)), FLAG3)
         assert (census.total, census.singular) == (25, 1)
         # 7 fixed points and nothing more: the singular one is counted from
         # its own analysis, and the other 3 points of its cell tend to smooth
         # fixed points as t -> infinity
-        assert len(calls) == 7
+        assert (len(matrix_calls), len(strand_calls)) == (0, 7)
 
     def test_guard_is_the_search_space(self):
         # Gr(1, F_2^3) x Gr(2, F_2^3): 49 candidate pairs for 25 points
