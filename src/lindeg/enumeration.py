@@ -10,6 +10,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .representations import (
     Decomposition,
     DimVector,
     Interval,
+    RankTable,
     RepMatrices,
     SubrepPoint,
     decompose_from_ranks,
@@ -64,6 +66,9 @@ __all__ = [
 
 POINT_GUARD = 10**7
 
+# an RREF basis over F_p, one tuple of ints per row
+Rows = tuple[tuple[int, ...], ...]
+
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
@@ -88,37 +93,41 @@ def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
         raise ValidationError("subspace enumeration needs a finite field")
     if not 0 <= dim <= ambient:
         raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
+    p = field.characteristic
     for pivots in itertools.combinations(range(ambient), dim):
-        yield from _pivot_class_iter(field, ambient, pivots)
+        for rows in _pivot_class_iter(p, ambient, pivots):
+            yield Subspace(field, ambient, rows, pivots)
 
 
-def _pivot_class_iter(
-    field: Field, ambient: int, pivots: Sequence[int]
-) -> Iterator[Subspace]:
-    """All subspaces of F_p^ambient whose RREF basis has the given increasing
-    0-based pivot columns, with the free entries counted up base p.
+def _pivot_class_iter(p: int, ambient: int, pivots: Sequence[int]) -> Iterator[Rows]:
+    """The RREF bases over F_p of all subspaces of F_p^ambient whose pivot
+    columns are the given increasing 0-based ``pivots``, as tuples of rows,
+    with the free entries counted up base p.
 
     The coordinate subspace on ``pivots`` comes first.  A pivot class is one
     torus cell of the Grassmannian: under t*e_j = t^j e_j every member tends
-    to that coordinate subspace as t -> 0.
+    to that coordinate subspace as t -> 0.  The class is the product of the
+    ``_row_choices``, last row and last entry fastest.
     """
-    pivots = tuple(pivots)
-    p = field.characteristic
-    dim = len(pivots)
+    return itertools.product(*_row_choices(p, ambient, pivots))
+
+
+def _row_choices(p: int, ambient: int, pivots: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """For each pivot, every RREF row with that pivot over F_p: 1 at the
+    pivot, 0 before it and at the other pivots, free entries counted up."""
     pivset = set(pivots)
-    free = [
-        (i, j)
-        for i in range(dim)
-        for j in range(pivots[i] + 1, ambient)
-        if j not in pivset
-    ]
-    for values in itertools.product(range(p), repeat=len(free)):
-        rows = [[0] * ambient for _ in range(dim)]
-        for i, c in enumerate(pivots):
-            rows[i][c] = 1
-        for (i, j), v in zip(free, values):
-            rows[i][j] = v
-        yield Subspace(field, ambient, tuple(tuple(r) for r in rows), pivots)
+    choices = []
+    for c in pivots:
+        free = [j for j in range(c + 1, ambient) if j not in pivset]
+        row = [0] * ambient
+        row[c] = 1
+        options = []
+        for values in itertools.product(range(p), repeat=len(free)):
+            for j, x in zip(free, values):
+                row[j] = x
+            options.append(tuple(row))
+        choices.append(options)
+    return choices
 
 
 def check_search_space(
@@ -171,15 +180,6 @@ def enumerate_subreps(
     t = _normalize_targets(rep, targets)
     check_search_space(rep.field, rep.dims, t, guard)
     return _walk(rep, lambda v: subspaces_iter(rep.field, rep.dims[v], t[v]))
-
-
-def _cell_points(rep: RepMatrices, fixed: Sequence[Sequence[int]]) -> Iterator[SubrepPoint]:
-    """The points of Gr(rep) whose pivot columns at each vertex are the 1-based
-    index subsets ``fixed``: the torus cell of that coordinate point, in the
-    enumerate_subreps order.  The coordinate point comes first."""
-    return _walk(
-        rep, lambda v: _pivot_class_iter(rep.field, rep.dims[v], [j - 1 for j in fixed[v]])
-    )
 
 
 def _walk(rep: RepMatrices, candidates) -> Iterator[SubrepPoint]:
@@ -319,9 +319,11 @@ def _strands(
                 "not a fixed point"
             )
 
+    n, zero_sets = J.n, J.zero_sets
+
     def strand(i: int, in_sub: bool) -> list[Interval]:
         out, start = [], None
-        for v in range(1, J.n + 1):
+        for v in range(1, n + 1):
             if (i in members[v - 1]) != in_sub:
                 if start is not None:
                     out.append(Interval(start, v - 1))
@@ -329,7 +331,7 @@ def _strands(
                 continue
             if start is None:
                 start = v
-            if v == J.n or i in J.zero_sets[v - 1]:
+            if v == n or i in zero_sets[v - 1]:
                 out.append(Interval(start, v))
                 start = None
         return out
@@ -387,15 +389,111 @@ def fixed_point_analysis(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> 
     return _strand_analysis(J, fixed, *_strands(J, fixed))
 
 
-def _opposite_limit(point: SubrepPoint) -> tuple[tuple[int, ...], ...]:
-    """The limit of a point under t*e_j = t^-j e_j as t -> 0, as 1-based
-    index subsets: at each vertex, the columns of the last nonzero entries of
-    an echelon basis, found as the pivots of the column-reversed basis."""
-    out = []
-    for V in point.spaces:
-        _, pivots = _rref_rows([list(row[::-1]) for row in V.basis], V.field.characteristic)
-        out.append(tuple(sorted(V.ambient - c for c in pivots)))
-    return tuple(out)
+def _edge_cuts(J: ProjectionTuple) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """(a, b, Z, K) for each pair of vertices a < b of J: Z holds the 0-based
+    columns in the union of the zero sets of edges a..b-1, the coordinates
+    that the composite map from a to b kills, and K the columns it keeps."""
+    cuts = []
+    for a in range(1, J.n):
+        killed: set[int] = set()
+        for b in range(a + 1, J.n + 1):
+            killed.update(j - 1 for j in J.zero_sets[b - 2])
+            kept = tuple(c for c in range(J.m) if c not in killed)
+            cuts.append((a, b, tuple(sorted(killed)), kept))
+    return cuts
+
+
+def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
+    """Rank over F_p of the rows read at the given columns only."""
+    if not rows or not columns:
+        return 0
+    return len(_rref_rows([[row[c] for c in columns] for row in rows], p)[1])
+
+
+def _row_analysis(
+    J: ProjectionTuple, point: Sequence[Rows], p: int, cuts: list | None = None
+) -> PointAnalysis:
+    """``analyze_point`` at a point of Gr(J) over F_p, given as one RREF basis
+    per vertex, from column ranks of those bases and no matrices.
+
+    The composite map f_ab from vertex a to b keeps the columns K outside
+    the killed set Z (``_edge_cuts``).  So the sub L has rank dim f_ab(L_a),
+    the rank of L_a's basis on K, and the quotient M/L has rank
+    dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
+    Both tables are decomposed as in ``analyze_point``, Euler-form check
+    included.  ``cuts`` is ``_edge_cuts(J)``, which a caller analyzing many
+    points builds once.
+    """
+    if cuts is None:
+        cuts = _edge_cuts(J)
+    dims = [len(rows) for rows in point]
+    sub = [[d] for d in dims]
+    quo = [[J.m - d] for d in dims]
+    for a, b, killed, kept in cuts:
+        sub[a - 1].append(_column_rank(point[a - 1], kept, p))
+        quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
+    n = J.n
+    sub_dec = decompose_from_ranks(RankTable(n, tuple(map(tuple, sub))))
+    quo_dec = decompose_from_ranks(RankTable(n, tuple(map(tuple, quo))))
+    hom = hom_dim(sub_dec, quo_dec)
+    ext = ext_dim(sub_dec, quo_dec)
+    assert hom - ext == euler_form(dims, [J.m - d for d in dims])
+    return PointAnalysis(hom, ext)
+
+
+def _in_row_span(vector: list[int], rows: Rows, pivots: Sequence[int], p: int) -> bool:
+    """True iff the vector reduces to zero modulo the RREF rows over F_p."""
+    for row, c in zip(rows, pivots):
+        coeff = vector[c]
+        if coeff:
+            vector = [(x - coeff * y) % p for x, y in zip(vector, row)]
+    return not any(vector)
+
+
+def _cell_rows(
+    J: ProjectionTuple, p: int, fixed: Sequence[Sequence[int]]
+) -> Iterator[tuple[Rows, ...]]:
+    """The points of Gr(J) over F_p whose pivot columns at each vertex are the
+    1-based index subsets ``fixed``: the torus cell of that coordinate point,
+    each point one RREF basis per vertex, in the enumerate_subreps order.
+    The coordinate point comes first.
+
+    Vertex v + 1 keeps a member of its pivot class when every row of the basis
+    chosen at v, with the columns killed by edge v set to 0, reduces to zero
+    modulo it: the projection maps the chosen subspace into the member.
+    """
+    pivots = [tuple(j - 1 for j in S) for S in fixed]
+    killed = [tuple(j - 1 for j in z) for z in J.zero_sets]
+    # each vertex after the first walks its class once per choice before it
+    choices = [_row_choices(p, J.m, piv) for piv in pivots]
+
+    def rec(v: int, chosen: list[Rows]) -> Iterator[tuple[Rows, ...]]:
+        if v == J.n:
+            yield tuple(chosen)
+            return
+        images = []
+        if v > 0:
+            for row in chosen[v - 1]:
+                image = list(row)
+                for c in killed[v - 1]:
+                    image[c] = 0
+                if any(image):
+                    images.append(image)
+        for rows in itertools.product(*choices[v]):
+            if all(_in_row_span(x, rows, pivots[v], p) for x in images):
+                chosen.append(rows)
+                yield from rec(v + 1, chosen)
+                chosen.pop()
+
+    return rec(0, [])
+
+
+def _opposite_limit(rows: Rows, m: int, p: int) -> tuple[int, ...]:
+    """The limit of a subspace of F_p^m under t*e_j = t^-j e_j as t -> 0, as
+    a 1-based index subset: the columns of the last nonzero entries of an
+    echelon basis, found as the pivots of the column-reversed basis."""
+    _, pivots = _rref_rows([list(row[::-1]) for row in rows], p)
+    return tuple(sorted(m - c for c in pivots))
 
 
 def singular_point_census(
@@ -418,22 +516,20 @@ def singular_point_census(
     - such a cell lies in the smooth locus, where Bialynicki-Birula makes it
       an affine space A^c(S) (``cell_dimension``), so it has p^c(S) points.
 
-    Only the cells of singular fixed points are walked point by point.  By
-    the first fact again, a point there whose limit as t -> infinity is a
-    smooth fixed point is smooth; the other points are analyzed.  The guard
-    bounds the brute-force search space (``check_search_space``), as for a
-    point walk, so the same inputs trip it.
+    Only the cells of singular fixed points are walked point by point, and
+    without matrices: on J's zero sets and on the RREF rows of each point
+    (``_cell_rows``).  By the first fact again, a point there whose limit as
+    t -> infinity is a smooth fixed point is smooth; the other points are
+    analyzed from column ranks of their rows (``_row_analysis``, whose
+    oracle is ``analyze_point``).  The guard bounds the brute-force search
+    space (``check_search_space``), as for a point walk, so the same inputs
+    trip it.
     """
     rs = _irreducible_rank_sequence(rep, dv)
-    field = rep.field
-    check_search_space(field, rep.dims, dv.d, guard)
+    p = rep.field.characteristic
+    check_search_space(rep.field, rep.dims, dv.d, guard)
     J = representative(rs)
-    model = J.matrices(field)
     expected = dimension(rs, dv)
-
-    def is_singular(point) -> bool:
-        return analyze_point(model, point).tangent_dim > expected
-
     fixed = fixed_points(J, dv, guard)
     smooth = {}
     total = singular = 0
@@ -441,17 +537,23 @@ def singular_point_census(
         subs, quos = _strands(J, S)
         smooth[S] = _strand_analysis(J, S, subs, quos).tangent_dim <= expected
         if smooth[S]:
-            total += field.characteristic ** _cell_dimension(subs, quos)
+            total += p ** _cell_dimension(subs, quos)
+    cuts = _edge_cuts(J)
+    # a cell walk meets each subspace at an early vertex many times
+    limit = functools.lru_cache(maxsize=None)(lambda rows: _opposite_limit(rows, J.m, p))
     for S in fixed:
         if smooth[S]:
             continue
-        cell = _cell_points(model, S)
+        cell = _cell_rows(J, p, S)
         next(cell)  # the coordinate point S itself, singular by the table
         total += 1
         singular += 1
         for point in cell:
             total += 1
-            singular += not smooth[_opposite_limit(point)] and is_singular(point)
+            singular += (
+                not smooth[tuple(map(limit, point))]
+                and _row_analysis(J, point, p, cuts).tangent_dim > expected
+            )
     return CensusResult(total, singular, total - singular)
 
 

@@ -77,6 +77,12 @@ class Field:
         """Coerce an int, Fraction or exact string like ``-3/7`` or ``1e3`` into
         the field.  A string exponent above 4300 in absolute value is refused
         before ``Fraction`` would build the power of ten."""
+        # exact types first: they skip the ABC checks below, and a bool or a
+        # subclass takes the general route to the same answer
+        if type(value) is int:
+            return value % self.characteristic if self.characteristic else Fraction(value)
+        if type(value) is Fraction and self.characteristic == 0:
+            return value
         if isinstance(value, str):
             exp = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
             if exp.isdecimal() and (len(exp) > 4 or int(exp) > _EXPONENT_LIMIT):

@@ -24,10 +24,11 @@ from .classifier import (
     singular_summary,
 )
 from .enumeration import (
-    _points_with_singularity,
+    _row_analysis,
     analyze_point,
     cell_dimension,
     check_search_space,
+    enumerate_subreps,
     fixed_point_analysis,
     fixed_points,
     sigma_bijection_report,
@@ -393,7 +394,9 @@ def suite_cells(seed: int = 0) -> SuiteResult:
 
     For CELL_CASES seeded random irreducible orbits, every point of the representative
     projection tuple J is analyzed and filed under its RREF pivot columns.
-    The pivot classes must be exactly the fixed points; at each fixed point
+    At every point the column-rank analysis of the census walk
+    (``_row_analysis``) must equal ``analyze_point``.  The pivot classes must
+    be exactly the fixed points; at each fixed point
     ``fixed_point_analysis`` must equal ``analyze_point``; the class of each
     smooth fixed point S must have p^c(S) points (``cell_dimension``), none
     singular; and ``singular_point_census`` of a random base change of J
@@ -408,14 +411,22 @@ def suite_cells(seed: int = 0) -> SuiteResult:
         sizes: dict[tuple, int] = {}
         singular: dict[tuple, int] = {}
         smooth_fixed = set()
-        for point, is_singular in _points_with_singularity(rep, dv, CELL_SEARCH_BOUND):
+        expected = dimension(rs, dv)
+        for point in enumerate_subreps(rep, dv, CELL_SEARCH_BOUND):
+            matrices = analyze_point(rep, point)
+            is_singular = matrices.tangent_dim > expected
             key = tuple(tuple(c + 1 for c in space.pivots) for space in point.spaces)
             sizes[key] = sizes.get(key, 0) + 1
             singular[key] = singular.get(key, 0) + is_singular
+            bases = tuple(space.basis for space in point.spaces)
+            rows = _row_analysis(J, bases, p)
+            check(
+                rows == matrices,
+                "rows give {}, matrices {} at {}: {}", rows, matrices, bases, where,
+            )
             if point.coordinates is None:
                 continue
             strands = fixed_point_analysis(J, key)
-            matrices = analyze_point(rep, point)
             check(
                 strands == matrices,
                 "strands give {}, matrices {} at {}: {}", strands, matrices, key, where,

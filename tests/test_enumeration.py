@@ -1,6 +1,7 @@
 """Finite-field point enumeration, tangent analysis and the singular model."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from lindeg import (
     RankSequence,
     RepMatrices,
     SubrepPoint,
+    Subspace,
     ValidationError,
     analyze_point,
     cell_dimension,
@@ -38,9 +40,10 @@ from lindeg import (
     singular_model,
     singular_model_rep,
     singular_point_census,
+    span,
     subspaces_iter,
 )
-from lindeg import enumeration
+from lindeg import enumeration, linalg
 from lindeg.enumeration import _pivot_class_iter, _points_with_singularity
 from lindeg.verification import _cell_cases, _conjugate
 
@@ -88,18 +91,20 @@ class TestSubspacesIter:
             for m in range(5):
                 for k in range(m + 1):
                     chained = [
-                        V
+                        rows
                         for pivots in itertools.combinations(range(m), k)
-                        for V in _pivot_class_iter(GF(p), m, pivots)
+                        for rows in _pivot_class_iter(p, m, pivots)
                     ]
-                    assert chained == list(subspaces_iter(GF(p), m, k))
+                    assert chained == [V.basis for V in subspaces_iter(GF(p), m, k)]
 
     def test_pivot_class_is_an_affine_cell(self):
         # pivots (0, 2) in F_3^4: free entries (0,1), (0,3), (1,3)
-        cls = list(_pivot_class_iter(GF(3), 4, (0, 2)))
+        cls = list(_pivot_class_iter(3, 4, (0, 2)))
         assert len(cls) == 3**3
-        assert cls[0].basis == ((1, 0, 0, 0), (0, 0, 1, 0))
-        assert {V.pivots for V in cls} == {(0, 2)}
+        assert cls[0] == ((1, 0, 0, 0), (0, 0, 1, 0))
+        # each member is already the RREF basis of its span
+        assert {span(GF(3), 4, rows).pivots for rows in cls} == {(0, 2)}
+        assert all(span(GF(3), 4, rows).basis == rows for rows in cls)
 
 
 class TestCountPoints:
@@ -292,6 +297,28 @@ class TestAnalyzePoint:
                             points += 1
         assert points == 2170
 
+    def test_rows_give_the_analysis_of_the_matrices(self):
+        """_row_analysis against analyze_point at every point of every orbit,
+        reducible ones included: F_2 with m <= 4 and F_3 with m <= 3, n <= 3,
+        search space at most 1000 (the full flags of F_2^4 have 7875)."""
+        points = 0
+        for p, top in ((2, 4), (3, 3)):
+            for m in range(2, top + 1):
+                for n in (1, 2, 3):
+                    for d in itertools.combinations(range(1, m), n):
+                        if math.prod(gaussian_binomial(m, x, p) for x in d) > 1000:
+                            continue
+                        for rs in enumerate_orbits(m, n):
+                            J = representative(rs)
+                            rep = J.matrices(GF(p))
+                            for point in enumerate_subreps(rep, DimVector(m, d)):
+                                rows = [space.basis for space in point.spaces]
+                                assert enumeration._row_analysis(J, rows, p) == analyze_point(
+                                    rep, point
+                                ), (rs, d, point)
+                                points += 1
+        assert points == 3849
+
     def test_ext_alone_does_not_decide_singularity(self):
         """The zero tuple is a smooth product P^2 x P^2: every point has an
         unobstructed cross-segment extension class, yet its tangent space
@@ -395,28 +422,41 @@ class TestCellCensus:
         assert products > 0
 
     def test_smooth_cells_are_counted_not_analyzed(self, monkeypatch):
-        matrix_calls, strand_calls = [], []
-        analyze, strands = enumeration.analyze_point, enumeration._strands
-        monkeypatch.setattr(
-            enumeration,
-            "analyze_point",
-            lambda rep, pt: matrix_calls.append(pt) or analyze(rep, pt),
-        )
-        monkeypatch.setattr(
-            enumeration, "_strands", lambda J, S: strand_calls.append(S) or strands(J, S)
-        )
-        census = singular_point_census(RepMatrices.identity_tuple(GF(2), 3, 2), FLAG3)
-        assert (census.total, census.singular) == (21, 0)
+        calls = {}
+
+        def count(owner, name, key=None):
+            made = calls.setdefault(key or name, [])
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: made.append(args) or inner(*args))
+
+        for name in ("analyze_point", "_row_analysis", "_strands", "map_subspace"):
+            count(enumeration, name)
+        count(linalg, "map_subspace")
+        count(linalg, "compose")
+        count(Subspace, "__post_init__", "Subspace")
+        count(SubrepPoint, "__post_init__", "SubrepPoint")
+        never = ("analyze_point", "map_subspace", "compose", "Subspace", "SubrepPoint")
+
+        def census(rep, dv):
+            for made in calls.values():
+                made.clear()
+            result = singular_point_census(rep, dv)
+            # with two vertices the orbit's rank table needs no product, so
+            # a compose call could only come from the cell walk
+            assert {name: len(calls[name]) for name in never} == dict.fromkeys(never, 0)
+            counts = len(calls["_row_analysis"]), len(calls["_strands"])
+            return (result.total, result.singular), *counts
+
         # one strand build per fixed point gives its analysis and its cell
-        assert (len(matrix_calls), len(strand_calls)) == (0, 6)
-        matrix_calls.clear()
-        strand_calls.clear()
-        census = singular_point_census(ProjectionTuple(3, ({1},)).matrices(GF(2)), FLAG3)
-        assert (census.total, census.singular) == (25, 1)
+        assert census(RepMatrices.identity_tuple(GF(2), 3, 2), FLAG3) == ((21, 0), 0, 6)
         # 7 fixed points and nothing more: the singular one is counted from
         # its own analysis, and the other 3 points of its cell tend to smooth
         # fixed points as t -> infinity
-        assert (len(matrix_calls), len(strand_calls)) == (0, 7)
+        assert census(ProjectionTuple(3, ({1},)).matrices(GF(2)), FLAG3) == ((25, 1), 0, 7)
+        # on F_2^4 some points of singular cells tend to singular fixed points
+        # as t -> infinity, and only those 4 are analyzed, from their rows
+        kill1 = ProjectionTuple(4, ({1},)).matrices(GF(2))
+        assert census(kill1, DimVector(4, (1, 2))) == ((133, 7), 4, 15)
 
     def test_guard_is_the_search_space(self):
         # Gr(1, F_2^3) x Gr(2, F_2^3): 49 candidate pairs for 25 points

@@ -52,6 +52,25 @@ class TestField:
         with pytest.raises(ValidationError):
             f.coerce("-3/7")
 
+    def test_exact_types_and_the_general_route_agree(self):
+        """int and Fraction take a fast path; a bool, a subclass or a string
+        the general one, to the same value of the same type."""
+
+        class Int(int):
+            pass
+
+        for value in (10, True, Int(10), "10", Fraction(10)):
+            assert type(QQ.coerce(value)) is Fraction
+            assert type(GF(7).coerce(value)) is int
+        assert [QQ.coerce(v) for v in (-3, False, Int(-3), "-3")] == [-3, 0, -3, -3]
+        assert [GF(7).coerce(v) for v in (-3, True, Int(-3), "-3")] == [4, 1, 4, 4]
+        assert GF(7).coerce(Fraction(-3, 2)) == 2
+        with pytest.raises(ValidationError, match="vanishes mod 7"):
+            GF(7).coerce(Fraction(1, 7))
+        for field in (QQ, GF(7)):
+            with pytest.raises(ValidationError, match="cannot coerce"):
+                field.coerce(1.5)
+
     def test_modular_string_fraction(self):
         f = GF(7)
         # -3/2 mod 7: inverse of 2 is 4, so -12 = 2 mod 7
