@@ -5,7 +5,7 @@ into each other by the representation maps.  This module streams them in a
 deterministic order, one torus cell (pivot class) at a time, analyzes single
 points (tangent space, obstruction), counts singular points cell by cell, and
 checks the corank-one singular-locus model against the actual singular
-points.
+points.  One walk on RREF rows (``_walk``) lists the points for both.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,10 +23,10 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    contains,
     coordinate_subspace,
     map_subspace,
     subspace_sum,
+    _reduce,
     _rref_rows,
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
@@ -85,31 +86,22 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of F_p^ambient, in canonical order.
 
-    Order: pivot columns lexicographically, then within each pivot class the
-    order of ``_pivot_class_iter``.  Coordinate subspaces come first in each
-    pivot class.
+    The input is checked at the call.  Order: pivot columns lexicographically,
+    then within each pivot class the product of the ``_row_choices``, last
+    row and last entry fastest.  A pivot class is one torus cell of the
+    Grassmannian: under t*e_j = t^j e_j every member tends to the coordinate
+    subspace on its pivots as t -> 0, which comes first.
     """
     if not field.is_modular:
         raise ValidationError("subspace enumeration needs a finite field")
     if not 0 <= dim <= ambient:
         raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
     p = field.characteristic
-    for pivots in itertools.combinations(range(ambient), dim):
-        for rows in _pivot_class_iter(p, ambient, pivots):
-            yield Subspace(field, ambient, rows, pivots)
-
-
-def _pivot_class_iter(p: int, ambient: int, pivots: Sequence[int]) -> Iterator[Rows]:
-    """The RREF bases over F_p of all subspaces of F_p^ambient whose pivot
-    columns are the given increasing 0-based ``pivots``, as tuples of rows,
-    with the free entries counted up base p.
-
-    The coordinate subspace on ``pivots`` comes first.  A pivot class is one
-    torus cell of the Grassmannian: under t*e_j = t^j e_j every member tends
-    to that coordinate subspace as t -> 0.  The class is the product of the
-    ``_row_choices``, last row and last entry fastest.
-    """
-    return itertools.product(*_row_choices(p, ambient, pivots))
+    return (
+        Subspace(field, ambient, rows, pivots)
+        for pivots in itertools.combinations(range(ambient), dim)
+        for rows in itertools.product(*_row_choices(p, ambient, pivots))
+    )
 
 
 def _row_choices(p: int, ambient: int, pivots: Sequence[int]) -> list[list[tuple[int, ...]]]:
@@ -179,27 +171,52 @@ def enumerate_subreps(
     """
     t = _normalize_targets(rep, targets)
     check_search_space(rep.field, rep.dims, t, guard)
-    return _walk(rep, lambda v: subspaces_iter(rep.field, rep.dims[v], t[v]))
+    p, maps = rep.field.characteristic, [f.entries for f in rep.maps]
+
+    def classes(v: int) -> Iterator[tuple[tuple[int, ...], list]]:
+        pivot_sets = itertools.combinations(range(rep.dims[v]), t[v])
+        return ((piv, _row_choices(p, rep.dims[v], piv)) for piv in pivot_sets)
+
+    def image(v: int, basis: Rows) -> list[list[int]]:
+        images = ([sum(map(operator.mul, row, x)) % p for row in maps[v]] for x in basis)
+        return [y for y in images if any(y)]
+
+    fields = (rep.field,) * rep.n
+
+    def point(bases: list[Rows], pivots: list[tuple[int, ...]]) -> SubrepPoint:
+        return SubrepPoint(tuple(map(Subspace, fields, rep.dims, bases, pivots)))
+
+    return _walk(p, rep.n, classes, image, point)
 
 
-def _walk(rep: RepMatrices, candidates) -> Iterator[SubrepPoint]:
-    """Depth-first walk over vertices; vertex v takes its subspaces from
-    ``candidates(v)`` and keeps those containing the image of vertex v - 1."""
+def _walk(p: int, n: int, classes, image, point) -> Iterator:
+    """Depth-first walk over the n vertices of a representation over F_p,
+    yielding ``point(bases, pivots)`` for each point: one RREF basis and its
+    pivots per vertex, in lists the walk reuses.  ``classes(v)`` gives the
+    pivot classes at the 0-based vertex v as (pivots, ``_row_choices``)
+    pairs, and ``image(v, basis)`` the nonzero images of the basis rows at v
+    under the edge out of v.  Vertex v keeps a member when each image of the
+    basis chosen at v - 1 reduces to zero modulo it."""
+    bases: list[Rows] = []
+    pivs: list[tuple[int, ...]] = []
 
-    def rec(v: int, chosen: list[Subspace]) -> Iterator[SubrepPoint]:
-        if v == rep.n:
-            yield SubrepPoint(tuple(chosen))
-            return
-        required = (
-            map_subspace(rep.maps[v - 1], chosen[v - 1]) if v > 0 else None
-        )
-        for V in candidates(v):
-            if required is None or contains(V, required):
-                chosen.append(V)
-                yield from rec(v + 1, chosen)
-                chosen.pop()
+    def rec(v: int, last: bool) -> Iterator:
+        images = image(v - 1, bases[-1]) if v else []
+        for pivots, choices in classes(v):
+            for rows in itertools.product(*choices):
+                if images and any(any(_reduce(x, rows, pivots, p)) for x in images):
+                    continue
+                bases.append(rows)
+                pivs.append(pivots)
+                if last:
+                    yield point(bases, pivs)
+                else:
+                    yield from rec(v + 1, v + 2 == n)
+                bases.pop()
+                pivs.pop()
+            del choices  # drop this class's rows before the next class is listed
 
-    return rec(0, [])
+    return rec(0, n == 1)
 
 
 def fixed_points(
@@ -257,11 +274,15 @@ def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     """
     sub = restrict_rep(rep, point.spaces)
     quo = quotient_rep(rep, point.spaces)
-    sub_dec = decompose_from_ranks(rank_profile(sub))
-    quo_dec = decompose_from_ranks(rank_profile(quo))
-    hom = hom_dim(sub_dec, quo_dec)
-    ext = ext_dim(sub_dec, quo_dec)
-    assert hom - ext == euler_form(sub.dims, quo.dims)
+    sub_dec, quo_dec = (decompose_from_ranks(rank_profile(r)) for r in (sub, quo))
+    return _analysis(sub_dec, quo_dec, sub.dims, quo.dims)
+
+
+def _analysis(sub: Decomposition, quo: Decomposition, dims, codims) -> PointAnalysis:
+    """Hom and Ext^1 of the decompositions of L and M/L, Euler form checked."""
+    hom = hom_dim(sub, quo)
+    ext = ext_dim(sub, quo)
+    assert hom - ext == euler_form(dims, codims)
     return PointAnalysis(hom, ext)
 
 
@@ -358,11 +379,8 @@ def _strand_analysis(
 ) -> PointAnalysis:
     sub = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(subs))
     quo = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(quos))
-    hom = hom_dim(sub, quo)
-    ext = ext_dim(sub, quo)
     dims = [len(set(S)) for S in fixed]
-    assert hom - ext == euler_form(dims, [J.m - k for k in dims])
-    return PointAnalysis(hom, ext)
+    return _analysis(sub, quo, dims, [J.m - k for k in dims])
 
 
 def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
@@ -432,22 +450,9 @@ def _row_analysis(
     for a, b, killed, kept in cuts:
         sub[a - 1].append(_column_rank(point[a - 1], kept, p))
         quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
-    n = J.n
-    sub_dec = decompose_from_ranks(RankTable(n, tuple(map(tuple, sub))))
-    quo_dec = decompose_from_ranks(RankTable(n, tuple(map(tuple, quo))))
-    hom = hom_dim(sub_dec, quo_dec)
-    ext = ext_dim(sub_dec, quo_dec)
-    assert hom - ext == euler_form(dims, [J.m - d for d in dims])
-    return PointAnalysis(hom, ext)
-
-
-def _in_row_span(vector: list[int], rows: Rows, pivots: Sequence[int], p: int) -> bool:
-    """True iff the vector reduces to zero modulo the RREF rows over F_p."""
-    for row, c in zip(rows, pivots):
-        coeff = vector[c]
-        if coeff:
-            vector = [(x - coeff * y) % p for x, y in zip(vector, row)]
-    return not any(vector)
+    sub_dec = decompose_from_ranks(RankTable(J.n, tuple(map(tuple, sub))))
+    quo_dec = decompose_from_ranks(RankTable(J.n, tuple(map(tuple, quo))))
+    return _analysis(sub_dec, quo_dec, dims, [J.m - d for d in dims])
 
 
 def _cell_rows(
@@ -455,37 +460,25 @@ def _cell_rows(
 ) -> Iterator[tuple[Rows, ...]]:
     """The points of Gr(J) over F_p whose pivot columns at each vertex are the
     1-based index subsets ``fixed``: the torus cell of that coordinate point,
-    each point one RREF basis per vertex, in the enumerate_subreps order.
-    The coordinate point comes first.
-
-    Vertex v + 1 keeps a member of its pivot class when every row of the basis
-    chosen at v, with the columns killed by edge v set to 0, reduces to zero
-    modulo it: the projection maps the chosen subspace into the member.
+    each point one RREF basis per vertex, the coordinate point first.  It is
+    the walk of ``enumerate_subreps`` on one pivot class per vertex, with the
+    projections of J as the images: edge v sets its killed columns to 0.
     """
-    pivots = [tuple(j - 1 for j in S) for S in fixed]
-    killed = [tuple(j - 1 for j in z) for z in J.zero_sets]
-    # each vertex after the first walks its class once per choice before it
-    choices = [_row_choices(p, J.m, piv) for piv in pivots]
+    pivots = (tuple(j - 1 for j in S) for S in fixed)
+    classes = [[(piv, _row_choices(p, J.m, piv))] for piv in pivots]
+    killed = [[j - 1 for j in z] for z in J.zero_sets]
 
-    def rec(v: int, chosen: list[Rows]) -> Iterator[tuple[Rows, ...]]:
-        if v == J.n:
-            yield tuple(chosen)
-            return
-        images = []
-        if v > 0:
-            for row in chosen[v - 1]:
-                image = list(row)
-                for c in killed[v - 1]:
-                    image[c] = 0
-                if any(image):
-                    images.append(image)
-        for rows in itertools.product(*choices[v]):
-            if all(_in_row_span(x, rows, pivots[v], p) for x in images):
-                chosen.append(rows)
-                yield from rec(v + 1, chosen)
-                chosen.pop()
+    def image(v: int, basis: Rows) -> list[list[int]]:
+        out = []
+        for row in basis:
+            x = list(row)
+            for c in killed[v]:
+                x[c] = 0
+            if any(x):
+                out.append(x)
+        return out
 
-    return rec(0, [])
+    return _walk(p, J.n, classes.__getitem__, image, lambda bases, _: tuple(bases))
 
 
 def _opposite_limit(rows: Rows, m: int, p: int) -> tuple[int, ...]:
@@ -516,14 +509,14 @@ def singular_point_census(
     - such a cell lies in the smooth locus, where Bialynicki-Birula makes it
       an affine space A^c(S) (``cell_dimension``), so it has p^c(S) points.
 
-    Only the cells of singular fixed points are walked point by point, and
-    without matrices: on J's zero sets and on the RREF rows of each point
-    (``_cell_rows``).  By the first fact again, a point there whose limit as
-    t -> infinity is a smooth fixed point is smooth; the other points are
-    analyzed from column ranks of their rows (``_row_analysis``, whose
-    oracle is ``analyze_point``).  The guard bounds the brute-force search
-    space (``check_search_space``), as for a point walk, so the same inputs
-    trip it.
+    Only the cells of singular fixed points are walked point by point, by
+    the walk of ``enumerate_subreps`` on J's zero sets and the RREF rows of
+    each point, without matrices (``_cell_rows``).  By the first fact again,
+    a point there whose limit as t -> infinity is a smooth fixed point is
+    smooth; the other points are analyzed from column ranks of their rows
+    (``_row_analysis``, whose oracle is ``analyze_point``).  The guard bounds
+    the brute-force search space (``check_search_space``), as for a point
+    walk, so the same inputs trip it.
     """
     rs = _irreducible_rank_sequence(rep, dv)
     p = rep.field.characteristic

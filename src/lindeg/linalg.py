@@ -192,7 +192,7 @@ def compose(A: Matrix, B: Matrix) -> Matrix:
     if A.ncols != B.nrows:
         raise ValidationError(f"shape mismatch: {A.shape} @ {B.shape}")
     p = A.field.characteristic
-    zero = A.field.coerce(0)
+    zero = 0 if p else Fraction(0)
     bt = B.transpose().entries
     rows = tuple(tuple(sum(map(mul, row, col), zero) for col in bt) for row in A.entries)
     if p:
@@ -237,6 +237,19 @@ def _rref_rows(rows: list[list], p: int) -> tuple[list[list], list[int]]:
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def _reduce(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int], p: int) -> Sequence:
+    """Residue of the field vector ``v`` modulo the RREF ``rows`` with these
+    ``pivots`` over F_p, or Q for p = 0; ``v`` is returned if no row acts."""
+    for row, c in zip(rows, pivots):
+        coeff = v[c]
+        if coeff:
+            if p:
+                v = [(a - coeff * b) % p for a, b in zip(v, row)]
+            else:
+                v = [a - coeff * b for a, b in zip(v, row)]
+    return v
 
 
 def _span_rows(field: Field, ambient: int, rows: list[list]) -> "Subspace":
@@ -306,15 +319,7 @@ class Subspace:
         v = [self.field.coerce(x) for x in vector]
         if len(v) != self.ambient:
             raise ValidationError("vector length differs from ambient dimension")
-        p = self.field.characteristic
-        for row, c in zip(self.basis, self.pivots):
-            coeff = v[c]
-            if coeff:
-                if p:
-                    v = [(a - coeff * b) % p for a, b in zip(v, row)]
-                else:
-                    v = [a - coeff * b for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduce(v, self.basis, self.pivots, self.field.characteristic))
 
     def contains_vector(self, vector: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(vector))
@@ -372,9 +377,8 @@ def contains(V: Subspace, W: Subspace) -> bool:
     """True iff W is contained in V."""
     if V.field != W.field or V.ambient != W.ambient:
         raise ValidationError("subspaces live in different ambient spaces")
-    if W.dim > V.dim:
-        return False
-    return all(V.contains_vector(row) for row in W.basis)
+    p = V.field.characteristic
+    return W.dim <= V.dim and not any(any(_reduce(row, V.basis, V.pivots, p)) for row in W.basis)
 
 
 def subspace_sum(V: Subspace, W: Subspace) -> Subspace:

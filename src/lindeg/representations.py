@@ -493,10 +493,12 @@ def quotient_rep(rep: RepMatrices, spaces: Sequence[Subspace]) -> RepMatrices:
     """
     _check_subrep(rep, spaces)
     comps = [s.complement_positions() for s in spaces]
+    p = rep.field.characteristic
     maps = []
     for i, f in enumerate(rep.maps):
-        # column j of f is f(e_j); its residue mod L is read on the complement
-        cols = f.transpose().entries
-        images = [spaces[i + 1].reduce(cols[j]) for j in comps[i]]
+        # column j of f is f(e_j), already in the field; its residue mod L is
+        # read on the complement
+        cols, L = f.transpose().entries, spaces[i + 1]
+        images = [linalg._reduce(cols[j], L.basis, L.pivots, p) for j in comps[i]]
         maps.append(_columns_at(rep.field, images, comps[i + 1]))
     return RepMatrices(rep.field, tuple(len(c) for c in comps), tuple(maps))

@@ -5,14 +5,15 @@ decompositions by solving the hom-count linear system, catenoid detection by
 path search in the irreducible-morphism digraph, orbit lists by brute force
 over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
 point censuses by analyzing every point, flatness flags by comparing with the
-stratum's target rank tables.
+stratum's target rank tables, points of a quiver Grassmannian by a walk over
+validated subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from lindeg import (
     CensusResult,
@@ -22,13 +23,17 @@ from lindeg import (
     Interval,
     RankSequence,
     RepMatrices,
+    SubrepPoint,
     analyze_point,
+    contains,
     dimension,
     enumerate_subreps,
     hom_dim_intervals,
     intertwiner_space_dim,
+    map_subspace,
     stratum_of,
     stratum_rank_targets,
+    subspaces_iter,
 )
 
 
@@ -197,3 +202,21 @@ def flat_flags_oracle(rs: RankSequence, dv: DimVector) -> FlatFlags:
     stratum = stratum_of(rs)
     upper, lower = stratum_rank_targets(stratum, dv)
     return FlatFlags(stratum, lower.leq(rs), upper.leq(rs))
+
+
+def subreps_oracle(rep: RepMatrices, targets: Sequence[int]) -> Iterator[SubrepPoint]:
+    """The points of Gr_targets(rep) over F_p by a walk over validated
+    subspaces: vertex v tries every subspace of ``subspaces_iter`` and keeps
+    those that contain the image (``map_subspace``) of the one chosen at
+    v - 1, in the order of ``enumerate_subreps``."""
+
+    def rec(v: int, chosen: tuple) -> Iterator[SubrepPoint]:
+        if v == rep.n:
+            yield SubrepPoint(chosen)
+            return
+        required = map_subspace(rep.maps[v - 1], chosen[-1]) if v else None
+        for V in subspaces_iter(rep.field, rep.dims[v], targets[v]):
+            if required is None or contains(V, required):
+                yield from rec(v + 1, chosen + (V,))
+
+    return rec(0, ())

@@ -44,10 +44,10 @@ from lindeg import (
     subspaces_iter,
 )
 from lindeg import enumeration, linalg
-from lindeg.enumeration import _pivot_class_iter, _points_with_singularity
+from lindeg.enumeration import _points_with_singularity, _row_choices
 from lindeg.verification import _cell_cases, _conjugate
 
-from oracles import census_oracle
+from oracles import census_oracle, subreps_oracle
 
 FLAG3 = DimVector(3, (1, 2))
 
@@ -86,6 +86,12 @@ class TestSubspacesIter:
         with pytest.raises(ValidationError):
             next(subspaces_iter(QQ, 2, 1))
 
+    @pytest.mark.parametrize("field,ambient,dim", [(QQ, 2, 1), (GF(2), 2, 3)])
+    def test_checks_its_input_at_the_call(self, field, ambient, dim):
+        # before the first next(), as enumerate_subreps does
+        with pytest.raises(ValidationError):
+            subspaces_iter(field, ambient, dim)
+
     def test_pivot_classes_chain_into_the_walk(self):
         for p in (2, 3):
             for m in range(5):
@@ -93,18 +99,81 @@ class TestSubspacesIter:
                     chained = [
                         rows
                         for pivots in itertools.combinations(range(m), k)
-                        for rows in _pivot_class_iter(p, m, pivots)
+                        for rows in itertools.product(*_row_choices(p, m, pivots))
                     ]
                     assert chained == [V.basis for V in subspaces_iter(GF(p), m, k)]
 
     def test_pivot_class_is_an_affine_cell(self):
         # pivots (0, 2) in F_3^4: free entries (0,1), (0,3), (1,3)
-        cls = list(_pivot_class_iter(3, 4, (0, 2)))
+        cls = list(itertools.product(*_row_choices(3, 4, (0, 2))))
         assert len(cls) == 3**3
         assert cls[0] == ((1, 0, 0, 0), (0, 0, 1, 0))
         # each member is already the RREF basis of its span
         assert {span(GF(3), 4, rows).pivots for rows in cls} == {(0, 2)}
         assert all(span(GF(3), 4, rows).basis == rows for rows in cls)
+
+
+class TestPointStream:
+    """enumerate_subreps and the census's cell walk give the points of the
+    walk over validated subspaces (``subreps_oracle``), in its order."""
+
+    def test_matches_the_subspace_walk(self):
+        """Every orbit representative and one conjugate over F_2 and F_3 with
+        m <= 3 and n <= 3, at every target vector, except m = n = 3: its 64
+        target vectors per orbit would take this from about 1 s to about 20 s."""
+        rng = random.Random(0)
+        walks = points = 0
+        for p in (2, 3):
+            for m, n in itertools.product(range(1, 4), repeat=2):
+                if m * n == 9:
+                    continue
+                for rs in enumerate_orbits(m, n):
+                    rep = representative(rs).matrices(GF(p))
+                    for M in (rep, _conjugate(rng, rep)):
+                        for t in itertools.product(range(m + 1), repeat=n):
+                            expected = list(subreps_oracle(M, t))
+                            assert list(enumerate_subreps(M, t)) == expected, (p, rs, t)
+                            walks += 1
+                            points += len(expected)
+        assert (walks, points) == (1640, 7288)
+
+    def test_only_the_points_are_validated(self, monkeypatch):
+        # 25 points of two vertices: one Subspace per vertex of each point,
+        # none for the 24 rejected candidates and no image subspace
+        rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
+        made = []
+        post_init = Subspace.__post_init__
+        monkeypatch.setattr(Subspace, "__post_init__", lambda V: made.append(V) or post_init(V))
+        assert len(list(enumerate_subreps(rep, FLAG3))) == 25
+        assert len(made) == 50
+
+    def test_vertices_of_different_dimensions(self):
+        walks = 0
+        for p in (2, 3):
+            for n in (2, 3):
+                for h in range(1, n):
+                    rep = singular_model_rep(GF(p), 3, n, h)
+                    for t in itertools.product(*(range(d + 1) for d in rep.dims)):
+                        expected = list(subreps_oracle(rep, t))
+                        assert list(enumerate_subreps(rep, t)) == expected, (p, n, h, t)
+                        walks += 1
+        assert walks == 162
+
+    def test_a_cell_is_the_walk_at_its_pivots(self):
+        """_cell_rows gives the points whose pivots are the fixed point S,
+        the coordinate point first, for every S of every second census case."""
+        cells = 0
+        for p, rs, dv in _cell_cases(3000)[::2]:
+            J = representative(rs)
+            oracle = list(subreps_oracle(J.matrices(GF(p)), dv.d))
+            for S in fixed_points(J, dv):
+                pivots = tuple(tuple(j - 1 for j in S_v) for S_v in S)
+                cell = [pt for pt in oracle if tuple(V.pivots for V in pt.spaces) == pivots]
+                assert cell[0].coordinates == S
+                rows = [tuple(V.basis for V in pt.spaces) for pt in cell]
+                assert list(enumeration._cell_rows(J, p, S)) == rows, (p, rs, dv, S)
+                cells += 1
+        assert cells == 205
 
 
 class TestCountPoints:
