@@ -10,6 +10,7 @@ points.  One walk on RREF rows (``_walk``) lists the points for both.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -39,6 +40,7 @@ from .representations import (
     SubrepPoint,
     decompose_from_ranks,
     ext_dim,
+    ext_dim_intervals,
     euler_form,
     hom_dim,
     hom_dim_intervals,
@@ -280,8 +282,12 @@ def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
 
 def _analysis(sub: Decomposition, quo: Decomposition, dims, codims) -> PointAnalysis:
     """Hom and Ext^1 of the decompositions of L and M/L, Euler form checked."""
-    hom = hom_dim(sub, quo)
-    ext = ext_dim(sub, quo)
+    return _checked_analysis(hom_dim(sub, quo), ext_dim(sub, quo), dims, codims)
+
+
+def _checked_analysis(hom: int, ext: int, dims, codims) -> PointAnalysis:
+    """The analysis with dim Hom(L, M/L) = hom and dim Ext^1(L, M/L) = ext,
+    after checking the Euler form of the dimension vectors of L and M/L."""
     assert hom - ext == euler_form(dims, codims)
     return PointAnalysis(hom, ext)
 
@@ -312,27 +318,24 @@ def _points_with_singularity(
         yield point, analyze_point(rep, point).tangent_dim > expected
 
 
-def _strands(
-    J: ProjectionTuple, fixed: Sequence[Sequence[int]]
-) -> tuple[list[list[Interval]], list[list[Interval]]]:
-    """The coordinate strands of a fixed point S of Gr_d(J), given as 1-based
-    index subsets, one per vertex, as ``fixed_points`` lists them.
-
-    L_i, the strand of coordinate i in the subrepresentation L on S, lives
-    at the vertices v with i in S_v; Q_j, the strand of j in the quotient
-    M/L, at the vertices with j not in S_v.  Each breaks into intervals at
-    the edges that kill its coordinate.  Returns the intervals of L_1..L_m
-    and of Q_1..Q_m.  Raises ValidationError unless S is a fixed point: an
-    index outside 1..m, or S_v minus the zero set of edge v not inside
-    S_{v+1}, is not a subrepresentation.
-    """
+def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
+    """Raise ValidationError unless ``fixed`` is a fixed point S of Gr(J),
+    given as 1-based index subsets, one per vertex, as ``fixed_points``
+    lists them: an index outside 1..m, an index repeated at a vertex, or
+    S_v minus the zero set of edge v not inside S_{v+1}, is not a
+    subrepresentation."""
     if len(fixed) != J.n:
         raise ValidationError("need one index subset per vertex")
-    members = [set(S) for S in fixed]
-    for v, S in enumerate(members, start=1):
-        bad = [i for i in S if not (isinstance(i, int) and 1 <= i <= J.m)]
-        if bad:
-            raise ValidationError(f"index {bad[0]!r} at vertex {v} is outside 1..{J.m}")
+    members = []
+    for v, S in enumerate(fixed, start=1):
+        seen: set[int] = set()
+        for i in S:
+            if not (isinstance(i, int) and 1 <= i <= J.m):
+                raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{J.m}")
+            if i in seen:
+                raise ValidationError(f"index {i} repeats at vertex {v}")
+            seen.add(i)
+        members.append(seen)
     for v in range(1, J.n):
         if not members[v - 1] - J.zero_sets[v - 1] <= members[v]:
             raise ValidationError(
@@ -340,71 +343,136 @@ def _strands(
                 "not a fixed point"
             )
 
-    n, zero_sets = J.n, J.zero_sets
 
-    def strand(i: int, in_sub: bool) -> list[Interval]:
+class _PointTables:
+    """What the analyses of the points of Gr(J) share within one census.
+
+    At a fixed point S the **type** of coordinate i is an int: bit v - 1
+    says that i is in S_v, and bit n + v - 1 that edge v kills i.  L and
+    M/L are the direct sums of the coordinate strands L_i and Q_i, which
+    depend on i's type alone: L_i lives at the vertices v with i in S_v,
+    Q_i at the others, and each breaks into intervals at the edges that
+    kill i.  So dim Hom and dim Ext^1 from L_i to Q_j depend on the pair of
+    types only; ``pairs`` holds them, each pair filled the first time it is
+    met.  For ``_row_analysis``, ``cuts`` is ``_edge_cuts(J)``, built on
+    first use, ``decomposed`` holds the decomposition of each rank table
+    met, and ``ranked`` the analysis of each pair of (sub, quotient) rank
+    rows met.
+    """
+
+    def __init__(self, J: ProjectionTuple) -> None:
+        self.J, self.n = J, J.n
+        self.kills = [0] * J.m
+        for bit, zeros in enumerate(J.zero_sets, start=J.n):
+            for i in zeros:
+                self.kills[i - 1] |= 1 << bit
+        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.decomposed: dict[Rows, Decomposition] = {}
+        self.ranked: dict[tuple[Rows, Rows], PointAnalysis] = {}
+
+    @functools.cached_property
+    def cuts(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+        return _edge_cuts(self.J)
+
+    def types(self, fixed: Sequence[Sequence[int]]) -> list[int]:
+        """The type of each coordinate 1..m at the fixed point ``fixed``."""
+        types = self.kills[:]
+        for v, S in enumerate(fixed):
+            bit = 1 << v
+            for i in S:
+                types[i - 1] |= bit
+        return types
+
+    def _strand(self, t: int, in_sub: bool) -> list[Interval]:
+        """The intervals of L_i (in_sub) or Q_i for a coordinate i of type t."""
         out, start = [], None
-        for v in range(1, n + 1):
-            if (i in members[v - 1]) != in_sub:
+        for v in range(1, self.n + 1):
+            if bool(t >> (v - 1) & 1) != in_sub:
                 if start is not None:
                     out.append(Interval(start, v - 1))
                     start = None
                 continue
             if start is None:
                 start = v
-            if v == n or i in zero_sets[v - 1]:
+            if v == self.n or t >> (self.n + v - 1) & 1:
                 out.append(Interval(start, v))
                 start = None
         return out
 
-    coords = range(1, J.m + 1)
-    return [strand(i, True) for i in coords], [strand(j, False) for j in coords]
+    def _fill(self, t: int, u: int) -> tuple[int, int]:
+        """Enter and return (dim Hom, dim Ext^1) from L_i to Q_j for
+        coordinates i, j of types t, u."""
+        subs, quos = self._strand(t, True), self._strand(u, False)
+        he = self.pairs[t, u] = (
+            sum(hom_dim_intervals(x, y) for x in subs for y in quos),
+            sum(ext_dim_intervals(x, y) for x in subs for y in quos),
+        )
+        return he
 
+    def analysis(self, types: list[int], dims: Sequence[int]) -> PointAnalysis:
+        """The analysis at a fixed point with these coordinate types and
+        dim S_v = dims[v - 1]: Hom(L, M/L) and Ext^1(L, M/L) summed over
+        pairs of types, weighted by how many coordinates have each."""
+        counts = collections.Counter(types)
+        pairs = self.pairs
+        hom = ext = 0
+        for t, a in counts.items():
+            for u, b in counts.items():
+                h, e = pairs.get((t, u)) or self._fill(t, u)
+                hom += a * b * h
+                ext += a * b * e
+        return _checked_analysis(hom, ext, dims, [len(types) - d for d in dims])
 
-def _cell_dimension(subs: list[list[Interval]], quos: list[list[Interval]]) -> int:
-    return sum(
-        hom_dim_intervals(x, y)
-        for i in range(len(subs))
-        for j in range(i + 1, len(quos))
-        for x in subs[i]
-        for y in quos[j]
-    )
+    def decomposition(self, rows: Rows) -> Decomposition:
+        """``decompose_from_ranks`` of the rank table with these rows."""
+        dec = self.decomposed.get(rows)
+        if dec is None:
+            dec = self.decomposed[rows] = decompose_from_ranks(RankTable(self.n, rows))
+        return dec
 
-
-def _strand_analysis(
-    J: ProjectionTuple,
-    fixed: Sequence[Sequence[int]],
-    subs: list[list[Interval]],
-    quos: list[list[Interval]],
-) -> PointAnalysis:
-    sub = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(subs))
-    quo = Decomposition.from_intervals(J.n, itertools.chain.from_iterable(quos))
-    dims = [len(set(S)) for S in fixed]
-    return _analysis(sub, quo, dims, [J.m - k for k in dims])
+    def cell_dimension(self, types: list[int]) -> int:
+        """c(S) = sum over i < j of dim Hom(L_i, Q_j), in one pass over the
+        coordinates with a count of the types seen so far."""
+        pairs = self.pairs
+        seen: dict[int, int] = {}
+        c = 0
+        for u in types:
+            for t, k in seen.items():
+                c += k * (pairs.get((t, u)) or self._fill(t, u))[0]
+            seen[u] = seen.get(u, 0) + 1
+        return c
 
 
 def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
     """Dimension c(S) of the torus cell of a fixed point S of Gr_d(J).
 
     ``fixed`` gives S as 1-based index subsets, one per vertex, as
-    ``fixed_points`` lists them.  With L_i and Q_j the coordinate strands of
-    the sub and the quotient (``_strands``), c(S) = sum over i < j of
-    dim Hom(L_i, Q_j), the part of the tangent space Hom(L, M/L) on which
-    the torus t*e_j = t^j e_j acts with positive weight.
+    ``fixed_points`` lists them; anything else raises ValidationError.
+    With L_i and Q_j the coordinate strands of the sub and the quotient,
+    c(S) = sum over i < j of dim Hom(L_i, Q_j), the part of the tangent
+    space Hom(L, M/L) on which the torus t*e_j = t^j e_j acts with positive
+    weight.  Each term depends on the types of i and j only
+    (``_PointTables``), so the sum is one pass over the coordinates, linear
+    in m.
     """
-    return _cell_dimension(*_strands(J, fixed))
+    _check_fixed_point(J, fixed)
+    tables = _PointTables(J)
+    return tables.cell_dimension(tables.types(fixed))
 
 
 def fixed_point_analysis(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> PointAnalysis:
     """``analyze_point`` at a fixed point S of Gr_d(J), with no matrices.
 
     ``fixed`` gives S as for ``cell_dimension``.  L and M/L are the direct
-    sums of the coordinate strands L_i and Q_j (``_strands``), so their
-    interval decompositions are read off the strands, and the tangent space
-    Hom(L, M/L) and Ext^1(L, M/L) follow as in ``analyze_point``, Euler-form
-    check included.
+    sums of the coordinate strands L_i and Q_j, and the hom and ext between
+    two strands depend on the types of their coordinates only
+    (``_PointTables``).  So Hom(L, M/L) and Ext^1(L, M/L) are sums over
+    pairs of types, weighted by how many coordinates have each, and the
+    Euler form is checked as in ``analyze_point``.
     """
-    return _strand_analysis(J, fixed, *_strands(J, fixed))
+    _check_fixed_point(J, fixed)
+    tables = _PointTables(J)
+    return tables.analysis(tables.types(fixed), [len(S) for S in fixed])
 
 
 def _edge_cuts(J: ProjectionTuple) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
@@ -429,7 +497,7 @@ def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
 
 
 def _row_analysis(
-    J: ProjectionTuple, point: Sequence[Rows], p: int, cuts: list | None = None
+    J: ProjectionTuple, point: Sequence[Rows], p: int, tables: _PointTables | None = None
 ) -> PointAnalysis:
     """``analyze_point`` at a point of Gr(J) over F_p, given as one RREF basis
     per vertex, from column ranks of those bases and no matrices.
@@ -439,20 +507,26 @@ def _row_analysis(
     the rank of L_a's basis on K, and the quotient M/L has rank
     dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
     Both tables are decomposed as in ``analyze_point``, Euler-form check
-    included.  ``cuts`` is ``_edge_cuts(J)``, which a caller analyzing many
-    points builds once.
+    included.  ``tables`` is the ``_PointTables(J)`` of a caller analyzing
+    many points: it holds the cuts, the decomposition of each rank table
+    and the analysis of each pair of tables already met, so each distinct
+    table is decomposed once and each distinct pair analyzed once.
     """
-    if cuts is None:
-        cuts = _edge_cuts(J)
+    if tables is None:
+        tables = _PointTables(J)
     dims = [len(rows) for rows in point]
     sub = [[d] for d in dims]
     quo = [[J.m - d] for d in dims]
-    for a, b, killed, kept in cuts:
+    for a, b, killed, kept in tables.cuts:
         sub[a - 1].append(_column_rank(point[a - 1], kept, p))
         quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
-    sub_dec = decompose_from_ranks(RankTable(J.n, tuple(map(tuple, sub))))
-    quo_dec = decompose_from_ranks(RankTable(J.n, tuple(map(tuple, quo))))
-    return _analysis(sub_dec, quo_dec, dims, [J.m - d for d in dims])
+    key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
+    analysis = tables.ranked.get(key)
+    if analysis is None:
+        sub_dec, quo_dec = map(tables.decomposition, key)
+        codims = [J.m - d for d in dims]
+        analysis = tables.ranked[key] = _analysis(sub_dec, quo_dec, dims, codims)
+    return analysis
 
 
 def _cell_rows(
@@ -499,10 +573,12 @@ def singular_point_census(
     torus cell at a time.  The torus t*e_j = t^j e_j commutes with coordinate
     projections; the cell of a fixed point S (``fixed_points``) is the set of
     points whose RREF pivots are S, all of which tend to S as t -> 0.
-    Each S is analyzed once from its coordinate strands, with no matrices
-    (``fixed_point_analysis``, whose oracle is ``analyze_point``); the same
-    strands give c(S), and the walk of a singular S's cell counts S itself
-    from that answer.  Two facts make the count exact:
+    Each S is analyzed once from the types of its coordinates, with no
+    matrices: one ``_PointTables`` per census holds hom and ext per pair of
+    types, and S is read off its type counts (as ``fixed_point_analysis``,
+    whose oracle is ``analyze_point``).  The same types give c(S), and the
+    walk of a singular S's cell counts S itself from that answer.  Two
+    facts make the count exact:
 
     - the singular locus is closed and torus-stable, so a cell whose fixed
       point is smooth holds no singular point;
@@ -514,9 +590,11 @@ def singular_point_census(
     each point, without matrices (``_cell_rows``).  By the first fact again,
     a point there whose limit as t -> infinity is a smooth fixed point is
     smooth; the other points are analyzed from column ranks of their rows
-    (``_row_analysis``, whose oracle is ``analyze_point``).  The guard bounds
-    the brute-force search space (``check_search_space``), as for a point
-    walk, so the same inputs trip it.
+    (``_row_analysis``, whose oracle is ``analyze_point``), sharing the
+    census's ``_PointTables``, so each distinct rank table among them is
+    decomposed once.  The guard bounds the brute-force search space
+    (``check_search_space``), as for a point walk, so the same inputs trip
+    it.
     """
     rs = _irreducible_rank_sequence(rep, dv)
     p = rep.field.characteristic
@@ -524,14 +602,14 @@ def singular_point_census(
     J = representative(rs)
     expected = dimension(rs, dv)
     fixed = fixed_points(J, dv, guard)
+    tables = _PointTables(J)
     smooth = {}
     total = singular = 0
     for S in fixed:
-        subs, quos = _strands(J, S)
-        smooth[S] = _strand_analysis(J, S, subs, quos).tangent_dim <= expected
+        types = tables.types(S)
+        smooth[S] = tables.analysis(types, [len(x) for x in S]).tangent_dim <= expected
         if smooth[S]:
-            total += p ** _cell_dimension(subs, quos)
-    cuts = _edge_cuts(J)
+            total += p ** tables.cell_dimension(types)
     # a cell walk meets each subspace at an early vertex many times
     limit = functools.lru_cache(maxsize=None)(lambda rows: _opposite_limit(rows, J.m, p))
     for S in fixed:
@@ -545,7 +623,7 @@ def singular_point_census(
             total += 1
             singular += (
                 not smooth[tuple(map(limit, point))]
-                and _row_analysis(J, point, p, cuts).tangent_dim > expected
+                and _row_analysis(J, point, p, tables).tangent_dim > expected
             )
     return CensusResult(total, singular, total - singular)
 

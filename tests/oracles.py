@@ -6,7 +6,8 @@ path search in the irreducible-morphism digraph, orbit lists by brute force
 over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
 point censuses by analyzing every point, flatness flags by comparing with the
 stratum's target rank tables, points of a quiver Grassmannian by a walk over
-validated subspaces.
+validated subspaces, the analysis and cell dimension of a fixed point from one
+pair of strands per coordinate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from lindeg import (
     DimVector,
     FlatFlags,
     Interval,
+    PointAnalysis,
+    ProjectionTuple,
     RankSequence,
     RepMatrices,
     SubrepPoint,
@@ -28,6 +31,9 @@ from lindeg import (
     contains,
     dimension,
     enumerate_subreps,
+    euler_form,
+    ext_dim,
+    hom_dim,
     hom_dim_intervals,
     intertwiner_space_dim,
     map_subspace,
@@ -220,3 +226,46 @@ def subreps_oracle(rep: RepMatrices, targets: Sequence[int]) -> Iterator[SubrepP
                 yield from rec(v + 1, chosen + (V,))
 
     return rec(0, ())
+
+
+def fixed_point_oracle(
+    J: ProjectionTuple, fixed: Sequence[Sequence[int]]
+) -> tuple[PointAnalysis, int]:
+    """The analysis and the cell dimension c(S) of a fixed point S of Gr(J)
+    from one pair of strands per coordinate: L_i lives at the vertices v
+    with i in S_v and Q_j at the others, each cut into intervals at the
+    edges that kill its coordinate.  L and M/L are decomposed from all
+    strands, and c(S) sums dim Hom(L_i, Q_j) over every pair i < j."""
+    n, members = J.n, [set(S) for S in fixed]
+
+    def strand(i: int, in_sub: bool) -> list[Interval]:
+        out, start = [], None
+        for v in range(1, n + 1):
+            if (i in members[v - 1]) != in_sub:
+                if start is not None:
+                    out.append(Interval(start, v - 1))
+                    start = None
+                continue
+            if start is None:
+                start = v
+            if v == n or i in J.zero_sets[v - 1]:
+                out.append(Interval(start, v))
+                start = None
+        return out
+
+    coords = range(1, J.m + 1)
+    subs = [strand(i, True) for i in coords]
+    quos = [strand(j, False) for j in coords]
+    sub = Decomposition.from_intervals(n, itertools.chain.from_iterable(subs))
+    quo = Decomposition.from_intervals(n, itertools.chain.from_iterable(quos))
+    hom, ext = hom_dim(sub, quo), ext_dim(sub, quo)
+    dims = [len(S) for S in members]
+    assert hom - ext == euler_form(dims, [J.m - k for k in dims])
+    c = sum(
+        hom_dim_intervals(x, y)
+        for i in range(J.m)
+        for j in range(i + 1, J.m)
+        for x in subs[i]
+        for y in quos[j]
+    )
+    return PointAnalysis(hom, ext), c

@@ -47,7 +47,7 @@ from lindeg import enumeration, linalg
 from lindeg.enumeration import _points_with_singularity, _row_choices
 from lindeg.verification import _cell_cases, _conjugate
 
-from oracles import census_oracle, subreps_oracle
+from oracles import census_oracle, fixed_point_oracle, subreps_oracle
 
 FLAG3 = DimVector(3, (1, 2))
 
@@ -317,6 +317,19 @@ class TestCellDimension:
             route(ProjectionTuple(3, (frozenset(),)), [(index,), (2, 3)])
 
     @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
+    @pytest.mark.parametrize(
+        "fixed,message",
+        [
+            ([(1, 1), (2, 3)], "index 1 repeats at vertex 1"),
+            ([(1,), (1, 1)], "index 1 repeats at vertex 2"),
+        ],
+    )
+    def test_rejects_a_repeated_index(self, route, fixed, message):
+        # a repeated index would be read as one coordinate of a smaller S_v
+        with pytest.raises(ValidationError, match=message):
+            route(ProjectionTuple(3, (frozenset(),)), fixed)
+
+    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
     def test_rejects_a_chain_that_is_not_a_subrepresentation(self, route):
         # the identity keeps coordinate 1, which {2, 3} does not contain;
         # killing it at the edge makes the same subsets a fixed point
@@ -365,6 +378,27 @@ class TestAnalyzePoint:
                             )
                             points += 1
         assert points == 2170
+
+    def test_fixed_points_by_type_match_the_strand_oracle(self):
+        """fixed_point_analysis and cell_dimension against one pair of strands
+        per coordinate at 3,000 seeded random fixed points with 5 <= m <= 8
+        and n <= 4, where many coordinates share a type."""
+        rng = random.Random(0)
+        for _ in range(3000):
+            m, n = rng.randint(5, 8), rng.randint(1, 4)
+            coords = range(1, m + 1)
+            d = sorted(rng.sample(range(1, m), n))
+            J = ProjectionTuple(m, [rng.sample(coords, rng.randint(0, m)) for _ in range(n - 1)])
+            chain = [set(rng.sample(coords, d[0]))]
+            for v in range(1, n):
+                # S_v minus the zero set of edge v must stay inside S_{v+1}
+                kept = chain[-1] - J.zero_sets[v - 1]
+                free = [i for i in coords if i not in kept]
+                chain.append(kept | set(rng.sample(free, d[v] - len(kept))))
+            S = [tuple(sorted(members)) for members in chain]
+            analysis, c = fixed_point_oracle(J, S)
+            assert fixed_point_analysis(J, S) == analysis, (J, S)
+            assert cell_dimension(J, S) == c, (J, S)
 
     def test_rows_give_the_analysis_of_the_matrices(self):
         """_row_analysis against analyze_point at every point of every orbit,
@@ -498,8 +532,9 @@ class TestCellCensus:
             inner = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: made.append(args) or inner(*args))
 
-        for name in ("analyze_point", "_row_analysis", "_strands", "map_subspace"):
+        for name in ("analyze_point", "_row_analysis", "decompose_from_ranks", "map_subspace"):
             count(enumeration, name)
+        count(enumeration._PointTables, "analysis", "fixed point")
         count(linalg, "map_subspace")
         count(linalg, "compose")
         count(Subspace, "__post_init__", "Subspace")
@@ -513,10 +548,14 @@ class TestCellCensus:
             # with two vertices the orbit's rank table needs no product, so
             # a compose call could only come from the cell walk
             assert {name: len(calls[name]) for name in never} == dict.fromkeys(never, 0)
-            counts = len(calls["_row_analysis"]), len(calls["_strands"])
+            # each distinct rank table is decomposed at most once
+            tables = [args[0] for args in calls["decompose_from_ranks"]]
+            assert len(tables) == len(set(tables))
+            counts = len(calls["_row_analysis"]), len(calls["fixed point"])
             return (result.total, result.singular), *counts
 
-        # one strand build per fixed point gives its analysis and its cell
+        # one analysis per fixed point, read off its coordinate types, gives
+        # its smoothness and its cell
         assert census(RepMatrices.identity_tuple(GF(2), 3, 2), FLAG3) == ((21, 0), 0, 6)
         # 7 fixed points and nothing more: the singular one is counted from
         # its own analysis, and the other 3 points of its cell tend to smooth
@@ -526,6 +565,8 @@ class TestCellCensus:
         # as t -> infinity, and only those 4 are analyzed, from their rows
         kill1 = ProjectionTuple(4, ({1},)).matrices(GF(2))
         assert census(kill1, DimVector(4, (1, 2))) == ((133, 7), 4, 15)
+        # all 4 share one pair of rank tables, so two decompositions serve them
+        assert len(calls["decompose_from_ranks"]) == 2
 
     def test_guard_is_the_search_space(self):
         # Gr(1, F_2^3) x Gr(2, F_2^3): 49 candidate pairs for 25 points
