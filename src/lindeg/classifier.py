@@ -254,7 +254,7 @@ def _singular_summary(rs: RankSequence, dv: DimVector, flags: FlatFlags) -> Sing
         (DimVector(dv.m, dv.d[lo - 1 : hi]), ranks[lo - 1 : hi - 1])
         for lo, hi in _segment_bounds(flags.stratum, dv.n)
     ]
-    ambient = sum(dims.flag_dimension() for dims, _ in segments)
+    ambient = _dimension(dv, flags)
     found = [info for seg in segments if (info := _segment_singular(*seg))]
     if not found:
         return SingularInfo("empty", ambient)
@@ -276,8 +276,19 @@ def construct_singular_witness(
     Requires a flat degeneration with irreducible fibers, no zero maps, and
     that coordinate 1 is killed at the first rank-dropping edge h.  The
     point's subrepresentation L then satisfies Ext^1(L, M/L) >= 1, so the
-    tangent space is too large and the point is singular.
+    tangent space is too large and the point is singular.  The point is
+    built from the index chain of ``_witness_chain``; a caller that only
+    needs the chain (to analyze it with ``fixed_point_analysis``, say)
+    builds no subspace at all.
     """
+    return SubrepPoint.from_coordinates(field, (dv.m,) * dv.n, _witness_chain(J, dv))
+
+
+def _witness_chain(J: ProjectionTuple, dv: DimVector) -> list[tuple[int, ...]]:
+    """The singular witness of ``construct_singular_witness`` as 1-based
+    index subsets, one per vertex, after the same checks.  Up to vertex h,
+    S_v holds coordinates 1..d_v; from vertex h + 1 on, coordinate 1 is left
+    out and coordinate m put in."""
     rs = J.rank_sequence()
     flags = flat_flags(rs, dv)
     if flags.stratum:
@@ -303,7 +314,7 @@ def construct_singular_witness(
         else:
             current = current | fresh
         subsets.append(tuple(sorted(current)))
-    return SubrepPoint.from_coordinates(field, (m,) * n, subsets)
+    return subsets
 
 
 @dataclass(frozen=True)

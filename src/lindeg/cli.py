@@ -19,8 +19,9 @@ from typing import Any, NoReturn, Sequence
 
 from . import __version__
 from .classifier import (
+    SingularInfo,
+    _witness_chain,
     classify,
-    construct_singular_witness,
     flat_flags,
     is_irreducible,
     is_smooth,
@@ -270,30 +271,14 @@ def _table_json(table: RankTable) -> list[list[int]]:
     return [list(row) for row in table.rows]
 
 
-def _model_json(model) -> dict | None:
-    if model is None:
-        return None
-    return {
-        "h": model.h,
-        "module": _decomposition_json(model.module),
-        "module_dims": list(model.module_dims),
-        "sub_dims": list(model.sub_dims),
-        "singular_dim": model.singular_dim,
-        "singular_codim": model.singular_codim,
-    }
-
-
-def _singular_json(info) -> dict | None:
+def _singular_json(info: SingularInfo | None) -> dict | None:
+    """The report's fields, with the model's module as interval objects."""
     if info is None:
         return None
-    return {
-        "kind": info.kind,
-        "ambient_dim": info.ambient_dim,
-        "codim_lower": info.codim_lower,
-        "codim_upper": info.codim_upper,
-        "singular_dim": info.singular_dim,
-        "model": _model_json(info.model),
-    }
+    payload = asdict(info)
+    if info.model is not None:
+        payload["model"]["module"] = _decomposition_json(info.model.module)
+    return payload
 
 
 def _point_json(point: SubrepPoint) -> dict:
@@ -332,7 +317,7 @@ def _as_text(payload: dict) -> str:
             if isinstance(v, dict):
                 lines.append(f"{pad}{k}:")
                 walk(v, indent + 1)
-            elif isinstance(v, list):
+            elif isinstance(v, (list, tuple)):
                 lines.append(f"{pad}{k}: {json.dumps(v)}")
             else:
                 lines.append(f"{pad}{k}: {v}")
@@ -558,10 +543,10 @@ def cmd_singular(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.witness:
         J = problem.projection_tuple("--witness")
-        point = construct_singular_witness(J, dv, field=problem.field)
-        analysis = fixed_point_analysis(J, point.coordinates)
+        chain = _witness_chain(J, dv)
+        analysis = fixed_point_analysis(J, chain)
         payload["witness"] = {
-            **_point_json(point),
+            "coordinates": [list(S) for S in chain],
             "tangent_dim": analysis.tangent_dim,
             "ext": analysis.ext,
             "singular": analysis.tangent_dim > info.ambient_dim,

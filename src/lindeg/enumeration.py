@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
-    Decomposition,
     DimVector,
     Interval,
     RankTable,
@@ -277,15 +276,10 @@ def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     sub = restrict_rep(rep, point.spaces)
     quo = quotient_rep(rep, point.spaces)
     sub_dec, quo_dec = (decompose_from_ranks(rank_profile(r)) for r in (sub, quo))
-    return _analysis(sub_dec, quo_dec, sub.dims, quo.dims)
+    return _analysis(hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec), sub.dims, quo.dims)
 
 
-def _analysis(sub: Decomposition, quo: Decomposition, dims, codims) -> PointAnalysis:
-    """Hom and Ext^1 of the decompositions of L and M/L, Euler form checked."""
-    return _checked_analysis(hom_dim(sub, quo), ext_dim(sub, quo), dims, codims)
-
-
-def _checked_analysis(hom: int, ext: int, dims, codims) -> PointAnalysis:
+def _analysis(hom: int, ext: int, dims, codims) -> PointAnalysis:
     """The analysis with dim Hom(L, M/L) = hom and dim Ext^1(L, M/L) = ext,
     after checking the Euler form of the dimension vectors of L and M/L."""
     assert hom - ext == euler_form(dims, codims)
@@ -321,16 +315,16 @@ def _points_with_singularity(
 def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
     """Raise ValidationError unless ``fixed`` is a fixed point S of Gr(J),
     given as 1-based index subsets, one per vertex, as ``fixed_points``
-    lists them: an index outside 1..m, an index repeated at a vertex, or
-    S_v minus the zero set of edge v not inside S_{v+1}, is not a
-    subrepresentation."""
+    lists them.  An index that is not an int in 1..m (a bool is not, though
+    True == 1), an index repeated at a vertex, or S_v minus the zero set of
+    edge v not inside S_{v+1}, is not a subrepresentation."""
     if len(fixed) != J.n:
         raise ValidationError("need one index subset per vertex")
     members = []
     for v, S in enumerate(fixed, start=1):
         seen: set[int] = set()
         for i in S:
-            if not (isinstance(i, int) and 1 <= i <= J.m):
+            if isinstance(i, bool) or not (isinstance(i, int) and 1 <= i <= J.m):
                 raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{J.m}")
             if i in seen:
                 raise ValidationError(f"index {i} repeats at vertex {v}")
@@ -355,9 +349,8 @@ class _PointTables:
     kill i.  So dim Hom and dim Ext^1 from L_i to Q_j depend on the pair of
     types only; ``pairs`` holds them, each pair filled the first time it is
     met.  For ``_row_analysis``, ``cuts`` is ``_edge_cuts(J)``, built on
-    first use, ``decomposed`` holds the decomposition of each rank table
-    met, and ``ranked`` the analysis of each pair of (sub, quotient) rank
-    rows met.
+    first use, and ``ranked`` holds the analysis of each pair of (sub,
+    quotient) rank rows met.
     """
 
     def __init__(self, J: ProjectionTuple) -> None:
@@ -367,7 +360,6 @@ class _PointTables:
             for i in zeros:
                 self.kills[i - 1] |= 1 << bit
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self.decomposed: dict[Rows, Decomposition] = {}
         self.ranked: dict[tuple[Rows, Rows], PointAnalysis] = {}
 
     @functools.cached_property
@@ -421,14 +413,7 @@ class _PointTables:
                 h, e = pairs.get((t, u)) or self._fill(t, u)
                 hom += a * b * h
                 ext += a * b * e
-        return _checked_analysis(hom, ext, dims, [len(types) - d for d in dims])
-
-    def decomposition(self, rows: Rows) -> Decomposition:
-        """``decompose_from_ranks`` of the rank table with these rows."""
-        dec = self.decomposed.get(rows)
-        if dec is None:
-            dec = self.decomposed[rows] = decompose_from_ranks(RankTable(self.n, rows))
-        return dec
+        return _analysis(hom, ext, dims, [len(types) - d for d in dims])
 
     def cell_dimension(self, types: list[int]) -> int:
         """c(S) = sum over i < j of dim Hom(L_i, Q_j), in one pass over the
@@ -508,9 +493,8 @@ def _row_analysis(
     dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
     Both tables are decomposed as in ``analyze_point``, Euler-form check
     included.  ``tables`` is the ``_PointTables(J)`` of a caller analyzing
-    many points: it holds the cuts, the decomposition of each rank table
-    and the analysis of each pair of tables already met, so each distinct
-    table is decomposed once and each distinct pair analyzed once.
+    many points: it holds the cuts and the analysis of each pair of tables
+    already met, so each distinct pair is decomposed and analyzed once.
     """
     if tables is None:
         tables = _PointTables(J)
@@ -523,9 +507,9 @@ def _row_analysis(
     key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
     analysis = tables.ranked.get(key)
     if analysis is None:
-        sub_dec, quo_dec = map(tables.decomposition, key)
-        codims = [J.m - d for d in dims]
-        analysis = tables.ranked[key] = _analysis(sub_dec, quo_dec, dims, codims)
+        sub_dec, quo_dec = (decompose_from_ranks(RankTable(J.n, rows)) for rows in key)
+        hom, ext = hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec)
+        analysis = tables.ranked[key] = _analysis(hom, ext, dims, [J.m - d for d in dims])
     return analysis
 
 
@@ -591,10 +575,10 @@ def singular_point_census(
     a point there whose limit as t -> infinity is a smooth fixed point is
     smooth; the other points are analyzed from column ranks of their rows
     (``_row_analysis``, whose oracle is ``analyze_point``), sharing the
-    census's ``_PointTables``, so each distinct rank table among them is
-    decomposed once.  The guard bounds the brute-force search space
-    (``check_search_space``), as for a point walk, so the same inputs trip
-    it.
+    census's ``_PointTables``, so each distinct pair of rank tables among
+    them is decomposed and analyzed once.  The guard bounds the brute-force
+    search space (``check_search_space``), as for a point walk, so the same
+    inputs trip it.
     """
     rs = _irreducible_rank_sequence(rep, dv)
     p = rep.field.characteristic

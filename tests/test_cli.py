@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 import lindeg.cli as cli
 import lindeg.enumeration as enumeration
-from lindeg import GF, DimVector, ProjectionTuple, SuiteResult, __version__
+from lindeg import (
+    GF,
+    DimVector,
+    ProjectionTuple,
+    SubrepPoint,
+    Subspace,
+    SuiteResult,
+    __version__,
+)
 from lindeg.verification import _conjugate
 
 from oracles import census_oracle
@@ -192,6 +200,8 @@ class TestClassify:
             {"m": 3, "d": [1, 2], "field": False, "ranks": [[3, 2], [3]]},
             {"m": 3, "d": [1, 2], "field": 0.0, "ranks": [[3, 2], [3]]},
             {"m": 3, "d": [1, 2], "field": {"prime": False}, "ranks": [[3, 2], [3]]},
+            {"m": 3, "d": [1, 2], "maps": [{"kind": "projection", "zero_indices": [1, 4]}]},
+            {"m": 3, "d": [1, 2], "maps": {"kind": "identity"}},
         ],
     )
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, problem):
@@ -211,6 +221,14 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--input", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_input_is_validation_error(self, tmp_path, capsys, name):
+        code, out, err = run_cli(capsys, "classify", "--input", str(tmp_path / name))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("cannot read input file")
 
     @pytest.mark.parametrize("flags", [("--ranks", "3,a;3"), ("--zero-sets", "a")])
     def test_malformed_flags_are_validation_errors(self, capsys, flags):
@@ -542,6 +560,56 @@ class TestSingular:
         assert witness["ext"] >= 1
         assert witness["singular"] is True
         assert witness["coordinates"][0] == [1]
+
+    def test_witness_is_analyzed_as_an_index_chain(self, capsys, monkeypatch):
+        # the witness goes from its recipe to its analysis and its report as
+        # index subsets: no subspace is built, so the cost is linear in m
+        calls = {Subspace: 0, SubrepPoint: 0}
+        for owner in calls:
+            inner = owner.__post_init__
+
+            def counted(self, owner=owner, inner=inner):
+                calls[owner] += 1
+                inner(self)
+
+            monkeypatch.setattr(owner, "__post_init__", counted)
+        code, out, _ = run_cli(
+            capsys, "singular", "--m", "5", "--d", "1,2,4", "--zero-sets=-;1",
+            "--witness", "--format", "json",
+        )
+        assert code == 0 and calls == {Subspace: 0, SubrepPoint: 0}
+        model = {
+            "h": 2,
+            "module": [{"start": 1, "end": 1, "mult": 1}, {"start": 1, "end": 3, "mult": 4}],
+            "module_dims": [5, 4, 4],
+            "sub_dims": [1, 1, 4],
+            "singular_dim": 4,
+            "singular_codim": 5,
+        }
+        assert json.loads(out) == {
+            "tool": "lindeg",
+            "version": __version__,
+            "command": "singular",
+            "input_sha256": "961addac4fb48695a6b7ec6ca8f769d653ddcbd73857ffa61e5304d31617bf07",
+            "m": 5,
+            "n": 3,
+            "d": [1, 2, 4],
+            "edge_ranks": [5, 4],
+            "singular": {
+                "kind": "exact",
+                "ambient_dim": 9,
+                "codim_lower": 5,
+                "codim_upper": 5,
+                "singular_dim": 4,
+                "model": model,
+            },
+            "witness": {
+                "coordinates": [[1], [1, 2], [2, 3, 4, 5]],
+                "tangent_dim": 10,
+                "ext": 1,
+                "singular": True,
+            },
+        }
 
     def test_witness_needs_projections(self, capsys):
         code, _, _ = run_cli(

@@ -311,7 +311,7 @@ class TestCellDimension:
             cell_dimension(ProjectionTuple(3, (frozenset(),)), [(1,)])
 
     @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
-    @pytest.mark.parametrize("index", [0, 4, "1"])
+    @pytest.mark.parametrize("index", [0, 4, "1", True])
     def test_rejects_an_index_outside_the_coordinates(self, route, index):
         with pytest.raises(ValidationError, match="outside 1..3"):
             route(ProjectionTuple(3, (frozenset(),)), [(index,), (2, 3)])
@@ -548,7 +548,7 @@ class TestCellCensus:
             # with two vertices the orbit's rank table needs no product, so
             # a compose call could only come from the cell walk
             assert {name: len(calls[name]) for name in never} == dict.fromkeys(never, 0)
-            # each distinct rank table is decomposed at most once
+            # in these censuses no rank table is decomposed twice
             tables = [args[0] for args in calls["decompose_from_ranks"]]
             assert len(tables) == len(set(tables))
             counts = len(calls["_row_analysis"]), len(calls["fixed point"])

@@ -340,6 +340,12 @@ class TestDot:
         repeated = list(orbits[::2]) + list(orbits) + list(orbits[1::3])
         assert hasse_dot(repeated) == hasse_dot(orbits)
 
+    @pytest.mark.parametrize("other", [(2, 3), (3, 2)], ids=["other-m", "other-n"])
+    def test_hasse_rejects_orbits_of_different_quivers(self, other):
+        orbits = [RankSequence.identity_orbit(3, 3), RankSequence.identity_orbit(*other)]
+        with pytest.raises(ValidationError, match="different quivers"):
+            hasse_dot(orbits)
+
     def test_strata_dot_structure(self):
         dot = strata_dot(3)
         assert '"S" ->' in dot

@@ -142,6 +142,19 @@ class TestDecomposition:
         with pytest.raises(ValidationError):
             Decomposition.from_intervals(2, [(1, 3)])
 
+    @pytest.mark.parametrize(
+        "items,message",
+        [
+            (((Interval(1, 2), 1), (Interval(1, 1), 1)), "sorted"),
+            (((Interval(1, 1), 1), (Interval(1, 1), 2)), "no repeats"),
+            (((Interval(1, 1), 0),), "positive"),
+        ],
+        ids=["unsorted", "repeated", "zero-multiplicity"],
+    )
+    def test_rejects_malformed_items(self, items, message):
+        with pytest.raises(ValidationError, match=message):
+            Decomposition(2, items)
+
 
 class TestRankTable:
     def test_boundary_zeros(self):
@@ -163,6 +176,11 @@ class TestRankTable:
             RankTable(2, ((3,), (2,)))
         with pytest.raises(ValidationError):
             RankTable(2, ((3, 1),))
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None])
+    def test_rejects_a_non_int_entry(self, entry):
+        with pytest.raises(ValidationError, match="integers"):
+            RankTable(2, ((3, entry), (2,)))
 
     def test_leq(self):
         lo = RankTable(2, ((3, 0), (2,)))
