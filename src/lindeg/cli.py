@@ -23,19 +23,18 @@ from .classifier import (
     _witness_chain,
     classify,
     flat_flags,
-    is_irreducible,
     is_smooth,
     singular_summary,
 )
 from .enumeration import (
     POINT_GUARD,
+    _census,
     check_search_space,
     enumerate_subreps,
     fixed_point_analysis,
     fixed_points,
-    singular_point_census,
 )
-from .errors import GuardExceededError, LindegError, NotIrreducibleError, ValidationError
+from .errors import GuardExceededError, LindegError, ValidationError
 from .linalg import QQ, Field, Matrix
 from .orbits import (
     ORBIT_GUARD,
@@ -79,10 +78,13 @@ class Problem:
             raise ValidationError(f"{what} needs projection maps (zero sets)")
         return self.maps
 
-    def matrices(self) -> RepMatrices:
+    def matrices(self, guard: int) -> RepMatrices:
+        """The maps as matrices for a point walk: a projection tuple's m x m
+        matrices wait until the walk's search space has passed ``guard``."""
         if isinstance(self.maps, RankSequence):
             raise ValidationError("this command needs explicit maps, not just a rank table")
         if isinstance(self.maps, ProjectionTuple):
+            check_search_space(self.field, (self.dv.m,) * self.dv.n, self.dv.d, guard)
             return self.maps.matrices(self.field)
         return self.maps
 
@@ -485,19 +487,11 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     if not field.is_modular:
         raise ValidationError("enumeration needs a finite field: pass --prime or a prime field spec")
     J = problem.maps if isinstance(problem.maps, ProjectionTuple) else None
-    # explicit maps are no larger than the input that spells them out, but the
-    # m x m matrices of a projection tuple wait until the guard has passed
-    rep = problem.matrices() if J is None else None
-    if args.census and not is_irreducible(problem.rank_sequence(), dv):
-        raise NotIrreducibleError("point census is defined for irreducible varieties")
-    check_search_space(field, (dv.m,) * dv.n, dv.d, args.guard)
-    if rep is None:
-        rep = problem.matrices()
-    census = singular_point_census(rep, dv, args.guard) if args.census else None
+    census = _census(problem.rank_sequence(), field, dv, args.guard) if args.census else None
     # the census counts by torus cells, so points are walked only for a sample
     # or, without a census, for the count
     walk = census is None or args.limit > 0
-    points = enumerate_subreps(rep, dv, guard=args.guard) if walk else iter(())
+    points = enumerate_subreps(problem.matrices(args.guard), dv, args.guard) if walk else iter(())
     sample = [_point_json(p) for p in itertools.islice(points, args.limit)]
     total = census.total if census else len(sample) + sum(1 for _ in points)
     payload: dict[str, Any] = {

@@ -293,13 +293,10 @@ class CensusResult:
     smooth: int
 
 
-def _irreducible_rank_sequence(rep: RepMatrices, dv: DimVector) -> RankSequence:
-    """The orbit of rep, after checking that Gr_d(rep) is irreducible."""
-    rep.check_endomorphisms(dv)
-    rs = RankSequence.from_rep(rep)
+def _check_irreducible(rs: RankSequence, dv: DimVector) -> None:
+    """Raise NotIrreducibleError unless Gr_d of the orbit rs is irreducible."""
     if not is_irreducible(rs, dv):
         raise NotIrreducibleError("point census is defined for irreducible varieties")
-    return rs
 
 
 def _points_with_singularity(
@@ -307,7 +304,10 @@ def _points_with_singularity(
 ) -> Iterator[tuple[SubrepPoint, bool]]:
     """Each point of an irreducible Gr_d(rep), paired with whether it is
     singular by the rule of ``analyze_point``."""
-    expected = dimension(_irreducible_rank_sequence(rep, dv), dv)
+    rep.check_endomorphisms(dv)
+    rs = RankSequence.from_rep(rep)
+    _check_irreducible(rs, dv)
+    expected = dimension(rs, dv)
     for point in enumerate_subreps(rep, dv, guard=guard):
         yield point, analyze_point(rep, point).tangent_dim > expected
 
@@ -348,9 +348,9 @@ class _PointTables:
     Q_i at the others, and each breaks into intervals at the edges that
     kill i.  So dim Hom and dim Ext^1 from L_i to Q_j depend on the pair of
     types only; ``pairs`` holds them, each pair filled the first time it is
-    met.  For ``_row_analysis``, ``cuts`` is ``_edge_cuts(J)``, built on
-    first use, and ``ranked`` holds the analysis of each pair of (sub,
-    quotient) rank rows met.
+    met.  For ``row_analysis``, ``cuts`` lists the columns each composite
+    map kills and keeps, built on first use, and ``ranked`` holds the
+    analysis of each pair of (sub, quotient) rank rows met.
     """
 
     def __init__(self, J: ProjectionTuple) -> None:
@@ -364,7 +364,17 @@ class _PointTables:
 
     @functools.cached_property
     def cuts(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        return _edge_cuts(self.J)
+        """(a, b, Z, K) for each pair of vertices a < b of J: the 0-based
+        columns Z that the composite map from a to b kills (the union of the
+        zero sets of edges a..b-1) and the columns K it keeps."""
+        J, cuts = self.J, []
+        for a in range(1, J.n):
+            killed: set[int] = set()
+            for b in range(a + 1, J.n + 1):
+                killed.update(j - 1 for j in J.zero_sets[b - 2])
+                kept = tuple(c for c in range(J.m) if c not in killed)
+                cuts.append((a, b, tuple(sorted(killed)), kept))
+        return cuts
 
     def types(self, fixed: Sequence[Sequence[int]]) -> list[int]:
         """The type of each coordinate 1..m at the fixed point ``fixed``."""
@@ -427,6 +437,39 @@ class _PointTables:
             seen[u] = seen.get(u, 0) + 1
         return c
 
+    def row_analysis(self, point: Sequence[Rows], p: int) -> PointAnalysis:
+        """``analyze_point`` at a point of Gr(J) over F_p, given as one RREF
+        basis per vertex, from column ranks of those bases and no matrices.
+
+        The composite map f_ab from vertex a to b keeps the columns K outside
+        the killed set Z (``cuts``).  So the sub L has rank dim f_ab(L_a),
+        the rank of L_a's basis on K, and the quotient M/L has rank
+        dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
+        Both tables are decomposed as in ``analyze_point``, Euler-form check
+        included, once per distinct pair met (``ranked``).
+        """
+        m, n = self.J.m, self.n
+        dims = [len(rows) for rows in point]
+        sub = [[d] for d in dims]
+        quo = [[m - d] for d in dims]
+        for a, b, killed, kept in self.cuts:
+            sub[a - 1].append(_column_rank(point[a - 1], kept, p))
+            quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
+        key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
+        analysis = self.ranked.get(key)
+        if analysis is None:
+            sub_dec, quo_dec = (decompose_from_ranks(RankTable(n, rows)) for rows in key)
+            hom, ext = hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec)
+            analysis = self.ranked[key] = _analysis(hom, ext, dims, [m - d for d in dims])
+        return analysis
+
+
+def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
+    """Rank over F_p of the rows read at the given columns only."""
+    if not rows or not columns:
+        return 0
+    return len(_rref_rows([[row[c] for c in columns] for row in rows], p)[1])
+
 
 def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
     """Dimension c(S) of the torus cell of a fixed point S of Gr_d(J).
@@ -458,59 +501,6 @@ def fixed_point_analysis(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> 
     _check_fixed_point(J, fixed)
     tables = _PointTables(J)
     return tables.analysis(tables.types(fixed), [len(S) for S in fixed])
-
-
-def _edge_cuts(J: ProjectionTuple) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """(a, b, Z, K) for each pair of vertices a < b of J: Z holds the 0-based
-    columns in the union of the zero sets of edges a..b-1, the coordinates
-    that the composite map from a to b kills, and K the columns it keeps."""
-    cuts = []
-    for a in range(1, J.n):
-        killed: set[int] = set()
-        for b in range(a + 1, J.n + 1):
-            killed.update(j - 1 for j in J.zero_sets[b - 2])
-            kept = tuple(c for c in range(J.m) if c not in killed)
-            cuts.append((a, b, tuple(sorted(killed)), kept))
-    return cuts
-
-
-def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
-    """Rank over F_p of the rows read at the given columns only."""
-    if not rows or not columns:
-        return 0
-    return len(_rref_rows([[row[c] for c in columns] for row in rows], p)[1])
-
-
-def _row_analysis(
-    J: ProjectionTuple, point: Sequence[Rows], p: int, tables: _PointTables | None = None
-) -> PointAnalysis:
-    """``analyze_point`` at a point of Gr(J) over F_p, given as one RREF basis
-    per vertex, from column ranks of those bases and no matrices.
-
-    The composite map f_ab from vertex a to b keeps the columns K outside
-    the killed set Z (``_edge_cuts``).  So the sub L has rank dim f_ab(L_a),
-    the rank of L_a's basis on K, and the quotient M/L has rank
-    dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
-    Both tables are decomposed as in ``analyze_point``, Euler-form check
-    included.  ``tables`` is the ``_PointTables(J)`` of a caller analyzing
-    many points: it holds the cuts and the analysis of each pair of tables
-    already met, so each distinct pair is decomposed and analyzed once.
-    """
-    if tables is None:
-        tables = _PointTables(J)
-    dims = [len(rows) for rows in point]
-    sub = [[d] for d in dims]
-    quo = [[J.m - d] for d in dims]
-    for a, b, killed, kept in tables.cuts:
-        sub[a - 1].append(_column_rank(point[a - 1], kept, p))
-        quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
-    key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
-    analysis = tables.ranked.get(key)
-    if analysis is None:
-        sub_dec, quo_dec = (decompose_from_ranks(RankTable(J.n, rows)) for rows in key)
-        hom, ext = hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec)
-        analysis = tables.ranked[key] = _analysis(hom, ext, dims, [J.m - d for d in dims])
-    return analysis
 
 
 def _cell_rows(
@@ -574,15 +564,23 @@ def singular_point_census(
     each point, without matrices (``_cell_rows``).  By the first fact again,
     a point there whose limit as t -> infinity is a smooth fixed point is
     smooth; the other points are analyzed from column ranks of their rows
-    (``_row_analysis``, whose oracle is ``analyze_point``), sharing the
-    census's ``_PointTables``, so each distinct pair of rank tables among
-    them is decomposed and analyzed once.  The guard bounds the brute-force
-    search space (``check_search_space``), as for a point walk, so the same
-    inputs trip it.
+    (``_PointTables.row_analysis``, whose oracle is ``analyze_point``),
+    sharing the census's ``_PointTables``, so each distinct pair of rank
+    tables among them is decomposed and analyzed once.  The guard bounds the
+    brute-force search space (``check_search_space``), as for a point walk,
+    so the same inputs trip it.
     """
-    rs = _irreducible_rank_sequence(rep, dv)
-    p = rep.field.characteristic
-    check_search_space(rep.field, rep.dims, dv.d, guard)
+    rep.check_endomorphisms(dv)
+    return _census(RankSequence.from_rep(rep), rep.field, dv, guard)
+
+
+def _census(rs: RankSequence, field: Field, dv: DimVector, guard: int) -> CensusResult:
+    """``singular_point_census`` of the orbit rs over ``field``, which needs
+    no matrices: it checks that Gr_d is irreducible, then the guard, then
+    counts on ``representative(rs)``."""
+    _check_irreducible(rs, dv)
+    check_search_space(field, (dv.m,) * dv.n, dv.d, guard)
+    p = field.characteristic
     J = representative(rs)
     expected = dimension(rs, dv)
     fixed = fixed_points(J, dv, guard)
@@ -607,7 +605,7 @@ def singular_point_census(
             total += 1
             singular += (
                 not smooth[tuple(map(limit, point))]
-                and _row_analysis(J, point, p, tables).tangent_dim > expected
+                and tables.row_analysis(point, p).tangent_dim > expected
             )
     return CensusResult(total, singular, total - singular)
 

@@ -173,8 +173,12 @@ class ProjectionTuple:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zero_sets", tuple(frozenset(s) for s in self.zero_sets))
+        if type(self.m) is not int:
+            raise ValidationError(f"m must be an integer, got {self.m!r}")
         allowed = range(1, self.m + 1)  # a range tests membership without a set of size m
         for s in self.zero_sets:
+            if not all(type(j) is int for j in s):
+                raise ValidationError(f"zero set {set(s)} holds a non-integer")
             if not all(j in allowed for j in s):
                 raise ValidationError(f"zero set {sorted(s)} not within 1..{self.m}")
 

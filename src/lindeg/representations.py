@@ -50,8 +50,10 @@ class Interval:
     end: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.start <= self.end:
-            raise ValidationError(f"bad interval [{self.start}, {self.end}]")
+        if type(self.start) is not int or type(self.end) is not int or not (
+            1 <= self.start <= self.end
+        ):
+            raise ValidationError(f"bad interval [{self.start!r}, {self.end!r}]")
 
     def contains(self, vertex: int) -> bool:
         return self.start <= vertex <= self.end
@@ -87,6 +89,8 @@ class DimVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", tuple(self.d))
+        if type(self.m) is not int or not all(type(x) is int for x in self.d):
+            raise ValidationError(f"m and d must be integers, got d={self.d!r}, m={self.m!r}")
         if not self.d:
             raise ValidationError("dimension vector is empty")
         if any(b <= a for a, b in zip(self.d, self.d[1:])) or not (
@@ -208,7 +212,7 @@ class RankTable:
         for a, row in enumerate(self.rows, start=1):
             if len(row) != self.n - a + 1:
                 raise ValidationError(f"row {a} of rank table has wrong length")
-            if any(not isinstance(x, int) for x in row):
+            if any(type(x) is not int for x in row):
                 raise ValidationError("rank table entries must be integers")
 
     @staticmethod
@@ -439,15 +443,21 @@ class SubrepPoint:
     def from_coordinates(
         field: Field, ambient_dims: Sequence[int], subsets: Sequence[Iterable[int]]
     ) -> "SubrepPoint":
-        """Coordinate point from 1-based index subsets, one per vertex."""
+        """Coordinate point from 1-based index subsets, one per vertex.  An
+        index that is not an int in 1..ambient (a bool is not, though True
+        == 1), or an index repeated at a vertex, raises ValidationError."""
         if len(subsets) != len(ambient_dims):
             raise ValidationError("need one index subset per vertex")
         spaces = []
-        for amb, subset in zip(ambient_dims, subsets):
-            idx = tuple(sorted(set(subset)))
-            if idx and not (1 <= idx[0] and idx[-1] <= amb):
-                raise ValidationError(f"coordinate indices {idx} not within 1..{amb}")
-            spaces.append(linalg.coordinate_subspace(field, amb, [j - 1 for j in idx]))
+        for v, (amb, subset) in enumerate(zip(ambient_dims, subsets), start=1):
+            seen: set[int] = set()
+            for i in subset:
+                if type(i) is not int or not 1 <= i <= amb:
+                    raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{amb}")
+                if i in seen:
+                    raise ValidationError(f"index {i} repeats at vertex {v}")
+                seen.add(i)
+            spaces.append(linalg.coordinate_subspace(field, amb, [j - 1 for j in seen]))
         return SubrepPoint(tuple(spaces))
 
 

@@ -24,7 +24,7 @@ from .classifier import (
     singular_summary,
 )
 from .enumeration import (
-    _row_analysis,
+    _PointTables,
     analyze_point,
     cell_dimension,
     check_search_space,
@@ -394,9 +394,9 @@ def suite_cells(seed: int = 0) -> SuiteResult:
 
     For CELL_CASES seeded random irreducible orbits, every point of the representative
     projection tuple J is analyzed and filed under its RREF pivot columns.
-    At every point the column-rank analysis of the census walk
-    (``_row_analysis``) must equal ``analyze_point``.  The pivot classes must
-    be exactly the fixed points; at each fixed point
+    At every point the column-rank analysis of the census walk (one
+    ``_PointTables(J).row_analysis`` per case) must equal ``analyze_point``.
+    The pivot classes must be exactly the fixed points; at each fixed point
     ``fixed_point_analysis`` must equal ``analyze_point``; the class of each
     smooth fixed point S must have p^c(S) points (``cell_dimension``), none
     singular; and ``singular_point_census`` of a random base change of J
@@ -407,6 +407,7 @@ def suite_cells(seed: int = 0) -> SuiteResult:
     for p, rs, dv in rng.sample(_cell_cases(), CELL_CASES):
         J = representative(rs)
         rep = J.matrices(GF(p))
+        tables = _PointTables(J)
         where = f"{rs}, d={dv.d}, p={p}"
         sizes: dict[tuple, int] = {}
         singular: dict[tuple, int] = {}
@@ -419,7 +420,7 @@ def suite_cells(seed: int = 0) -> SuiteResult:
             sizes[key] = sizes.get(key, 0) + 1
             singular[key] = singular.get(key, 0) + is_singular
             bases = tuple(space.basis for space in point.spaces)
-            rows = _row_analysis(J, bases, p)
+            rows = tables.row_analysis(bases, p)
             check(
                 rows == matrices,
                 "rows give {}, matrices {} at {}: {}", rows, matrices, bases, where,

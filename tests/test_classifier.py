@@ -14,6 +14,7 @@ from lindeg import (
     ProjectionTuple,
     RankSequence,
     RankTable,
+    SingularInfo,
     ValidationError,
     analyze_point,
     classify,
@@ -201,6 +202,10 @@ class TestSingularModel:
     def test_rejects_bad_edge(self):
         with pytest.raises(ValidationError):
             singular_model(FLAG64, 2)
+
+    def test_report_rejects_an_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown singular-locus kind 'some'"):
+            SingularInfo("some", 4)
 
 
 class TestSingularSummary:

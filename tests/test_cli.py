@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import lindeg.cli as cli
 import lindeg.enumeration as enumeration
+import lindeg.orbits as orbits
 from lindeg import (
     GF,
     DimVector,
@@ -202,6 +203,8 @@ class TestClassify:
             {"m": 3, "d": [1, 2], "field": {"prime": False}, "ranks": [[3, 2], [3]]},
             {"m": 3, "d": [1, 2], "maps": [{"kind": "projection", "zero_indices": [1, 4]}]},
             {"m": 3, "d": [1, 2], "maps": {"kind": "identity"}},
+            {"m": 2, "d": [1], "maps": [{"kind": "matrix", "entries": [[1, 0]]}]},
+            {"m": 3, "ranks": []},
         ],
     )
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, problem):
@@ -475,6 +478,43 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["census"] == {"total": 25, "singular": 1, "smooth": 24}
         assert len(payload["sample_points"]) == 3
+
+    def test_a_point_walk_needs_maps(self, tmp_path, capsys):
+        # explicit maps are walked as given
+        path = write_problem(tmp_path, "matrix.json", {"m": 3, "d": [1, 2], "maps": [
+            {"kind": "matrix", "entries": [[1, 1, 0], [0, 0, 1], [0, 0, 0]]},
+        ]})
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--input", str(path), "--prime", "2", "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["points"] == 25
+        # a rank table has none, which is said before the guard is checked
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "3", "--d", "1,2", "--ranks", "3,2;3",
+            "--prime", "2", "--guard", "0",
+        )
+        assert code == 2 and out == ""
+        assert "needs explicit maps" in json.loads(err)["error"]["message"]
+
+    def test_census_reads_the_orbit_and_builds_no_matrix(self, capsys, monkeypatch):
+        """A census without a sample reads the rank table alone, so zero
+        sets and the same orbit given as ranks give one census."""
+        def no_matrices(*args):
+            raise AssertionError("the census built a matrix")
+
+        monkeypatch.setattr(ProjectionTuple, "matrices", no_matrices)
+        monkeypatch.setattr(orbits, "rank_profile", no_matrices)
+        payloads = []
+        for maps in (["--zero-sets", "1;2"], ["--ranks", "5,4,3;5,4;5"]):
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--m", "5", "--d", "1,2,4", *maps,
+                "--prime", "2", "--census", "--limit", "0", "--format", "json",
+            )
+            assert code == 0
+            payloads.append(json.loads(out))
+        census = {"total": 4819, "singular": 395, "smooth": 4424}
+        assert [p["census"] for p in payloads] == [census, census]
+        assert [p["fixed_points"] is None for p in payloads] == [False, True]
 
     @pytest.mark.parametrize(
         "prime, m, d, zero_sets, base_change",

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -289,6 +290,30 @@ class TestFixedPoints:
             fixed_points(J, DimVector(m, d))
 
 
+def from_coordinates(J, fixed):
+    """``SubrepPoint.from_coordinates`` on the vertex spaces of J, checked
+    like a fixed point of J."""
+    return SubrepPoint.from_coordinates(GF(2), (J.m,) * J.n, fixed)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_subreps(RepMatrices.identity_tuple(GF(2), 3, 2), (1,)),
+         "need one target dimension per vertex"),
+        (lambda: enumerate_subreps(RepMatrices.identity_tuple(GF(2), 3, 2), (1, 4)),
+         "target dimension 4 out of range 0..3"),
+        (lambda: fixed_points(ProjectionTuple(3, ({1},)), DimVector(4, (1, 2))),
+         "projection tuple and dimension vector do not match"),
+        (lambda: singular_model_rep(GF(2), 3, 2, 2), "edge index h=2 out of range 1..1"),
+    ],
+    ids=["target-count", "target-range", "fixed-points-shape", "model-edge"],
+)
+def test_malformed_arguments_are_rejected(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestCellDimension:
     def test_full_flags_are_bruhat_cells(self):
         J = ProjectionTuple(3, (frozenset(),))
@@ -310,13 +335,13 @@ class TestCellDimension:
         with pytest.raises(ValidationError):
             cell_dimension(ProjectionTuple(3, (frozenset(),)), [(1,)])
 
-    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
+    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis, from_coordinates])
     @pytest.mark.parametrize("index", [0, 4, "1", True])
     def test_rejects_an_index_outside_the_coordinates(self, route, index):
         with pytest.raises(ValidationError, match="outside 1..3"):
             route(ProjectionTuple(3, (frozenset(),)), [(index,), (2, 3)])
 
-    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis])
+    @pytest.mark.parametrize("route", [cell_dimension, fixed_point_analysis, from_coordinates])
     @pytest.mark.parametrize(
         "fixed,message",
         [
@@ -401,9 +426,10 @@ class TestAnalyzePoint:
             assert cell_dimension(J, S) == c, (J, S)
 
     def test_rows_give_the_analysis_of_the_matrices(self):
-        """_row_analysis against analyze_point at every point of every orbit,
-        reducible ones included: F_2 with m <= 4 and F_3 with m <= 3, n <= 3,
-        search space at most 1000 (the full flags of F_2^4 have 7875)."""
+        """_PointTables.row_analysis against analyze_point at every point of
+        every orbit, reducible ones included: F_2 with m <= 4 and F_3 with
+        m <= 3, n <= 3, search space at most 1000 (the full flags of F_2^4
+        have 7875)."""
         points = 0
         for p, top in ((2, 4), (3, 3)):
             for m in range(2, top + 1):
@@ -416,9 +442,9 @@ class TestAnalyzePoint:
                             rep = J.matrices(GF(p))
                             for point in enumerate_subreps(rep, DimVector(m, d)):
                                 rows = [space.basis for space in point.spaces]
-                                assert enumeration._row_analysis(J, rows, p) == analyze_point(
-                                    rep, point
-                                ), (rs, d, point)
+                                assert enumeration._PointTables(J).row_analysis(
+                                    rows, p
+                                ) == analyze_point(rep, point), (rs, d, point)
                                 points += 1
         assert points == 3849
 
@@ -532,9 +558,10 @@ class TestCellCensus:
             inner = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: made.append(args) or inner(*args))
 
-        for name in ("analyze_point", "_row_analysis", "decompose_from_ranks", "map_subspace"):
+        for name in ("analyze_point", "decompose_from_ranks", "map_subspace"):
             count(enumeration, name)
         count(enumeration._PointTables, "analysis", "fixed point")
+        count(enumeration._PointTables, "row_analysis", "rows")
         count(linalg, "map_subspace")
         count(linalg, "compose")
         count(Subspace, "__post_init__", "Subspace")
@@ -551,7 +578,7 @@ class TestCellCensus:
             # in these censuses no rank table is decomposed twice
             tables = [args[0] for args in calls["decompose_from_ranks"]]
             assert len(tables) == len(set(tables))
-            counts = len(calls["_row_analysis"]), len(calls["fixed point"])
+            counts = len(calls["rows"]), len(calls["fixed point"])
             return (result.total, result.singular), *counts
 
         # one analysis per fixed point, read off its coordinate types, gives

@@ -1,6 +1,7 @@
 """Exact linear algebra over Q and F_p."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -314,3 +315,45 @@ class TestIntertwiner:
         dims = (0, 0)
         maps = (Matrix.from_rows(field, [], ncols=0),)
         assert intertwiner_space_dim(field, dims, maps, dims, maps) == 0
+
+
+def _line(field, ambient):
+    """The span of the first standard basis vector of field^ambient."""
+    return coordinate_subspace(field, ambient, [0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Matrix.from_rows(GF(2), [[1, 0], [1]]), "matrix rows have unequal lengths"),
+        (lambda: Matrix.from_rows(GF(2), [[1, 0]], ncols=3), "expected 3 columns, got 2"),
+        (lambda: Matrix.projection(GF(2), 2, {2}), "killed positions [2] out of range(0, 2)"),
+        (lambda: Matrix.identity(GF(2), 2) @ Matrix.identity(GF(3), 2),
+         "cannot multiply matrices over different fields"),
+        (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), "only square matrices can be inverted"),
+        (lambda: _line(GF(2), 2).reduce([1]), "vector length differs from ambient dimension"),
+        (lambda: coordinate_subspace(GF(2), 2, [2]), "positions (2,) out of range(0, 2)"),
+        (lambda: contains(_line(GF(2), 2), _line(GF(2), 3)),
+         "subspaces live in different ambient spaces"),
+        (lambda: subspace_sum(_line(GF(2), 2), _line(GF(3), 2)),
+         "subspaces live in different ambient spaces"),
+        (lambda: map_subspace(Matrix.identity(GF(2), 2), _line(GF(2), 3)),
+         "matrix domain differs from subspace ambient"),
+        (lambda: intertwiner_space_dim(GF(2), (1, 1), (), (1, 1), ()),
+         "representations have different quiver lengths"),
+        (lambda: intertwiner_space_dim(
+            GF(2), (1, 1), (Matrix.identity(GF(3), 1),), (1, 1), (Matrix.identity(GF(2), 1),)
+        ), "maps are not over the stated field"),
+        (lambda: intertwiner_space_dim(
+            GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),), (1, 1), (Matrix.identity(GF(2), 1),)
+        ), "map shapes do not match vertex dimensions"),
+    ],
+    ids=[
+        "ragged-rows", "column-count", "projection-range", "product-fields", "inverse-shape",
+        "vector-length", "coordinate-range", "contains-ambient", "sum-field", "map-domain",
+        "intertwiner-length", "intertwiner-field", "intertwiner-shape",
+    ],
+)
+def test_malformed_arguments_are_rejected(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

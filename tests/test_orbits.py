@@ -102,6 +102,11 @@ class TestEnumeration:
             with pytest.raises(GuardExceededError, match=f"interval list for n={n} of size "):
                 enumerate_orbits(0, n, guard=5049)
 
+    @pytest.mark.parametrize("m,n", [(-1, 2), (2, 0)])
+    def test_rejects_a_negative_m_or_no_vertex(self, m, n):
+        with pytest.raises(ValidationError, match="need m >= 0 and n >= 1"):
+            enumerate_orbits(m, n)
+
 
 class TestBruteForce:
     """Orbit tables must exactly match exhaustion over all F_2 matrix tuples."""

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from lindeg import (
     Matrix,
     NotRealizableError,
     NotSubrepresentationError,
+    ProjectionTuple,
     RankTable,
     RepMatrices,
     SubrepPoint,
@@ -177,7 +179,7 @@ class TestRankTable:
         with pytest.raises(ValidationError):
             RankTable(2, ((3, 1),))
 
-    @pytest.mark.parametrize("entry", [1.0, "1", None])
+    @pytest.mark.parametrize("entry", [1.0, "1", None, True])
     def test_rejects_a_non_int_entry(self, entry):
         with pytest.raises(ValidationError, match="integers"):
             RankTable(2, ((3, entry), (2,)))
@@ -435,3 +437,75 @@ class TestSubrepPoint:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             SubrepPoint.from_coordinates(QQ, (2,), [(3,)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DimVector(3, (True, 2)),
+        lambda: DimVector(3.0, (1, 2)),
+        lambda: DimVector(3, ("1", 2)),
+        lambda: Interval(True, 2),
+        lambda: Interval("1", 2),
+        lambda: ProjectionTuple(3, ({True},)),
+        lambda: ProjectionTuple(3.0, ({1},)),
+    ],
+    ids=[
+        "dim-vector-bool", "dim-vector-float-m", "dim-vector-str", "interval-bool",
+        "interval-str", "zero-set-bool", "projection-float-m",
+    ],
+)
+def test_constructors_reject_what_is_not_an_int(build):
+    """A bool is an int to Python (True == 1), but not a dimension or an
+    index, nor is a float or a string.  Rank tables and coordinate points
+    take the same cases in their own tests."""
+    with pytest.raises(ValidationError):
+        build()
+
+
+def _line(field, ambient):
+    """The span of the first standard basis vector of field^ambient."""
+    return span(field, ambient, [[1] + [0] * (ambient - 1)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: euler_form((1,), (1, 2)), ValidationError,
+         "dimension vectors have different lengths"),
+        (lambda: hom_dim(Decomposition(1, ()), Decomposition(2, ())), ValidationError,
+         "decompositions have different quiver lengths"),
+        (lambda: ext_dim(Decomposition(1, ()), Decomposition(2, ())), ValidationError,
+         "decompositions have different quiver lengths"),
+        (lambda: RankTable(2, ((3, 1), (2,))).r(2, 1), ValidationError,
+         "rank table entry (2, 1) needs a <= b"),
+        (lambda: RepMatrices(GF(2), (), ()), ValidationError,
+         "representation needs at least one vertex"),
+        (lambda: RepMatrices(GF(2), (1, 1), ()), ValidationError,
+         "need exactly n-1 maps for n vertices"),
+        (lambda: RepMatrices(GF(2), (1, 1), (Matrix.identity(GF(3), 1),)), ValidationError,
+         "map fields disagree with representation field"),
+        (lambda: RepMatrices(GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),)), ValidationError,
+         "map 1 has shape (2, 1), expected (1, 1)"),
+        (lambda: schubert_embedding_target(
+            Decomposition(1, ((Interval(1, 1), 3),)), DimVector(3, (1, 2))
+        ), ValidationError, "decomposition and dimension vector lengths differ"),
+        (lambda: SubrepPoint(()), ValidationError, "a point needs at least one vertex"),
+        (lambda: SubrepPoint.from_coordinates(GF(2), (3,), [(1,), (2,)]), ValidationError,
+         "need one index subset per vertex"),
+        (lambda: restrict_rep(RepMatrices.identity_tuple(GF(2), 2, 2), (_line(GF(2), 2),)),
+         NotSubrepresentationError, "need one subspace per vertex"),
+        (lambda: restrict_rep(RepMatrices.identity_tuple(GF(2), 2, 1), (_line(GF(3), 2),)),
+         NotSubrepresentationError, "subspace field differs from representation field"),
+        (lambda: restrict_rep(RepMatrices.identity_tuple(GF(2), 2, 1), (_line(GF(2), 3),)),
+         NotSubrepresentationError, "subspace at vertex 1 lives in dimension 3, expected 2"),
+    ],
+    ids=[
+        "euler-lengths", "hom-lengths", "ext-lengths", "rank-entry-order", "no-vertex",
+        "map-count", "map-field", "map-shape", "schubert-lengths", "empty-point",
+        "coordinates-count", "subspace-count", "subspace-field", "subspace-ambient",
+    ],
+)
+def test_malformed_arguments_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
