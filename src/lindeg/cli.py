@@ -79,13 +79,13 @@ class Problem:
         return self.maps
 
     def matrices(self, guard: int) -> RepMatrices:
-        """The maps as matrices for a point walk: a projection tuple's m x m
-        matrices wait until the walk's search space has passed ``guard``."""
-        if isinstance(self.maps, RankSequence):
-            raise ValidationError("this command needs explicit maps, not just a rank table")
+        """The maps, which are not a rank table, as matrices for a point walk:
+        a projection tuple's m x m matrices wait until the walk's search
+        space has passed ``guard``."""
         if isinstance(self.maps, ProjectionTuple):
             check_search_space(self.field, (self.dv.m,) * self.dv.n, self.dv.d, guard)
             return self.maps.matrices(self.field)
+        assert isinstance(self.maps, RepMatrices)
         return self.maps
 
     def rank_sequence(self) -> RankSequence:
@@ -257,6 +257,8 @@ def load_problem(args: argparse.Namespace) -> Problem:
         raise ValidationError("need at least one vertex")
     if d is None:
         raise ValidationError("this command needs the flag dimension vector d")
+    if isinstance(maps, RankSequence):
+        decomposition_of(maps)  # raises NotRealizableError if no tuple has the table
     return Problem(DimVector(m, d), field, maps, digest)
 
 
@@ -487,10 +489,12 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     if not field.is_modular:
         raise ValidationError("enumeration needs a finite field: pass --prime or a prime field spec")
     J = problem.maps if isinstance(problem.maps, ProjectionTuple) else None
-    census = _census(problem.rank_sequence(), field, dv, args.guard) if args.census else None
     # the census counts by torus cells, so points are walked only for a sample
-    # or, without a census, for the count
-    walk = census is None or args.limit > 0
+    # or, without a census, for the count, and a rank table has none to walk
+    walk = not args.census or args.limit > 0
+    if walk and isinstance(problem.maps, RankSequence):
+        raise ValidationError("this command needs explicit maps, not just a rank table")
+    census = _census(problem.rank_sequence(), field, dv, args.guard) if args.census else None
     points = enumerate_subreps(problem.matrices(args.guard), dv, args.guard) if walk else iter(())
     sample = [_point_json(p) for p in itertools.islice(points, args.limit)]
     total = census.total if census else len(sample) + sum(1 for _ in points)

@@ -10,7 +10,6 @@ points.  One walk on RREF rows (``_walk``) lists the points for both.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -32,6 +31,7 @@ from .linalg import (
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
+    Decomposition,
     DimVector,
     Interval,
     RankTable,
@@ -39,13 +39,13 @@ from .representations import (
     SubrepPoint,
     decompose_from_ranks,
     ext_dim,
-    ext_dim_intervals,
     euler_form,
     hom_dim,
     hom_dim_intervals,
     quotient_rep,
     rank_profile,
     restrict_rep,
+    _index_sets,
 )
 
 __all__ = [
@@ -273,16 +273,15 @@ def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     ext > 0 alone does not decide it, since with zero maps the variety is a
     product and the cross-segment extension classes are unobstructed.
     """
-    sub = restrict_rep(rep, point.spaces)
-    quo = quotient_rep(rep, point.spaces)
-    sub_dec, quo_dec = (decompose_from_ranks(rank_profile(r)) for r in (sub, quo))
-    return _analysis(hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec), sub.dims, quo.dims)
+    reps = restrict_rep(rep, point.spaces), quotient_rep(rep, point.spaces)
+    return _analysis(*(decompose_from_ranks(rank_profile(r)) for r in reps))
 
 
-def _analysis(hom: int, ext: int, dims, codims) -> PointAnalysis:
-    """The analysis with dim Hom(L, M/L) = hom and dim Ext^1(L, M/L) = ext,
-    after checking the Euler form of the dimension vectors of L and M/L."""
-    assert hom - ext == euler_form(dims, codims)
+def _analysis(sub: Decomposition, quo: Decomposition) -> PointAnalysis:
+    """Hom(L, M/L) and Ext^1(L, M/L) for L = sub and M/L = quo, after
+    checking the Euler form of their dimension vectors."""
+    hom, ext = hom_dim(sub, quo), ext_dim(sub, quo)
+    assert hom - ext == euler_form(sub.vertex_dims(), quo.vertex_dims())
     return PointAnalysis(hom, ext)
 
 
@@ -314,22 +313,10 @@ def _points_with_singularity(
 
 def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
     """Raise ValidationError unless ``fixed`` is a fixed point S of Gr(J),
-    given as 1-based index subsets, one per vertex, as ``fixed_points``
-    lists them.  An index that is not an int in 1..m (a bool is not, though
-    True == 1), an index repeated at a vertex, or S_v minus the zero set of
-    edge v not inside S_{v+1}, is not a subrepresentation."""
-    if len(fixed) != J.n:
-        raise ValidationError("need one index subset per vertex")
-    members = []
-    for v, S in enumerate(fixed, start=1):
-        seen: set[int] = set()
-        for i in S:
-            if isinstance(i, bool) or not (isinstance(i, int) and 1 <= i <= J.m):
-                raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{J.m}")
-            if i in seen:
-                raise ValidationError(f"index {i} repeats at vertex {v}")
-            seen.add(i)
-        members.append(seen)
+    given as 1-based index subsets of 1..m, one per vertex, as
+    ``fixed_points`` lists them (checked by ``_index_sets``).  S_v minus the
+    zero set of edge v not inside S_{v+1} is not a subrepresentation."""
+    members = _index_sets((J.m,) * J.n, fixed)
     for v in range(1, J.n):
         if not members[v - 1] - J.zero_sets[v - 1] <= members[v]:
             raise ValidationError(
@@ -341,16 +328,19 @@ def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> No
 class _PointTables:
     """What the analyses of the points of Gr(J) share within one census.
 
-    At a fixed point S the **type** of coordinate i is an int: bit v - 1
-    says that i is in S_v, and bit n + v - 1 that edge v kills i.  L and
-    M/L are the direct sums of the coordinate strands L_i and Q_i, which
-    depend on i's type alone: L_i lives at the vertices v with i in S_v,
-    Q_i at the others, and each breaks into intervals at the edges that
-    kill i.  So dim Hom and dim Ext^1 from L_i to Q_j depend on the pair of
-    types only; ``pairs`` holds them, each pair filled the first time it is
-    met.  For ``row_analysis``, ``cuts`` lists the columns each composite
-    map kills and keeps, built on first use, and ``ranked`` holds the
-    analysis of each pair of (sub, quotient) rank rows met.
+    The kill pattern of coordinate i is an int with bit n + v - 1 set when
+    edge v kills i (``kills``).  Every point is analyzed from the rank tables
+    of its sub L and quotient M/L (``analysis``).  The composite map from
+    vertex a to b keeps the |K| coordinates whose pattern avoids the bits Z
+    of edges a..b-1 (``cuts``), so there L has rank rank(L_a on K) and M/L
+    has rank |K| + rank(L_b on Z) - dim L_b.  RREF rows give these ranks as
+    column ranks (``row_analysis``), and a fixed point S as counts of the
+    patterns in each S_v (``fixed_analysis``), one term per distinct one.
+    ``ranked`` keeps the analysis of each pair of tables met and
+    ``decomposed`` each table's decomposition.  c(S) sums dim Hom(L_i, Q_j)
+    over pairs of coordinate strands, which depends on the coordinates'
+    types only: the pattern plus bit v - 1 when i is in S_v (``homs``, each
+    pair of types filled when first met; ``cell_dimension``).
     """
 
     def __init__(self, J: ProjectionTuple) -> None:
@@ -359,31 +349,78 @@ class _PointTables:
         for bit, zeros in enumerate(J.zero_sets, start=J.n):
             for i in zeros:
                 self.kills[i - 1] |= 1 << bit
-        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.homs: dict[tuple[int, int], int] = {}
         self.ranked: dict[tuple[Rows, Rows], PointAnalysis] = {}
+        self.decomposed: dict[Rows, Decomposition] = {}
 
     @functools.cached_property
-    def cuts(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        """(a, b, Z, K) for each pair of vertices a < b of J: the 0-based
-        columns Z that the composite map from a to b kills (the union of the
-        zero sets of edges a..b-1) and the columns K it keeps."""
-        J, cuts = self.J, []
-        for a in range(1, J.n):
-            killed: set[int] = set()
-            for b in range(a + 1, J.n + 1):
-                killed.update(j - 1 for j in J.zero_sets[b - 2])
-                kept = tuple(c for c in range(J.m) if c not in killed)
-                cuts.append((a, b, tuple(sorted(killed)), kept))
+    def cuts(self) -> list[tuple[int, int, int, int]]:
+        """(a, b, Z, |K|) for each pair of vertices a < b of J: the bits Z of
+        edges a..b-1 and the number |K| of coordinates whose kill pattern
+        avoids Z, which the composite map from a to b keeps."""
+        n, patterns = self.n, {}
+        for t in self.kills:
+            patterns[t] = patterns.get(t, 0) + 1
+        cuts = []
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            z = (1 << (n + b - 1)) - (1 << (n + a - 1))
+            cuts.append((a, b, z, sum(k for t, k in patterns.items() if not t & z)))
         return cuts
 
-    def types(self, fixed: Sequence[Sequence[int]]) -> list[int]:
-        """The type of each coordinate 1..m at the fixed point ``fixed``."""
-        types = self.kills[:]
-        for v, S in enumerate(fixed):
-            bit = 1 << v
+    @functools.cached_property
+    def columns(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The 0-based columns (killed, kept) of each cut's kill bits Z."""
+        kills = list(enumerate(self.kills))
+        return {
+            z: (tuple(c for c, t in kills if t & z), tuple(c for c, t in kills if not t & z))
+            for _, _, z, _ in self.cuts
+        }
+
+    def analysis(self, dims: Sequence[int], rank) -> PointAnalysis:
+        """``analyze_point`` at the point of Gr(J) with dim L_v = dims[v] and
+        rank(v, Z, kept) the rank of L_v's basis read at the columns that
+        avoid (kept) or meet the kill bits Z, for 0-based v; each new table
+        is decomposed as in ``analyze_point``."""
+        sub = [[d] for d in dims]
+        quo = [[self.J.m - d] for d in dims]
+        for a, b, z, size in self.cuts:
+            sub[a - 1].append(rank(a - 1, z, True))
+            quo[a - 1].append(size + rank(b - 1, z, False) - dims[b - 1])
+        key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
+        analysis = self.ranked.get(key)
+        if analysis is None:
+            analysis = self.ranked[key] = _analysis(*map(self._decomposition, key))
+        return analysis
+
+    def _decomposition(self, rows: Rows) -> Decomposition:
+        """The decomposition of the rank table with these rows, kept."""
+        dec = self.decomposed.get(rows)
+        if dec is None:
+            dec = self.decomposed[rows] = decompose_from_ranks(RankTable(self.n, rows))
+        return dec
+
+    def row_analysis(self, point: Sequence[Rows], p: int) -> PointAnalysis:
+        """The analysis at a point over F_p given as one RREF basis per
+        vertex, from column ranks of those bases and no matrices."""
+        return self.analysis(
+            [len(rows) for rows in point],
+            lambda v, z, kept: _column_rank(point[v], self.columns[z][kept], p),
+        )
+
+    def fixed_analysis(self, fixed: Sequence[Sequence[int]]) -> PointAnalysis:
+        """The analysis at a fixed point S, given as 1-based index subsets,
+        from how many coordinates of each S_v have each kill pattern."""
+        kills, counts = self.kills, []
+        for S in fixed:
+            c: dict[int, int] = {}
             for i in S:
-                types[i - 1] |= bit
-        return types
+                c[kills[i - 1]] = c.get(kills[i - 1], 0) + 1
+            counts.append(c.items())
+
+        def rank(v: int, z: int, kept: bool) -> int:
+            return sum(k for t, k in counts[v] if (not t & z) == kept)
+
+        return self.analysis([len(S) for S in fixed], rank)
 
     def _strand(self, t: int, in_sub: bool) -> list[Interval]:
         """The intervals of L_i (in_sub) or Q_i for a coordinate i of type t."""
@@ -401,67 +438,23 @@ class _PointTables:
                 start = None
         return out
 
-    def _fill(self, t: int, u: int) -> tuple[int, int]:
-        """Enter and return (dim Hom, dim Ext^1) from L_i to Q_j for
-        coordinates i, j of types t, u."""
-        subs, quos = self._strand(t, True), self._strand(u, False)
-        he = self.pairs[t, u] = (
-            sum(hom_dim_intervals(x, y) for x in subs for y in quos),
-            sum(ext_dim_intervals(x, y) for x in subs for y in quos),
-        )
-        return he
-
-    def analysis(self, types: list[int], dims: Sequence[int]) -> PointAnalysis:
-        """The analysis at a fixed point with these coordinate types and
-        dim S_v = dims[v - 1]: Hom(L, M/L) and Ext^1(L, M/L) summed over
-        pairs of types, weighted by how many coordinates have each."""
-        counts = collections.Counter(types)
-        pairs = self.pairs
-        hom = ext = 0
-        for t, a in counts.items():
-            for u, b in counts.items():
-                h, e = pairs.get((t, u)) or self._fill(t, u)
-                hom += a * b * h
-                ext += a * b * e
-        return _analysis(hom, ext, dims, [len(types) - d for d in dims])
-
-    def cell_dimension(self, types: list[int]) -> int:
-        """c(S) = sum over i < j of dim Hom(L_i, Q_j), in one pass over the
-        coordinates with a count of the types seen so far."""
-        pairs = self.pairs
-        seen: dict[int, int] = {}
-        c = 0
+    def cell_dimension(self, fixed: Sequence[Sequence[int]]) -> int:
+        """c(S) = sum over i < j of dim Hom(L_i, Q_j) at the fixed point S,
+        in one pass over the coordinates' types with a count of those seen."""
+        types = self.kills[:]
+        for v, S in enumerate(fixed):
+            for i in S:
+                types[i - 1] |= 1 << v
+        homs, seen, c = self.homs, {}, 0
         for u in types:
             for t, k in seen.items():
-                c += k * (pairs.get((t, u)) or self._fill(t, u))[0]
+                h = homs.get((t, u))
+                if h is None:
+                    subs, quos = self._strand(t, True), self._strand(u, False)
+                    h = homs[t, u] = sum(hom_dim_intervals(x, y) for x in subs for y in quos)
+                c += k * h
             seen[u] = seen.get(u, 0) + 1
         return c
-
-    def row_analysis(self, point: Sequence[Rows], p: int) -> PointAnalysis:
-        """``analyze_point`` at a point of Gr(J) over F_p, given as one RREF
-        basis per vertex, from column ranks of those bases and no matrices.
-
-        The composite map f_ab from vertex a to b keeps the columns K outside
-        the killed set Z (``cuts``).  So the sub L has rank dim f_ab(L_a),
-        the rank of L_a's basis on K, and the quotient M/L has rank
-        dim(f_ab(M) + L_b) - dim L_b = |K| + (rank of L_b's basis on Z) - dim L_b.
-        Both tables are decomposed as in ``analyze_point``, Euler-form check
-        included, once per distinct pair met (``ranked``).
-        """
-        m, n = self.J.m, self.n
-        dims = [len(rows) for rows in point]
-        sub = [[d] for d in dims]
-        quo = [[m - d] for d in dims]
-        for a, b, killed, kept in self.cuts:
-            sub[a - 1].append(_column_rank(point[a - 1], kept, p))
-            quo[a - 1].append(len(kept) + _column_rank(point[b - 1], killed, p) - dims[b - 1])
-        key = (tuple(map(tuple, sub)), tuple(map(tuple, quo)))
-        analysis = self.ranked.get(key)
-        if analysis is None:
-            sub_dec, quo_dec = (decompose_from_ranks(RankTable(n, rows)) for rows in key)
-            hom, ext = hom_dim(sub_dec, quo_dec), ext_dim(sub_dec, quo_dec)
-            analysis = self.ranked[key] = _analysis(hom, ext, dims, [m - d for d in dims])
-        return analysis
 
 
 def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
@@ -480,27 +473,24 @@ def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
     c(S) = sum over i < j of dim Hom(L_i, Q_j), the part of the tangent
     space Hom(L, M/L) on which the torus t*e_j = t^j e_j acts with positive
     weight.  Each term depends on the types of i and j only
-    (``_PointTables``), so the sum is one pass over the coordinates, linear
-    in m.
+    (``_PointTables``), so the sum is one pass over the coordinates.
     """
     _check_fixed_point(J, fixed)
-    tables = _PointTables(J)
-    return tables.cell_dimension(tables.types(fixed))
+    return _PointTables(J).cell_dimension(fixed)
 
 
 def fixed_point_analysis(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> PointAnalysis:
     """``analyze_point`` at a fixed point S of Gr_d(J), with no matrices.
 
-    ``fixed`` gives S as for ``cell_dimension``.  L and M/L are the direct
-    sums of the coordinate strands L_i and Q_j, and the hom and ext between
-    two strands depend on the types of their coordinates only
-    (``_PointTables``).  So Hom(L, M/L) and Ext^1(L, M/L) are sums over
-    pairs of types, weighted by how many coordinates have each, and the
-    Euler form is checked as in ``analyze_point``.
+    ``fixed`` gives S as for ``cell_dimension``.  Where the composite map
+    from vertex a to b keeps the indices K and kills Z, L has rank
+    |S_a ∩ K| and M/L has rank |K| + |S_b ∩ Z| - |S_b|, sums over the kill
+    patterns of the coordinates of S_a and S_b (``_PointTables``), one term
+    per distinct pattern.  Both tables are decomposed and the Euler form
+    checked as in ``analyze_point``.
     """
     _check_fixed_point(J, fixed)
-    tables = _PointTables(J)
-    return tables.analysis(tables.types(fixed), [len(S) for S in fixed])
+    return _PointTables(J).fixed_analysis(fixed)
 
 
 def _cell_rows(
@@ -547,12 +537,12 @@ def singular_point_census(
     torus cell at a time.  The torus t*e_j = t^j e_j commutes with coordinate
     projections; the cell of a fixed point S (``fixed_points``) is the set of
     points whose RREF pivots are S, all of which tend to S as t -> 0.
-    Each S is analyzed once from the types of its coordinates, with no
-    matrices: one ``_PointTables`` per census holds hom and ext per pair of
-    types, and S is read off its type counts (as ``fixed_point_analysis``,
-    whose oracle is ``analyze_point``).  The same types give c(S), and the
-    walk of a singular S's cell counts S itself from that answer.  Two
-    facts make the count exact:
+    Every point analyzed is read off the rank tables of its sub and
+    quotient through one ``_PointTables`` per census (whose oracle is
+    ``analyze_point``), each distinct pair of tables decomposed once; the
+    kill patterns of S's coordinates give S's tables, their types c(S),
+    and a singular S's cell walk counts S itself.  Two facts make the
+    count exact:
 
     - the singular locus is closed and torus-stable, so a cell whose fixed
       point is smooth holds no singular point;
@@ -564,11 +554,9 @@ def singular_point_census(
     each point, without matrices (``_cell_rows``).  By the first fact again,
     a point there whose limit as t -> infinity is a smooth fixed point is
     smooth; the other points are analyzed from column ranks of their rows
-    (``_PointTables.row_analysis``, whose oracle is ``analyze_point``),
-    sharing the census's ``_PointTables``, so each distinct pair of rank
-    tables among them is decomposed and analyzed once.  The guard bounds the
-    brute-force search space (``check_search_space``), as for a point walk,
-    so the same inputs trip it.
+    (``_PointTables.row_analysis``).  The guard bounds the brute-force
+    search space (``check_search_space``), as for a point walk, so the same
+    inputs trip it.
     """
     rep.check_endomorphisms(dv)
     return _census(RankSequence.from_rep(rep), rep.field, dv, guard)
@@ -588,17 +576,16 @@ def _census(rs: RankSequence, field: Field, dv: DimVector, guard: int) -> Census
     smooth = {}
     total = singular = 0
     for S in fixed:
-        types = tables.types(S)
-        smooth[S] = tables.analysis(types, [len(x) for x in S]).tangent_dim <= expected
+        smooth[S] = tables.fixed_analysis(S).tangent_dim <= expected
         if smooth[S]:
-            total += p ** tables.cell_dimension(types)
+            total += p ** tables.cell_dimension(S)
     # a cell walk meets each subspace at an early vertex many times
     limit = functools.lru_cache(maxsize=None)(lambda rows: _opposite_limit(rows, J.m, p))
     for S in fixed:
         if smooth[S]:
             continue
         cell = _cell_rows(J, p, S)
-        next(cell)  # the coordinate point S itself, singular by the table
+        next(cell)  # the coordinate point S itself, singular by its analysis
         total += 1
         singular += 1
         for point in cell:

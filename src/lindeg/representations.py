@@ -443,22 +443,30 @@ class SubrepPoint:
     def from_coordinates(
         field: Field, ambient_dims: Sequence[int], subsets: Sequence[Iterable[int]]
     ) -> "SubrepPoint":
-        """Coordinate point from 1-based index subsets, one per vertex.  An
-        index that is not an int in 1..ambient (a bool is not, though True
-        == 1), or an index repeated at a vertex, raises ValidationError."""
-        if len(subsets) != len(ambient_dims):
-            raise ValidationError("need one index subset per vertex")
-        spaces = []
-        for v, (amb, subset) in enumerate(zip(ambient_dims, subsets), start=1):
-            seen: set[int] = set()
-            for i in subset:
-                if type(i) is not int or not 1 <= i <= amb:
-                    raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{amb}")
-                if i in seen:
-                    raise ValidationError(f"index {i} repeats at vertex {v}")
-                seen.add(i)
-            spaces.append(linalg.coordinate_subspace(field, amb, [j - 1 for j in seen]))
+        """Coordinate point from 1-based index subsets, one per vertex,
+        checked by ``_index_sets``."""
+        sets = zip(ambient_dims, _index_sets(ambient_dims, subsets))
+        spaces = (linalg.coordinate_subspace(field, amb, [j - 1 for j in S]) for amb, S in sets)
         return SubrepPoint(tuple(spaces))
+
+
+def _index_sets(dims: Sequence[int], subsets: Sequence[Iterable[int]]) -> list[set[int]]:
+    """1-based index subsets of 1..dims[v - 1], one per vertex v, as sets.
+    An index that is not an int in that range (a bool is not, though True
+    == 1), or an index repeated at a vertex, raises ValidationError."""
+    if len(subsets) != len(dims):
+        raise ValidationError("need one index subset per vertex")
+    sets = []
+    for v, (amb, subset) in enumerate(zip(dims, subsets), start=1):
+        seen: set[int] = set()
+        for i in subset:
+            if type(i) is not int or not 1 <= i <= amb:
+                raise ValidationError(f"index {i!r} at vertex {v} is outside 1..{amb}")
+            if i in seen:
+                raise ValidationError(f"index {i} repeats at vertex {v}")
+            seen.add(i)
+        sets.append(seen)
+    return sets
 
 
 def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> None:

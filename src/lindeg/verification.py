@@ -427,10 +427,10 @@ def suite_cells(seed: int = 0) -> SuiteResult:
             )
             if point.coordinates is None:
                 continue
-            strands = fixed_point_analysis(J, key)
+            counts = fixed_point_analysis(J, key)
             check(
-                strands == matrices,
-                "strands give {}, matrices {} at {}: {}", strands, matrices, key, where,
+                counts == matrices,
+                "index counts give {}, matrices {} at {}: {}", counts, matrices, key, where,
             )
             if not is_singular:
                 smooth_fixed.add(key)

@@ -496,6 +496,18 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "needs explicit maps" in json.loads(err)["error"]["message"]
 
+    def test_a_rank_table_sample_is_refused_before_the_census(self, capsys, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(cli, "_census", no_census)
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "3", "--d", "1,2", "--ranks", "3,2;3",
+            "--prime", "2", "--census", "--limit", "2",
+        )
+        assert code == 2 and out == ""
+        assert "needs explicit maps" in json.loads(err)["error"]["message"]
+
     def test_census_reads_the_orbit_and_builds_no_matrix(self, capsys, monkeypatch):
         """A census without a sample reads the rank table alone, so zero
         sets and the same orbit given as ranks give one census."""
@@ -809,6 +821,18 @@ class TestContract:
             code, out, err = run_cli(capsys, *command, "--input", str(path))
             assert code == 2 and out == "", command
             assert json.loads(err)["error"]["type"] == "ValidationError", command
+
+    @pytest.mark.parametrize(
+        "m, d, ranks", [("4", "1,2,3", "4,3,4;4,3;4"), ("3", "1,2", "3,-1;3")]
+    )
+    def test_a_rank_table_must_be_an_orbit(self, capsys, m, d, ranks):
+        # no tuple of maps has these tables: each has a negative multiplicity
+        for command in (["classify"], ["singular"], ["enumerate", "--prime", "2", "--census"]):
+            code, out, err = run_cli(
+                capsys, *command, "--m", m, "--d", d, "--ranks", ranks, "--format", "json"
+            )
+            assert code == 2 and out == "", command
+            assert json.loads(err)["error"]["type"] == "NotRealizableError", command
 
     def test_huge_search_space_is_a_guard_error(self, capsys):
         # the size has about 9,000 decimal digits, too many to print exactly
