@@ -26,8 +26,8 @@ from .linalg import (
     coordinate_subspace,
     map_subspace,
     subspace_sum,
+    _pivots,
     _reduce,
-    _rref_rows,
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
@@ -461,7 +461,8 @@ def _column_rank(rows: Rows, columns: Sequence[int], p: int) -> int:
     """Rank over F_p of the rows read at the given columns only."""
     if not rows or not columns:
         return 0
-    return len(_rref_rows([[row[c] for c in columns] for row in rows], p)[1])
+    # fresh lists: _pivots works in place
+    return len(_pivots([[row[c] for c in columns] for row in rows], p))
 
 
 def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
@@ -523,7 +524,7 @@ def _opposite_limit(rows: Rows, m: int, p: int) -> tuple[int, ...]:
     """The limit of a subspace of F_p^m under t*e_j = t^-j e_j as t -> 0, as
     a 1-based index subset: the columns of the last nonzero entries of an
     echelon basis, found as the pivots of the column-reversed basis."""
-    _, pivots = _rref_rows([list(row[::-1]) for row in rows], p)
+    pivots = _pivots([list(row[::-1]) for row in rows], p)  # fresh lists
     return tuple(sorted(m - c for c in pivots))
 
 

@@ -6,6 +6,14 @@ F_p.  Both fields share one code path in pure Python; the only difference is
 that F_p reduces mod p and inverts a pivot with ``pow(x, -1, p)``, so nothing
 is ever rounded.  Subspaces are stored by their reduced row echelon basis,
 which is unique, so subspace equality and hashing are structural.
+
+Elimination changes its list rows in place and does only the work its
+caller reads.  ``_pivots`` is the one forward pass: it brings rows to echelon
+form and returns the pivot columns, which is all that ``rank`` and
+``intertwiner_space_dim`` read.  ``_rref_rows`` adds one back pass, last
+pivot first, for the callers that read the reduced rows.  The pivot row of
+column c is zero left of c, so every row operation with it rewrites the
+tail ``row[c:]`` only.
 """
 
 from __future__ import annotations
@@ -192,20 +200,25 @@ def compose(A: Matrix, B: Matrix) -> Matrix:
     if A.ncols != B.nrows:
         raise ValidationError(f"shape mismatch: {A.shape} @ {B.shape}")
     p = A.field.characteristic
-    zero = 0 if p else Fraction(0)
     bt = B.transpose().entries
-    rows = tuple(tuple(sum(map(mul, row, col), zero) for col in bt) for row in A.entries)
     if p:
-        rows = tuple(tuple(x % p for x in row) for row in rows)
+        rows = tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in A.entries)
+    else:
+        zero = Fraction(0)
+        rows = tuple(tuple(sum(map(mul, row, col), zero) for col in bt) for row in A.entries)
     return Matrix(A.field, A.nrows, B.ncols, rows)
 
 
-def _rref_rows(rows: list[list], p: int) -> tuple[list[list], list[int]]:
-    """Reduce field rows to reduced row echelon form, in place.
+def _pivots(rows: list[list], p: int) -> list[int]:
+    """Bring field rows to row echelon form in place; return the pivot columns.
 
     ``p`` is the characteristic: entries are ints in ``[0, p)`` when ``p > 0``
-    and Fractions when ``p == 0``.  Returns the rows (zero rows last) and the
-    pivot columns.
+    and Fractions when ``p == 0``.  This is the forward pass of Gauss-Jordan
+    elimination: each pivot row is swapped up and clears its column below
+    it, and is not scaled.  The pivot columns are those of the reduced row
+    echelon form.  Left of column c every row from the pivot down is zero,
+    so each row operation at c rewrites ``row[c:]`` only.  The rows change
+    in place, so callers pass freshly built lists.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -218,24 +231,53 @@ def _rref_rows(rows: list[list], p: int) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        tail = rows[r][c:]
+        inv = pow(tail[0], -1, p) if p else 1 / tail[0]
+        # rows r + 1 .. piv are zero at c: row piv now holds the old row r
+        for i in range(piv + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f:
+                if p:
+                    f = f * inv % p
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                else:
+                    f *= inv
+                    row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_rows(rows: list[list], p: int) -> tuple[list[list], list[int]]:
+    """Reduce field rows to reduced row echelon form, in place.
+
+    ``_pivots`` brings the rows to echelon form; then a back pass, last
+    pivot first, scales each pivot row to a leading 1 and clears its column
+    above it, again on the tails ``row[c:]`` only.  Returns the rows (zero
+    rows last) and the pivot columns; callers pass fresh lists, as for
+    ``_pivots``.
+    """
+    pivots = _pivots(rows, p)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
         lead = rows[r]
         if lead[c] != 1:
             if p:
                 inv = pow(lead[c], -1, p)
-                lead = [x * inv % p for x in lead]
+                lead[c:] = [x * inv % p for x in lead[c:]]
             else:
                 inv = 1 / lead[c]
-                lead = [x * inv for x in lead]
-            rows[r] = lead
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
+                lead[c:] = [x * inv for x in lead[c:]]
+        tail = lead[c:]
+        for i in range(r):
+            row = rows[i]
+            f = row[c]
+            if f:
                 if p:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
                 else:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
+                    row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
     return rows, pivots
 
 
@@ -253,19 +295,21 @@ def _reduce(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int], p: int
 
 
 def _span_rows(field: Field, ambient: int, rows: list[list]) -> "Subspace":
-    """Subspace spanned by rows whose entries are already in ``field``."""
+    """Subspace spanned by rows whose entries are already in ``field``.  The
+    rows are reduced in place, so every caller builds fresh lists."""
     rows, piv = _rref_rows(rows, field.characteristic)
     return Subspace(field, ambient, tuple(tuple(r) for r in rows[: len(piv)]), tuple(piv))
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns. Zero rows sink to the bottom."""
+    # list(r) gives the in-place elimination fresh rows, here and in rank
     rows, piv = _rref_rows([list(r) for r in M.entries], M.field.characteristic)
     return Matrix(M.field, M.nrows, M.ncols, tuple(tuple(r) for r in rows)), tuple(piv)
 
 
 def rank(M: Matrix) -> int:
-    return len(rref(M)[1])
+    return len(_pivots([list(r) for r in M.entries], M.field.characteristic))
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -273,12 +317,14 @@ def inverse(M: Matrix) -> Matrix:
     if M.nrows != M.ncols:
         raise ValidationError("only square matrices can be inverted")
     n = M.nrows
-    ident = Matrix.identity(M.field, n).entries
-    aug = Matrix(M.field, n, 2 * n, tuple(row + ident[i] for i, row in enumerate(M.entries)))
-    R, piv = rref(aug)
-    if tuple(piv[:n]) != tuple(range(n)) or len(piv) != n:
+    zero, one = M.field.coerce(0), M.field.coerce(1)
+    aug = [list(row) + [zero] * n for row in M.entries]
+    for i, row in enumerate(aug):
+        row[n + i] = one
+    rows, piv = _rref_rows(aug, M.field.characteristic)
+    if piv != list(range(n)):
         raise ValidationError("matrix is singular")
-    return Matrix(M.field, n, n, tuple(row[n:] for row in R.entries))
+    return Matrix(M.field, n, n, tuple(tuple(row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -444,5 +490,4 @@ def intertwiner_space_dim(
                 for k in range(dims_tgt[i]):
                     row[offsets[i] + k * a_i + c] -= g.entries[r][k]
                 rows.append([x % p for x in row] if p else row)
-    _, piv = _rref_rows(rows, p)
-    return unknowns - len(piv)
+    return unknowns - len(_pivots(rows, p))  # rows built above, one list each

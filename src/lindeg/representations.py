@@ -200,7 +200,7 @@ class RankTable:
     The diagonal holds vertex dimensions; entry (a, b) for a < b is the rank
     of the composite map from vertex a to vertex b.  Out-of-range queries
     (a = 0 or b = n + 1) return 0, which is the boundary convention the
-    multiplicity inversion uses.
+    second differences of ``decompose_from_ranks`` use.
     """
 
     n: int
@@ -247,10 +247,6 @@ class RankTable:
         if self.n != other.n:
             raise ValidationError("rank tables have different lengths")
         return all(map(operator.le, self.entries_flat(), other.entries_flat()))
-
-    def multiplicity(self, a: int, b: int) -> int:
-        """Second difference giving the multiplicity of U[a,b] in any realization."""
-        return self.r(a, b) - self.r(a - 1, b) - self.r(a, b + 1) + self.r(a - 1, b + 1)
 
 
 @dataclass(frozen=True)
@@ -322,33 +318,44 @@ def rank_profile(rep: RepMatrices) -> RankTable:
 def decompose_from_ranks(table: RankTable) -> Decomposition:
     """Gabriel decomposition read off a rank table.
 
-    The multiplicity of U[a,b] is the second difference of the table at
-    (a, b).  Raises NotRealizableError when any multiplicity is negative.
+    The multiplicity of U[a,b] is the second difference
+    r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1) of the table, read off its
+    rows in (a, b) order with zeros outside.  Raises NotRealizableError when
+    any multiplicity is negative.
     """
-    counts: dict[Interval, int] = {}
+    items = []
     offending = []
-    for a in range(1, table.n + 1):
-        for b in range(a, table.n + 1):
-            k = table.multiplicity(a, b)
+    # cur[j] = r(a, a + j) and up[j] = r(a - 1, a + j), each padded with the
+    # zeros outside the table: r(a, n + 1) and the row a = 0
+    up = (0,) * (table.n + 1)
+    for a, row in enumerate(table.rows, start=1):
+        cur = (*row, 0)
+        for j in range(len(row)):
+            k = cur[j] - cur[j + 1] - up[j] + up[j + 1]
             if k < 0:
-                offending.append((a, b, k))
+                offending.append((a, a + j, k))
             elif k:
-                counts[Interval(a, b)] = k
+                items.append((Interval(a, a + j), k))
+        up = (*row[1:], 0)
     if offending:
         raise NotRealizableError(
             "rank table is not realizable; negative multiplicities at "
             + ", ".join(f"U[{a},{b}] -> {k}" for a, b, k in offending),
             offending,
         )
-    return Decomposition.from_multiplicities(table.n, counts)
+    return Decomposition(table.n, tuple(items))  # (a, b) order is sorted order
 
 
 def ranks_from_decomposition(D: Decomposition) -> RankTable:
-    """Rank table of any representation with the given decomposition."""
-    def entry(a: int, b: int) -> int:
-        return sum(k for iv, k in D.items if iv.start <= a and b <= iv.end)
-
-    return RankTable.from_function(D.n, entry)
+    """Rank table of any representation with the given decomposition: entry
+    (a, b) counts the summands U[s,e] with s <= a <= b <= e."""
+    rows = [[0] * (D.n - a) for a in range(D.n)]
+    for iv, k in D.items:
+        for a in range(iv.start, iv.end + 1):
+            row = rows[a - 1]
+            # row[j] is entry (a, a + j), so b <= e is j <= e - a
+            row[: iv.end - a + 1] = [x + k for x in row[: iv.end - a + 1]]
+    return RankTable(D.n, tuple(map(tuple, rows)))
 
 
 def well_behaved_rep(dv: DimVector) -> Decomposition:

@@ -34,7 +34,7 @@ from .enumeration import (
     sigma_bijection_report,
     singular_point_census,
 )
-from .errors import GuardExceededError, NotFlatError
+from .errors import GuardExceededError, NotFlatError, ValidationError
 from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, inverse, rank
 from .orbits import (
     ProjectionTuple,
@@ -117,9 +117,12 @@ def _random_decomposition(
             return D
 
 
-def _random_invertible(rng: random.Random, field: Field, size: int) -> Matrix:
+def _random_invertible(rng: random.Random, field: Field, size: int) -> tuple[Matrix, Matrix]:
+    """A random invertible matrix and its inverse, from one elimination per
+    draw: a singular draw fails ``inverse`` and is drawn again."""
     if size == 0:
-        return Matrix.identity(field, 0)
+        ident = Matrix.identity(field, 0)
+        return ident, ident
     while True:
         if field.is_modular:
             rows = [
@@ -131,16 +134,17 @@ def _random_invertible(rng: random.Random, field: Field, size: int) -> Matrix:
                 [Fraction(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)
             ]
         M = Matrix.from_rows(field, rows, ncols=size)
-        if rank(M) == size:
-            return M
+        try:
+            return M, inverse(M)
+        except ValidationError:
+            continue
 
 
 def _conjugate(rng: random.Random, rep: RepMatrices) -> RepMatrices:
     """Change bases at every vertex by random invertible matrices."""
     gs = [_random_invertible(rng, rep.field, d) for d in rep.dims]
-    maps = tuple(
-        gs[i + 1] @ rep.maps[i] @ inverse(gs[i]) for i in range(rep.n - 1)
-    )
+    # g f h^-1 on the edge from the vertex of h to the vertex of g
+    maps = tuple(g @ f @ h_inv for (g, _), f, (_, h_inv) in zip(gs[1:], rep.maps, gs))
     return RepMatrices(rep.field, rep.dims, maps)
 
 

@@ -7,7 +7,9 @@ over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
 point censuses by analyzing every point, flatness flags by comparing with the
 stratum's target rank tables, points of a quiver Grassmannian by a walk over
 validated subspaces, the analysis and cell dimension of a fixed point from one
-pair of strands per coordinate.
+pair of strands per coordinate, reduced row echelon forms by full-row
+Gauss-Jordan elimination, rank tables by counting the summands that contain
+each entry, and multiplicities by second differences of the table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from lindeg import (
     PointAnalysis,
     ProjectionTuple,
     RankSequence,
+    RankTable,
     RepMatrices,
     SubrepPoint,
     analyze_point,
@@ -43,20 +46,64 @@ from lindeg import (
 )
 
 
+def rref_oracle(rows: Sequence[Sequence], p: int) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form of field rows over F_p, or Q for p = 0, and
+    its pivot columns, by Gauss-Jordan elimination on whole rows: each pivot
+    row is scaled to a leading 1 and then clears its column in every other
+    row.  The input rows are not changed."""
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r]
+        if lead[c] != 1:
+            if p:
+                inv = pow(lead[c], -1, p)
+                lead = [x * inv % p for x in lead]
+            else:
+                inv = 1 / lead[c]
+                lead = [x * inv for x in lead]
+            rows[r] = lead
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                if p:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                else:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows], pivots
+
+
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q for a square nonsingular system."""
-    k = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+    """Gauss-Jordan elimination over Q for a square nonsingular system."""
+    reduced, pivots = rref_oracle([row + [b] for row, b in zip(rows, rhs)], 0)
+    assert pivots == list(range(len(rows))), "singular system"
+    return [row[-1] for row in reduced]
+
+
+def ranks_oracle(D: Decomposition) -> RankTable:
+    """Rank table of a decomposition: entry (a, b) counts the summands
+    U[s,e] with s <= a and b <= e."""
+    return RankTable.from_function(
+        D.n, lambda a, b: sum(k for iv, k in D.items if iv.start <= a and b <= iv.end)
+    )
+
+
+def multiplicity(table: RankTable, a: int, b: int) -> int:
+    """Second difference of a rank table at (a, b), with zeros outside it:
+    the multiplicity of U[a,b] in any realization."""
+    r = table.r
+    return r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
 
 
 def decomposition_oracle(rep: RepMatrices) -> Decomposition:

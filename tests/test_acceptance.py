@@ -126,6 +126,8 @@ def test_c6_composite_rank_bound_sampling():
     t0 = time.monotonic()
     res = suite_rank_composition(seed=0, cases=1000)
     assert res.passed, res.failures[:5]
+    # the count follows the random draws, so this pins them
+    assert res.checks == 9371
     assert time.monotonic() - t0 < 30.0
 
 

@@ -27,6 +27,8 @@ from lindeg import (
     span,
     subspace_sum,
 )
+from lindeg.linalg import _pivots
+from oracles import rref_oracle
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
 
@@ -315,6 +317,132 @@ class TestIntertwiner:
         dims = (0, 0)
         maps = (Matrix.from_rows(field, [], ncols=0),)
         assert intertwiner_space_dim(field, dims, maps, dims, maps) == 0
+
+
+def _sparse_matrix(rng, field, nrows, ncols, density):
+    """Entries 0, 1 or -1, nonzero with the given probability: the shape of
+    the intertwiner systems."""
+    rows = [
+        [rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    return Matrix.from_rows(field, rows, ncols=ncols)
+
+
+def _elimination_cases(field, rng):
+    """Seeded matrices of every awkward kind: empty shapes, zero rows and
+    columns, repeated rows, low rank, and wide sparse 40 x 100 systems."""
+    for shape in [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]:
+        yield _random_matrix(rng, field, *shape)
+    yield Matrix.zeros(field, 3, 5)
+    for _ in range(80):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.3:
+            k = rng.randint(1, 3)
+            M = _random_matrix(rng, field, nr, k, -2, 2) @ _random_matrix(rng, field, k, nc, -2, 2)
+        else:
+            M = _random_matrix(rng, field, nr, nc, -2, 2)
+        rows = [list(row) for row in M.entries]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.3:
+            c = rng.randrange(nc)
+            for row in rows:
+                row[c] = 0
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(nr + 1), list(rng.choice(rows)))
+        yield Matrix.from_rows(field, rows, ncols=nc)
+    for density in (0.03, 0.06):
+        yield _sparse_matrix(rng, field, 40, 100, density)
+
+
+def _in_field(field, rows):
+    p = field.characteristic
+    return all(
+        type(x) is int and 0 <= x < p if p else type(x) is Fraction for row in rows for x in row
+    )
+
+
+def _intertwiner_nullity(field, dims_src, maps_src, dims_tgt, maps_tgt):
+    """Nullity of phi -> (phi_{i+1} f_i - g_i phi_i)_i, with one column per
+    unknown entry of phi, eliminated by the oracle."""
+    n = len(dims_src)
+    columns = []
+    for v in range(n):
+        for r in range(dims_tgt[v]):
+            for c in range(dims_src[v]):
+                # the image of the unit phi with phi_v = E_rc
+                col = []
+                for i in range(n - 1):
+                    f, g = maps_src[i].entries, maps_tgt[i].entries
+                    for a in range(dims_tgt[i + 1]):
+                        for b in range(dims_src[i]):
+                            x = f[c][b] if v == i + 1 and a == r else 0
+                            col.append(field.coerce(x - (g[a][r] if v == i and b == c else 0)))
+                columns.append(col)
+    return len(columns) - len(rref_oracle(columns, field.characteristic)[1])
+
+
+class TestEliminationOracle:
+    """Every elimination routine against ``rref_oracle``'s full-row
+    Gauss-Jordan elimination, in values and in entry types."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_routines_match_full_row_elimination(self, field):
+        rng = random.Random(1000 + field.characteristic)
+        p = field.characteristic
+        for M in _elimination_cases(field, rng):
+            rows, piv = rref_oracle(M.entries, p)
+            R, pivots = rref(M)
+            assert R.entries == tuple(rows) and pivots == tuple(piv) and _in_field(field, R.entries)
+            assert rank(M) == len(piv)
+            fresh = [list(row) for row in M.entries]
+            assert _pivots(fresh, p) == piv and _in_field(field, fresh)
+
+            V = span(field, M.ncols, M.entries)
+            assert V.basis == tuple(rows[: len(piv)]) and V.pivots == tuple(piv)
+
+            # the kernel's RREF basis from the oracle's free columns
+            null = []
+            for f in (c for c in range(M.ncols) if c not in piv):
+                v = [field.coerce(0)] * M.ncols
+                v[f] = field.coerce(1)
+                for row, c in zip(rows, piv):
+                    v[c] = field.coerce(-row[f])
+                null.append(v)
+            null_rows, null_piv = rref_oracle(null, p)
+            K = kernel(M)
+            assert K.basis == tuple(null_rows[: len(null_piv)]) and K.pivots == tuple(null_piv)
+            assert _in_field(field, K.basis)
+
+            if M.nrows == M.ncols:
+                n = M.nrows
+                ident = Matrix.identity(field, n).entries
+                aug, aug_piv = rref_oracle([row + ident[i] for i, row in enumerate(M.entries)], p)
+                if aug_piv == list(range(n)):
+                    inv = inverse(M)
+                    assert inv.entries == tuple(row[n:] for row in aug)
+                    assert _in_field(field, inv.entries)
+                else:
+                    with pytest.raises(ValidationError, match="singular"):
+                        inverse(M)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_intertwiner_dim_is_the_oracle_nullity(self, field):
+        rng = random.Random(2000 + field.characteristic)
+        for _ in range(25):
+            n = rng.randint(2, 4)
+            dims_src = [rng.randint(0, 5) for _ in range(n)]
+            dims_tgt = [rng.randint(0, 5) for _ in range(n)]
+            maps = [
+                [
+                    _sparse_matrix(rng, field, dims[i + 1], dims[i], rng.choice((0.3, 0.7)))
+                    for i in range(n - 1)
+                ]
+                for dims in (dims_src, dims_tgt)
+            ]
+            args = (field, dims_src, maps[0], dims_tgt, maps[1])
+            assert intertwiner_space_dim(*args) == _intertwiner_nullity(*args)
 
 
 def _line(field, ambient):

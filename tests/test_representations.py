@@ -24,6 +24,7 @@ from lindeg import (
     SubrepPoint,
     ValidationError,
     decompose_from_ranks,
+    enumerate_orbits,
     ext_dim,
     ext_dim_intervals,
     euler_form,
@@ -42,7 +43,7 @@ from lindeg import (
     subspace_sum,
     well_behaved_rep,
 )
-from oracles import catenoid_oracle, decomposition_oracle
+from oracles import catenoid_oracle, decomposition_oracle, multiplicity, ranks_oracle
 
 
 def _all_intervals(n):
@@ -169,9 +170,9 @@ class TestRankTable:
     def test_multiplicity_inversion(self):
         t = RankTable(2, ((3, 1), (2,)))
         # strand counts: U[1,1] = 3-1 = 2, U[2,2] = 2-1 = 1, U[1,2] = 1
-        assert t.multiplicity(1, 1) == 2
-        assert t.multiplicity(2, 2) == 1
-        assert t.multiplicity(1, 2) == 1
+        assert multiplicity(t, 1, 1) == 2
+        assert multiplicity(t, 2, 2) == 1
+        assert multiplicity(t, 1, 2) == 1
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -216,6 +217,56 @@ class TestRoundTrips:
         with pytest.raises(NotRealizableError) as exc:
             decompose_from_ranks(table)
         assert exc.value.offending == ((1, 1, -1),)
+
+    @staticmethod
+    def _second_differences(table):
+        """The decomposition or the offending entries, from ``multiplicity``."""
+        n = table.n
+        ks = {(a, b): multiplicity(table, a, b) for a in range(1, n + 1) for b in range(a, n + 1)}
+        offending = [(a, b, k) for (a, b), k in ks.items() if k < 0]
+        if offending:
+            return offending
+        return Decomposition.from_multiplicities(n, {Interval(a, b): k for (a, b), k in ks.items()})
+
+    def test_conversions_match_the_formulas_on_random_decompositions(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            D = _random_decomposition(rng, n, max_mult=rng.choice([1, 3, 50]))
+            table = ranks_from_decomposition(D)
+            assert table == ranks_oracle(D)
+            assert decompose_from_ranks(table) == self._second_differences(table) == D
+
+    def test_conversions_match_the_formulas_on_every_small_orbit(self):
+        for m in range(6):
+            for n in range(1, 5):
+                for rs in enumerate_orbits(m, n):
+                    D = decompose_from_ranks(rs.table)
+                    assert D == self._second_differences(rs.table)
+                    assert ranks_from_decomposition(D) == ranks_oracle(D) == rs.table
+
+    def test_unrealizable_tables_report_every_negative_entry_in_order(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            table = RankTable(
+                n, tuple(tuple(rng.randint(-2, 6) for _ in range(n - a)) for a in range(n))
+            )
+            want = self._second_differences(table)
+            if isinstance(want, Decomposition):
+                assert decompose_from_ranks(table) == want
+                continue
+            with pytest.raises(NotRealizableError) as exc:
+                decompose_from_ranks(table)
+            assert exc.value.offending == tuple(want)
+
+    def test_not_realizable_message(self):
+        with pytest.raises(NotRealizableError) as exc:
+            decompose_from_ranks(RankTable(3, ((4, 3, 4), (4, 3), (4,))))
+        assert str(exc.value) == (
+            "rank table is not realizable; negative multiplicities at U[1,2] -> -1, U[2,3] -> -1"
+        )
+        assert exc.value.offending == ((1, 2, -1), (2, 3, -1))
 
     def test_decomposition_oracle_agrees(self):
         """Cross-check against the hom-counting linear system."""

@@ -1,9 +1,19 @@
 """The self-check suites behind `lindeg verify`."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from lindeg import SUITES, run_suites
-from lindeg.verification import suite_sigma
+from lindeg import GF, QQ, SUITES, Matrix, run_suites
+from lindeg.verification import (
+    _random_invertible,
+    suite_exthom,
+    suite_rank_composition,
+    suite_roundtrips,
+    suite_sigma,
+)
+from oracles import rref_oracle
 
 
 def test_suite_registry_names():
@@ -45,6 +55,44 @@ def test_exthom_seed_stability():
     second = run_suites(["exthom"], seed=7)[0]
     assert first.passed and second.passed
     assert first.checks == second.checks
+
+
+@pytest.mark.parametrize(
+    "seed, rank_composition_checks", enumerate([727, 804, 704, 770, 789])
+)
+def test_suites_keep_their_random_draws(seed, rank_composition_checks):
+    """At the sizes the benchmark runs, each seed makes the number of checks
+    that the benchmark has recorded for it; rank-composition's count follows
+    its random draws, so a change in how any matrix is drawn fails here."""
+    for result, checks in [
+        (suite_exthom(seed, pairs=80), 160),
+        (suite_rank_composition(seed, cases=80), rank_composition_checks),
+        (suite_roundtrips(seed), 1150),
+    ]:
+        assert result.passed, result.failures[:5]
+        assert result.checks == checks, result.name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_random_invertible_keeps_its_draws(field):
+    """Candidates are drawn row by row until one is nonsingular, and nothing
+    else is drawn, so every later draw of a suite stays put; the inverse
+    comes with the matrix.  Over F_2 most candidates of size 2 or more are
+    singular."""
+    p = field.characteristic
+    rng, ref = random.Random(3), random.Random(3)
+    for size in [0, 1, 2, 3, 4] * 8:
+        M, inv = _random_invertible(rng, field, size)
+        rows = []
+        while size:
+            rows = [
+                [ref.randrange(p) if p else Fraction(ref.randint(-3, 3)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            if len(rref_oracle(rows, p)[1]) == size:
+                break
+        assert M.entries == tuple(map(tuple, rows)) and rng.getstate() == ref.getstate()
+        assert M @ inv == Matrix.identity(field, size) == inv @ M
 
 
 def test_cells_suite_checks_every_sampled_case():
