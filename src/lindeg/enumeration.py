@@ -292,25 +292,6 @@ class CensusResult:
     smooth: int
 
 
-def _check_irreducible(rs: RankSequence, dv: DimVector) -> None:
-    """Raise NotIrreducibleError unless Gr_d of the orbit rs is irreducible."""
-    if not is_irreducible(rs, dv):
-        raise NotIrreducibleError("point census is defined for irreducible varieties")
-
-
-def _points_with_singularity(
-    rep: RepMatrices, dv: DimVector, guard: int
-) -> Iterator[tuple[SubrepPoint, bool]]:
-    """Each point of an irreducible Gr_d(rep), paired with whether it is
-    singular by the rule of ``analyze_point``."""
-    rep.check_endomorphisms(dv)
-    rs = RankSequence.from_rep(rep)
-    _check_irreducible(rs, dv)
-    expected = dimension(rs, dv)
-    for point in enumerate_subreps(rep, dv, guard=guard):
-        yield point, analyze_point(rep, point).tangent_dim > expected
-
-
 def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
     """Raise ValidationError unless ``fixed`` is a fixed point S of Gr(J),
     given as 1-based index subsets of 1..m, one per vertex, as
@@ -338,9 +319,9 @@ class _PointTables:
     patterns in each S_v (``fixed_analysis``), one term per distinct one.
     ``ranked`` keeps the analysis of each pair of tables met and
     ``decomposed`` each table's decomposition.  c(S) sums dim Hom(L_i, Q_j)
-    over pairs of coordinate strands, which depends on the coordinates'
-    types only: the pattern plus bit v - 1 when i is in S_v (``homs``, each
-    pair of types filled when first met; ``cell_dimension``).
+    over pairs of coordinate strands, whose intervals depend on the
+    coordinate's type only: the pattern plus bit v - 1 when i is in S_v
+    (``strands`` keeps both strands of each type met; ``cell_dimension``).
     """
 
     def __init__(self, J: ProjectionTuple) -> None:
@@ -349,7 +330,7 @@ class _PointTables:
         for bit, zeros in enumerate(J.zero_sets, start=J.n):
             for i in zeros:
                 self.kills[i - 1] |= 1 << bit
-        self.homs: dict[tuple[int, int], int] = {}
+        self.strands: dict[int, tuple[list[Interval], list[Interval]]] = {}
         self.ranked: dict[tuple[Rows, Rows], PointAnalysis] = {}
         self.decomposed: dict[Rows, Decomposition] = {}
 
@@ -440,20 +421,21 @@ class _PointTables:
 
     def cell_dimension(self, fixed: Sequence[Sequence[int]]) -> int:
         """c(S) = sum over i < j of dim Hom(L_i, Q_j) at the fixed point S,
-        in one pass over the coordinates' types with a count of those seen."""
+        in one pass over the coordinates with a count of the L intervals seen."""
         types = self.kills[:]
         for v, S in enumerate(fixed):
             for i in S:
                 types[i - 1] |= 1 << v
-        homs, seen, c = self.homs, {}, 0
-        for u in types:
-            for t, k in seen.items():
-                h = homs.get((t, u))
-                if h is None:
-                    subs, quos = self._strand(t, True), self._strand(u, False)
-                    h = homs[t, u] = sum(hom_dim_intervals(x, y) for x in subs for y in quos)
-                c += k * h
-            seen[u] = seen.get(u, 0) + 1
+        strands, seen, c = self.strands, {}, 0
+        for t in types:
+            pair = strands.get(t)
+            if pair is None:
+                pair = strands[t] = self._strand(t, True), self._strand(t, False)
+            subs, quos = pair
+            for y in quos:
+                c += sum(k for x, k in seen.items() if hom_dim_intervals(x, y))
+            for x in subs:
+                seen[x] = seen.get(x, 0) + 1
         return c
 
 
@@ -473,8 +455,9 @@ def cell_dimension(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> int:
     With L_i and Q_j the coordinate strands of the sub and the quotient,
     c(S) = sum over i < j of dim Hom(L_i, Q_j), the part of the tangent
     space Hom(L, M/L) on which the torus t*e_j = t^j e_j acts with positive
-    weight.  Each term depends on the types of i and j only
-    (``_PointTables``), so the sum is one pass over the coordinates.
+    weight.  The strands of a coordinate depend on its type only
+    (``_PointTables``), and the sum is one pass over the coordinates that
+    counts the intervals of the L_i seen so far.
     """
     _check_fixed_point(J, fixed)
     return _PointTables(J).cell_dimension(fixed)
@@ -567,7 +550,8 @@ def _census(rs: RankSequence, field: Field, dv: DimVector, guard: int) -> Census
     """``singular_point_census`` of the orbit rs over ``field``, which needs
     no matrices: it checks that Gr_d is irreducible, then the guard, then
     counts on ``representative(rs)``."""
-    _check_irreducible(rs, dv)
+    if not is_irreducible(rs, dv):
+        raise NotIrreducibleError("point census is defined for irreducible varieties")
     check_search_space(field, (dv.m,) * dv.n, dv.d, guard)
     p = field.characteristic
     J = representative(rs)
@@ -688,21 +672,27 @@ def _sigma_backward(
 def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport:
     """Verify the singular-locus model point by point over F_prime.
 
-    Enumerates the singular points of Gr_d of the corank-one tuple on F^m,
+    Enumerates the singular points of Gr_d of the corank-one tuple J on F^m,
     m = dv.m, and the points of the model Grassmannian, checks that sigma
     lands on singular points, hits all of them exactly once, and that sigma'
-    inverts it.  Both walks are bounded by POINT_GUARD.
+    inverts it.  Both walks are bounded by POINT_GUARD.  A point of Gr_d(J)
+    is singular when its tangent dimension, read off the column ranks of its
+    RREF bases as in the census (``_PointTables.row_analysis``, whose oracle
+    is ``analyze_point``), exceeds ``dimension``.
     """
     model_info = singular_model(dv, h)
     field = Field(prime)
-    ambient = single_kill_tuple(dv.m, dv.n, h).matrices(field)
+    J = single_kill_tuple(dv.m, dv.n, h)
+    ambient = J.matrices(field)
     model = singular_model_rep(field, dv.m, dv.n, h)
     assert model.dims == model_info.module_dims
 
+    # J's one corank is 1, at most every flag step, so Gr_d(J) is irreducible
+    tables, expected = _PointTables(J), dimension(J.rank_sequence(), dv)
     singular_points = {
         point.spaces
-        for point, is_singular in _points_with_singularity(ambient, dv, POINT_GUARD)
-        if is_singular
+        for point in enumerate_subreps(ambient, dv, guard=POINT_GUARD)
+        if tables.row_analysis([V.basis for V in point.spaces], prime).tangent_dim > expected
     }
     failures: list[str] = []
     image: set[tuple[Subspace, ...]] = set()

@@ -453,8 +453,8 @@ class TestEnumerate:
         assert json.loads(err)["error"]["type"] == "NotIrreducibleError"
 
     def test_census_takes_the_cell_route(self, capsys, monkeypatch):
-        def no_pointwise_census(*args, **kwargs):
-            raise AssertionError("census walked every point")
+        def no_matrix_analysis(*args, **kwargs):
+            raise AssertionError("census analyzed a point through matrices")
 
         calls = []
         walk = enumeration.enumerate_subreps
@@ -463,7 +463,7 @@ class TestEnumerate:
             calls.append(args)
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(enumeration, "_points_with_singularity", no_pointwise_census)
+        monkeypatch.setattr(enumeration, "analyze_point", no_matrix_analysis)
         monkeypatch.setattr(enumeration, "enumerate_subreps", counted)
         monkeypatch.setattr(cli, "enumerate_subreps", counted)
         argv = [

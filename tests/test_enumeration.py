@@ -46,7 +46,7 @@ from lindeg import (
     subspaces_iter,
 )
 from lindeg import enumeration, linalg
-from lindeg.enumeration import _points_with_singularity, _row_choices
+from lindeg.enumeration import _row_choices
 from lindeg.verification import _cell_cases, _conjugate
 
 from oracles import census_oracle, fixed_point_oracle, subreps_oracle
@@ -431,7 +431,8 @@ class TestAnalyzePoint:
         per edge) fixed_point_analysis matches the strand oracle with a
         traced peak under 4 MB (1.1 MB on CPython 3.11); tuples of the killed
         and the kept columns of each pair would hold 780 * 600 = 468,000
-        entries."""
+        entries.  Here most coordinates have a type of their own, and
+        cell_dimension matches the oracle too."""
         rng = random.Random(1)
         m, n = 600, 40
         J = ProjectionTuple(m, [rng.sample(range(1, m + 1), 30) for _ in range(n - 1)])
@@ -442,7 +443,7 @@ class TestAnalyzePoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert analysis == fixed_point_oracle(J, S)[0]
+        assert (analysis, cell_dimension(J, S)) == fixed_point_oracle(J, S)
         assert peak < 4 * 2**20, peak
 
     def test_rows_give_the_analysis_of_the_matrices(self):
@@ -521,12 +522,6 @@ class TestCensus:
         census = singular_point_census(rep, FLAG3)
         assert census.total == 49
         assert census.singular == 0
-
-    def test_points_come_in_enumeration_order(self):
-        rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
-        flagged = list(_points_with_singularity(rep, FLAG3, guard=100))
-        assert [point for point, _ in flagged] == list(enumerate_subreps(rep, FLAG3))
-        assert sum(is_singular for _, is_singular in flagged) == 1
 
     def test_needs_irreducible(self):
         J = ProjectionTuple(3, ({1, 2},))
@@ -646,9 +641,27 @@ class TestSigma:
         assert report.singular_count == report.model_count
 
     def test_first_edge_of_the_full_flag(self):
-        report = sigma_bijection_report(DimVector(4, (1, 2, 3)), 1)
-        assert report.ok, report.failures
-        assert report.singular_count == report.model_count == 21
+        for prime, count in ((2, 21), (3, 52)):
+            report = sigma_bijection_report(DimVector(4, (1, 2, 3)), 1, prime=prime)
+            assert report.ok, report.failures
+            assert report.singular_count == report.model_count == count
+
+    def test_points_are_flagged_from_their_rows(self, monkeypatch):
+        """sigma reads each ambient point's tangent dimension off the column
+        ranks of its RREF bases, as the census does, and analyzes no point
+        through matrices."""
+        calls = {}
+        for name in ("analyze_point", "restrict_rep", "quotient_rep"):
+            made, inner = calls.setdefault(name, []), getattr(enumeration, name)
+
+            def counted(*args, made=made, inner=inner):
+                made.append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        report = sigma_bijection_report(DimVector(4, (1, 2)), 1, prime=3)
+        assert report.ok and report.singular_count == 13
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 0)
 
     def test_forward_map_off_the_singular_locus(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_sigma_forward", lambda ambient, h, mp: mp.spaces)
