@@ -343,7 +343,6 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     The singular-locus summary is available exactly when the variety lies in
     the closure of the irreducible locus of its stratum.
     """
-    dec = decomposition_of(rs)
     flags = flat_flags(rs, dv)
     smooth = is_smooth(rs, dv)
     irr = is_irreducible(rs, dv)
@@ -351,7 +350,7 @@ def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:
     singular = _singular_summary(rs, dv, flags) if flags.flat_irreducible else None
     return DegenerationReport(
         edge_ranks=rs.edge_ranks(),
-        decomposition=dec,
+        decomposition=decomposition_of(rs),
         stratum=flags.stratum,
         smooth=smooth,
         irreducible=irr,

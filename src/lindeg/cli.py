@@ -257,8 +257,6 @@ def load_problem(args: argparse.Namespace) -> Problem:
         raise ValidationError("need at least one vertex")
     if d is None:
         raise ValidationError("this command needs the flag dimension vector d")
-    if isinstance(maps, RankSequence):
-        decomposition_of(maps)  # raises NotRealizableError if no tuple has the table
     return Problem(DimVector(m, d), field, maps, digest)
 
 

@@ -1,10 +1,10 @@
 """Orbit combinatorics of linear degenerations.
 
 Orbits of endomorphism tuples acting on a fixed flag ambient F^m are in
-bijection with realizable rank tables whose diagonal is constant m.  The
-closure order is entrywise comparison, strata are indexed by the set of zero
-maps, and every orbit has a canonical representative by coordinate
-projections.
+bijection with realizable rank tables whose diagonal is constant m; a
+``RankSequence`` refuses any other table.  The closure order is entrywise
+comparison, strata are indexed by the set of zero maps, and every orbit has
+a canonical representative by coordinate projections.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .linalg import Field, Matrix
 from .representations import (
     Decomposition,
     DimVector,
+    Interval,
     RankTable,
     RepMatrices,
     decompose_from_ranks,
@@ -47,14 +48,21 @@ STRATA_GUARD = 10**6
 
 @dataclass(frozen=True)
 class RankSequence:
-    """Orbit invariant: a rank table whose diagonal entries all equal m."""
+    """Orbit invariant: a realizable rank table whose diagonal entries all equal m.
+
+    Construction decomposes the table (NotRealizableError for a negative
+    multiplicity) and keeps the result, not a field, for ``decomposition_of``.
+    """
 
     m: int
     table: RankTable
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int:
+            raise ValidationError(f"m must be an integer, got {self.m!r}")
         if any(x != self.m for x in self.table.vertex_dims()):
             raise ValidationError("rank sequence must have constant vertex dimension m")
+        object.__setattr__(self, "_decomposition", decompose_from_ranks(self.table))
 
     @property
     def n(self) -> int:
@@ -100,7 +108,7 @@ class RankSequence:
 
 
 def decomposition_of(rs: RankSequence) -> Decomposition:
-    return decompose_from_ranks(rs.table)
+    return rs._decomposition
 
 
 def degenerates_to(r: RankSequence, s: RankSequence) -> bool:
@@ -117,28 +125,35 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
     realize each vector of edge ranks in 0..m, so there are at least that many.
     It also aborts in advance when one orbit has more than ``guard`` intervals.
     """
-    if m < 0 or n < 1:
-        raise ValidationError("need m >= 0 and n >= 1")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 1:
+        raise ValidationError(f"need m >= 0 and n >= 1, integers; got m={m!r}, n={n!r}")
     what = f"orbit enumeration for m={m}, n={n}"
     _check_size(what, (n - 1) * ((m + 1).bit_length() - 1), lambda: (m + 1) ** (n - 1), guard)
     _check_size(f"interval list for n={n}", 0, lambda: n * (n + 1) // 2, guard)
-    intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    # the orbits keep their decompositions: they share each Interval and each item
+    intervals = [Interval(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    shared: dict[tuple[int, int], tuple[Interval, int]] = {}
     caps = [m] * (n + 1)  # caps[v] for 1-based v; caps[0] unused
-    counts: dict[tuple[int, int], int] = {}
+    items: list[tuple[Interval, int]] = []  # the multiplicities chosen, in sorted order
     out: list[RankSequence] = []
 
     def emit() -> None:
         if len(out) >= guard:
             size = f"at least {guard + 1}"
             raise GuardExceededError(f"{what} of size {size} exceeds the guard {guard}")
-        dec = Decomposition.from_multiplicities(n, dict(counts))
-        out.append(RankSequence(m, ranks_from_decomposition(dec)))
+        dec = Decomposition(n, tuple(item for item in items if item[1]))
+        rs = object.__new__(RankSequence)  # its table is read off dec: not decomposed again
+        object.__setattr__(rs, "m", m)
+        object.__setattr__(rs, "table", ranks_from_decomposition(dec))
+        object.__setattr__(rs, "_decomposition", dec)
+        out.append(rs)
 
     def rec(pos: int) -> None:
         # an interval whose only multiplicity is 0 is passed over in this
         # loop, not by a call of its own, so the depth counts real choices
         while pos < len(intervals):
-            a, b = intervals[pos]
+            iv = intervals[pos]
+            a, b = iv.start, iv.end
             maxk = min(caps[a : b + 1])
             # the last interval starting at a must drain vertex a exactly
             choices = range(maxk + 1) if b < n else range(caps[a], maxk + 1)
@@ -151,9 +166,9 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
             return
         for k in choices:
             caps[a : b + 1] = [c - k for c in caps[a : b + 1]]
-            counts[(a, b)] = k
+            items.append(shared.setdefault((pos, k), (iv, k)))
             rec(pos + 1)
-            del counts[(a, b)]
+            items.pop()
             caps[a : b + 1] = [c + k for c in caps[a : b + 1]]
 
     rec(0)
@@ -220,7 +235,7 @@ def representative(rs: RankSequence) -> ProjectionTuple:
     increasing order, shortest first, and an ending strand frees its index.
     The zero set of edge i collects the indices of strands ending at vertex i.
     """
-    strands = decompose_from_ranks(rs.table).summands()  # sorted by (start, end)
+    strands = decomposition_of(rs).summands()  # sorted by (start, end)
     free = list(range(1, rs.m + 1))
     ending: dict[int, list[int]] = {}  # end vertex -> indices of the strands ending there
     zero_sets = []
@@ -257,9 +272,7 @@ def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence,
                 return dv.m
             if any(i in iset for i in range(a, b)):
                 return 0
-            val = dv.m + dv.d[a - 1] - dv.d[b - 1] - (level - 1)
-            assert val >= 0
-            return val
+            return dv.m + dv.d[a - 1] - dv.d[b - 1] - (level - 1)
 
         return RankSequence(dv.m, RankTable.from_function(dv.n, entry))
 
@@ -347,8 +360,8 @@ def strata_subsets(n: int, guard: int = STRATA_GUARD) -> tuple[tuple[int, ...], 
     Raises ValidationError if n < 1 or guard < 0, and GuardExceededError,
     before building any, if the 2^(n-1) strata exceed ``guard``.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"need an integer n >= 1, got {n!r}")
     _check_size(f"strata for n={n}", n - 1, lambda: 1 << (n - 1), guard)
     edges = range(1, n)
     return tuple(s for k in range(n) for s in itertools.combinations(edges, k))

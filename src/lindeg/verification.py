@@ -39,7 +39,6 @@ from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, inverse, rank
 from .orbits import (
     ProjectionTuple,
     RankSequence,
-    decomposition_of,
     enumerate_orbits,
     representative,
     stratum_rank_targets,
@@ -193,7 +192,7 @@ def _check_orbit_roundtrips(check: _Checks, rs: RankSequence, p: int) -> Project
     and its representative has that table from its zero sets and as matrices
     over F_p.  Returns the representative."""
     check(
-        ranks_from_decomposition(decomposition_of(rs)) == rs.table,
+        ranks_from_decomposition(decompose_from_ranks(rs.table)) == rs.table,
         "decomposition round trip failed for {}", rs,
     )
     J = representative(rs)

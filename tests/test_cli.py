@@ -834,6 +834,15 @@ class TestContract:
             assert code == 2 and out == "", command
             assert json.loads(err)["error"]["type"] == "NotRealizableError", command
 
+    def test_an_unrealizable_table_is_refused_before_the_other_checks(self, capsys):
+        # building the RankSequence refuses the table before the missing --d
+        # is noticed; NotRealizableError is a ValidationError, so the exit stays 2
+        code, out, err = run_cli(
+            capsys, "classify", "--m", "4", "--ranks", "4,3,4;4,3;4", "--format", "json"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "NotRealizableError"
+
     def test_huge_search_space_is_a_guard_error(self, capsys):
         # the size has about 9,000 decimal digits, too many to print exactly
         code, out, err = run_cli(

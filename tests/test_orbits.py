@@ -1,7 +1,9 @@
 """Orbit enumeration, closure order, strata and canonical representatives."""
 
+import dataclasses
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +20,8 @@ from lindeg import (
     RankTable,
     RepMatrices,
     ValidationError,
+    classify,
+    decompose_from_ranks,
     decomposition_of,
     degenerates_to,
     enumerate_orbits,
@@ -62,7 +66,9 @@ class TestEnumeration:
 
     def test_all_enumerated_orbits_realizable(self):
         for rs in enumerate_orbits(3, 3):
-            # decomposition_of raises NotRealizableError on an unrealizable table
+            # decompose_from_ranks raises NotRealizableError on an unrealizable table;
+            # decomposition_of reads the one the enumeration kept
+            assert decompose_from_ranks(rs.table) == decomposition_of(rs)
             assert decomposition_of(rs).vertex_dims() == (3, 3, 3)
 
     def test_tables_distinct(self):
@@ -106,6 +112,98 @@ class TestEnumeration:
     def test_rejects_a_negative_m_or_no_vertex(self, m, n):
         with pytest.raises(ValidationError, match="need m >= 0 and n >= 1"):
             enumerate_orbits(m, n)
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """Count decompose_from_ranks calls through every lindeg module that binds it."""
+    calls = []
+    original = decompose_from_ranks
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lindeg") and getattr(module, "decompose_from_ranks", None) is original:
+            monkeypatch.setattr(module, "decompose_from_ranks", counted)
+    return calls
+
+
+class TestRealizableByConstruction:
+    # each table has a negative interval multiplicity, so no tuple of maps has it
+    @pytest.mark.parametrize(
+        "m, rows, offending",
+        [
+            (4, ((4, 3, 4), (4, 3), (4,)), ((1, 2, -1), (2, 3, -1))),
+            (3, ((3, -1), (3,)), ((1, 2, -1),)),
+        ],
+    )
+    def test_an_unrealizable_table_raises_at_construction(self, m, rows, offending):
+        with pytest.raises(NotRealizableError) as exc:
+            RankSequence(m, RankTable(len(rows), rows))
+        assert exc.value.offending == offending
+
+    def test_enumeration_decomposes_no_table(self, monkeypatch):
+        calls = _count_decompositions(monkeypatch)
+        orbits = enumerate_orbits(4, 3)
+        assert calls == [] and len(orbits) == _count_by_direct_enumeration(4, 3)
+
+    def test_readers_of_a_built_orbit_decompose_nothing(self, monkeypatch):
+        rs = RankSequence(4, RankTable(3, ((4, 3, 2), (4, 3), (4,))))
+        dv = DimVector(4, (1, 2, 3))
+        calls = _count_decompositions(monkeypatch)
+        dec = decomposition_of(rs)
+        pt = representative(rs)
+        report = classify(rs, dv)
+        assert calls == []
+        assert report.decomposition == dec == decompose_from_ranks(rs.table)
+        assert report.singular is not None and pt.rank_sequence() == rs
+
+    def test_every_stratum_target_constructs(self):
+        for m in range(2, 8):
+            for n in range(1, min(m, 6)):
+                for d in itertools.combinations(range(1, m), n):
+                    dv = DimVector(m, d)
+                    for I in strata_subsets(n):
+                        for target in stratum_rank_targets(I, dv):
+                            assert decomposition_of(target).vertex_dims() == (m,) * n
+
+    def test_the_kept_decomposition_is_not_a_field(self):
+        table = RankTable(3, ((4, 3, 2), (4, 3), (4,)))
+        (enumerated,) = [rs for rs in enumerate_orbits(4, 3) if rs.table == table]
+        built = RankSequence(4, table)
+        assert [f.name for f in dataclasses.fields(RankSequence)] == ["m", "table"]
+        assert enumerated == built and hash(enumerated) == hash(built) == hash((4, table))
+        expected = "RankSequence(m=4, table=RankTable(n=3, rows=((4, 3, 2), (4, 3), (4,))))"
+        assert repr(enumerated) == repr(built) == expected
+        assert dataclasses.asdict(built) == {"m": 4, "table": {"n": 3, "rows": table.rows}}
+
+
+class TestIntegerSizes:
+    """A size that is not an int (a float, or a bool) is a ValidationError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RankSequence(4.0, RankTable(2, ((4, 3), (4,)))),
+            lambda: RankSequence(True, RankTable(2, ((1, 1), (1,)))),
+            lambda: enumerate_orbits(2.0, 2),
+            lambda: enumerate_orbits(2, 2.0),
+            lambda: strata_subsets(3.0),
+            lambda: strata_subsets(True),
+        ],
+        ids=[
+            "RankSequence-float-m",
+            "RankSequence-bool-m",
+            "enumerate_orbits-float-m",
+            "enumerate_orbits-float-n",
+            "strata_subsets-float-n",
+            "strata_subsets-bool-n",
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValidationError, match="integer"):
+            call()
 
 
 class TestBruteForce:
