@@ -207,12 +207,22 @@ class ProjectionTuple:
         )
         return RepMatrices(field, (self.m,) * self.n, maps)
 
-    def rank_sequence(self) -> RankSequence:
-        """Rank table: entry (a, b) is m less the coordinates killed on edges a..b-1."""
-        def entry(a: int, b: int) -> int:
-            return self.m - len(frozenset().union(*self.zero_sets[a - 1 : b - 1]))
+    def rank_table(self) -> RankTable:
+        """Rank table: entry (a, b) is m less the coordinates killed on edges
+        a..b-1, from one running union per row."""
+        rows = []
+        for a in range(self.n):
+            killed: set[int] = set()
+            row = [self.m]
+            for s in self.zero_sets[a:]:
+                killed |= s
+                row.append(self.m - len(killed))
+            rows.append(tuple(row))
+        return RankTable(self.n, tuple(rows))
 
-        return RankSequence(self.m, RankTable.from_function(self.n, entry))
+    def rank_sequence(self) -> RankSequence:
+        """The orbit of this tuple: its ``rank_table``, decomposed once."""
+        return RankSequence(self.m, self.rank_table())
 
     def __str__(self) -> str:
         return f"projections m={self.m}, zero sets {[sorted(s) for s in self.zero_sets]}"
@@ -265,18 +275,26 @@ def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence,
     iset = frozenset(I)
     if not iset <= set(range(1, dv.n)):
         raise ValidationError(f"stratum {sorted(iset)} not within edges 1..{dv.n - 1}")
+    return (
+        RankSequence(dv.m, _stratum_table(iset, dv, 1)),
+        RankSequence(dv.m, _stratum_table(iset, dv, 2)),
+    )
 
-    def make(level: int) -> RankSequence:
-        def entry(a: int, b: int) -> int:
-            if a == b:
-                return dv.m
-            if any(i in iset for i in range(a, b)):
-                return 0
-            return dv.m + dv.d[a - 1] - dv.d[b - 1] - (level - 1)
 
-        return RankSequence(dv.m, RankTable.from_function(dv.n, entry))
+def _stratum_table(I: Iterable[int], dv: DimVector, level: int) -> RankTable:
+    """The table of ``stratum_rank_targets(I, dv)[level - 1]``, not checked
+    for realizability: m on the diagonal, 0 across an edge in I, and
+    m + d_a - d_b - (level - 1) elsewhere."""
+    iset = frozenset(I)
 
-    return make(1), make(2)
+    def entry(a: int, b: int) -> int:
+        if a == b:
+            return dv.m
+        if any(i in iset for i in range(a, b)):
+            return 0
+        return dv.m + dv.d[a - 1] - dv.d[b - 1] - (level - 1)
+
+    return RankTable.from_function(dv.n, entry)
 
 
 def _covering_pairs(ordered: Sequence[RankSequence]) -> list[tuple[int, int]]:

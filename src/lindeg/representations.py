@@ -10,8 +10,10 @@ conversely.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -207,6 +209,8 @@ class RankTable:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValidationError(f"rank table length must be an integer, got {self.n!r}")
         if len(self.rows) != self.n:
             raise ValidationError("rank table must have one row per vertex")
         for a, row in enumerate(self.rows, start=1):
@@ -303,14 +307,35 @@ class RepMatrices:
 
 
 def rank_profile(rep: RepMatrices) -> RankTable:
-    """Table of all composite ranks (diagonal = vertex dimensions)."""
+    """Table of all composite ranks (diagonal = vertex dimensions).
+
+    Row a tracks an echelon basis of the image of the composite out of
+    vertex a.  At each edge the basis rows are mapped through the next map
+    and brought back to echelon form by ``linalg._pivots``; the rank is the
+    number of pivots.  A step costs k * m^2 for a rank-k image on vertices
+    of dimension at most m.  An image that is the whole vertex needs no
+    basis, since the next image is then spanned by the next map's columns,
+    and an image that is 0 ends its row in zeros.
+    """
+    p = rep.field.characteristic
+    zero = 0 if p else Fraction(0)
     rows = []
-    for a in range(1, rep.n + 1):
-        row = [rep.dims[a - 1]]
-        acc: Matrix | None = None
-        for b in range(a + 1, rep.n + 1):
-            acc = rep.maps[b - 2] if acc is None else rep.maps[b - 2] @ acc
-            row.append(linalg.rank(acc))
+    for a in range(rep.n):
+        row = [rep.dims[a]]
+        basis = None  # None: the image is the whole vertex
+        for f in rep.maps[a:]:
+            if basis is None:
+                images = [list(col) for col in zip(*f.entries)]
+            elif p:
+                images = [[sum(map(operator.mul, v, fr)) % p for fr in f.entries] for v in basis]
+            else:
+                images = [[sum(map(operator.mul, v, fr), zero) for fr in f.entries] for v in basis]
+            k = len(linalg._pivots(images, p))
+            row.append(k)
+            if not k:
+                row.extend([0] * (rep.n - a - len(row)))
+                break
+            basis = None if k == f.nrows else images[:k]
         rows.append(tuple(row))
     return RankTable(rep.n, tuple(rows))
 
@@ -348,14 +373,25 @@ def decompose_from_ranks(table: RankTable) -> Decomposition:
 
 def ranks_from_decomposition(D: Decomposition) -> RankTable:
     """Rank table of any representation with the given decomposition: entry
-    (a, b) counts the summands U[s,e] with s <= a <= b <= e."""
-    rows = [[0] * (D.n - a) for a in range(D.n)]
-    for iv, k in D.items:
-        for a in range(iv.start, iv.end + 1):
-            row = rows[a - 1]
-            # row[j] is entry (a, a + j), so b <= e is j <= e - a
-            row[: iv.end - a + 1] = [x + k for x in row[: iv.end - a + 1]]
-    return RankTable(D.n, tuple(map(tuple, rows)))
+    (a, b) counts the summands U[s,e] with s <= a <= b <= e, that is
+
+        r(a, b) = sum over s <= a and e >= b of k(s, e).
+
+    ``ends[e]`` keeps the running sum over the starts s <= a, and row a is
+    its suffix sums over e >= b, so the table costs O(n^2 + items)."""
+    n = D.n
+    ends = [0] * (n + 1)  # ends[e] for 1-based e; ends[0] unused
+    items = iter(D.items)  # sorted by start, then end
+    pending = next(items, None)
+    rows = []
+    for a in range(1, n + 1):
+        while pending is not None and pending[0].start == a:
+            ends[pending[0].end] += pending[1]
+            pending = next(items, None)
+        row = list(itertools.accumulate(reversed(ends[a:])))
+        row.reverse()
+        rows.append(tuple(row))
+    return RankTable(n, tuple(rows))
 
 
 def well_behaved_rep(dv: DimVector) -> Decomposition:

@@ -9,7 +9,8 @@ stratum's target rank tables, points of a quiver Grassmannian by a walk over
 validated subspaces, the analysis and cell dimension of a fixed point from one
 pair of strands per coordinate, reduced row echelon forms by full-row
 Gauss-Jordan elimination, rank tables by counting the summands that contain
-each entry, and multiplicities by second differences of the table.
+each entry or by multiplying out every composite, and multiplicities by
+second differences of the table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from lindeg import (
     DimVector,
     FlatFlags,
     Interval,
+    Matrix,
     PointAnalysis,
     ProjectionTuple,
     RankSequence,
@@ -97,6 +99,19 @@ def ranks_oracle(D: Decomposition) -> RankTable:
     return RankTable.from_function(
         D.n, lambda a, b: sum(k for iv, k in D.items if iv.start <= a and b <= iv.end)
     )
+
+
+def rank_profile_oracle(rep: RepMatrices) -> RankTable:
+    """Rank table of a matrix tuple: entry (a, b) is the rank, by
+    ``rref_oracle``, of the product f_{b-1} ... f_a multiplied out."""
+
+    def entry(a: int, b: int) -> int:
+        prod = Matrix.identity(rep.field, rep.dims[a - 1])
+        for f in rep.maps[a - 1 : b - 1]:
+            prod = f @ prod
+        return len(rref_oracle(prod.entries, rep.field.characteristic)[1])
+
+    return RankTable.from_function(rep.n, entry)
 
 
 def multiplicity(table: RankTable, a: int, b: int) -> int:

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -27,6 +26,7 @@ from lindeg import (
     enumerate_orbits,
     hasse_dot,
     rank_profile,
+    ranks_from_decomposition,
     representative,
     single_kill_tuple,
     strata_dot,
@@ -34,6 +34,7 @@ from lindeg import (
     stratum_node_id,
     stratum_of,
     stratum_rank_targets,
+    well_behaved_rep,
 )
 from lindeg.orbits import _covering_pairs
 from oracles import bruteforce_orbit_tables_f2, covering_pairs_oracle
@@ -114,21 +115,6 @@ class TestEnumeration:
             enumerate_orbits(m, n)
 
 
-def _count_decompositions(monkeypatch) -> list:
-    """Count decompose_from_ranks calls through every lindeg module that binds it."""
-    calls = []
-    original = decompose_from_ranks
-
-    def counted(table):
-        calls.append(table)
-        return original(table)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lindeg") and getattr(module, "decompose_from_ranks", None) is original:
-            monkeypatch.setattr(module, "decompose_from_ranks", counted)
-    return calls
-
-
 class TestRealizableByConstruction:
     # each table has a negative interval multiplicity, so no tuple of maps has it
     @pytest.mark.parametrize(
@@ -143,19 +129,18 @@ class TestRealizableByConstruction:
             RankSequence(m, RankTable(len(rows), rows))
         assert exc.value.offending == offending
 
-    def test_enumeration_decomposes_no_table(self, monkeypatch):
-        calls = _count_decompositions(monkeypatch)
+    def test_enumeration_decomposes_no_table(self, decompose_calls):
         orbits = enumerate_orbits(4, 3)
-        assert calls == [] and len(orbits) == _count_by_direct_enumeration(4, 3)
+        assert decompose_calls == [] and len(orbits) == _count_by_direct_enumeration(4, 3)
 
-    def test_readers_of_a_built_orbit_decompose_nothing(self, monkeypatch):
+    def test_readers_of_a_built_orbit_decompose_nothing(self, decompose_calls):
         rs = RankSequence(4, RankTable(3, ((4, 3, 2), (4, 3), (4,))))
         dv = DimVector(4, (1, 2, 3))
-        calls = _count_decompositions(monkeypatch)
+        decompose_calls.clear()  # the construction's own
         dec = decomposition_of(rs)
         pt = representative(rs)
         report = classify(rs, dv)
-        assert calls == []
+        assert decompose_calls == []
         assert report.decomposition == dec == decompose_from_ranks(rs.table)
         assert report.singular is not None and pt.rank_sequence() == rs
 
@@ -167,6 +152,15 @@ class TestRealizableByConstruction:
                     for I in strata_subsets(n):
                         for target in stratum_rank_targets(I, dv):
                             assert decomposition_of(target).vertex_dims() == (m,) * n
+
+    def test_the_generic_construction_is_the_upper_target(self):
+        # both targets of the empty stratum construct, so both are realizable
+        for m in range(2, 9):
+            for n in range(1, m):
+                for d in itertools.combinations(range(1, m), n):
+                    dv = DimVector(m, d)
+                    upper, _ = stratum_rank_targets((), dv)
+                    assert upper.table == ranks_from_decomposition(well_behaved_rep(dv)), dv
 
     def test_the_kept_decomposition_is_not_a_field(self):
         table = RankTable(3, ((4, 3, 2), (4, 3), (4,)))

@@ -43,7 +43,13 @@ from lindeg import (
     subspace_sum,
     well_behaved_rep,
 )
-from oracles import catenoid_oracle, decomposition_oracle, multiplicity, ranks_oracle
+from oracles import (
+    catenoid_oracle,
+    decomposition_oracle,
+    multiplicity,
+    rank_profile_oracle,
+    ranks_oracle,
+)
 
 
 def _all_intervals(n):
@@ -185,6 +191,13 @@ class TestRankTable:
         with pytest.raises(ValidationError, match="integers"):
             RankTable(2, ((3, entry), (2,)))
 
+    @pytest.mark.parametrize(
+        "n, rows", [(2.0, ((4, 3), (4,))), (True, ((4,),)), ("2", ((4, 3), (4,)))]
+    )
+    def test_rejects_a_non_int_length(self, n, rows):
+        with pytest.raises(ValidationError, match="integer"):
+            RankTable(n, rows)
+
     def test_leq(self):
         lo = RankTable(2, ((3, 0), (2,)))
         hi = RankTable(2, ((3, 1), (2,)))
@@ -277,6 +290,50 @@ class TestRoundTrips:
                 D = _random_decomposition(rng, n, max_mult=2)
                 rep = RepMatrices.from_decomposition(D, field)
                 assert decomposition_oracle(rep) == D
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_ranks_from_decomposition_counts_the_summands(n, data):
+    """The cumulative sums agree with counting the summands at every entry."""
+    size = n * (n + 1) // 2
+    mults = data.draw(st.lists(st.integers(0, 50), min_size=size, max_size=size))
+    D = Decomposition.from_multiplicities(n, dict(zip(_all_intervals(n), mults)))
+    assert ranks_from_decomposition(D) == ranks_oracle(D)
+
+
+def _draw_map(data, field, rows, cols):
+    """A rows x cols matrix over the field: zero, of bounded rank (a product
+    through a thinner space), or with small random entries."""
+    p = field.characteristic
+    entry = st.integers(0, p - 1) if p else st.fractions(-3, 3, max_denominator=3)
+
+    def matrix(r, c):
+        row = st.lists(entry, min_size=c, max_size=c)
+        return Matrix.from_rows(field, data.draw(st.lists(row, min_size=r, max_size=r)), ncols=c)
+
+    kind = data.draw(st.sampled_from(["zero", "thin", "dense"]))
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    if kind == "thin":
+        k = data.draw(st.integers(0, min(rows, cols)))
+        return matrix(rows, k) @ matrix(k, cols)
+    return matrix(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([GF(2), GF(101), QQ]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    st.data(),
+)
+def test_rank_profile_matches_multiplied_composites(field, dims, data):
+    """Image tracking agrees with multiplying every composite out, on the
+    shapes ``restrict_rep`` and ``quotient_rep`` make: vertex dimensions that
+    vary and may be 0, and zero maps."""
+    maps = tuple(_draw_map(data, field, b, a) for a, b in zip(dims, dims[1:]))
+    rep = RepMatrices(field, tuple(dims), maps)
+    assert rank_profile(rep) == rank_profile_oracle(rep)
 
 
 @settings(max_examples=80, deadline=None)

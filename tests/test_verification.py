@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lindeg import GF, QQ, SUITES, Matrix, run_suites
+from lindeg import GF, QQ, SUITES, Matrix, enumerate_orbits, run_suites
 from lindeg.verification import (
     _random_invertible,
     suite_exthom,
@@ -71,6 +71,15 @@ def test_suites_keep_their_random_draws(seed, rank_composition_checks):
     ]:
         assert result.passed, result.failures[:5]
         assert result.checks == checks, result.name
+
+
+def test_roundtrips_decomposes_only_the_tables_it_checks(decompose_calls):
+    """One decomposition per random round trip and one per orbit checked:
+    the suite compares tables and builds no orbit that it does not read."""
+    orbits = sum(len(enumerate_orbits(m, n)) for m in range(1, 4) for n in range(1, 5))
+    assert orbits == 201
+    assert suite_roundtrips(0).passed
+    assert len(decompose_calls) == 300 + orbits
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
