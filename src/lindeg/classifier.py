@@ -16,7 +16,7 @@ from .errors import (
     NotIrreducibleError,
     ValidationError,
 )
-from .linalg import QQ, Field, coordinate_subspace, kernel, rank, subspace_sum
+from .linalg import QQ, Field, kernel, rank, _pivots
 from .orbits import ProjectionTuple, RankSequence, decomposition_of
 from .representations import (
     Decomposition,
@@ -140,18 +140,15 @@ def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:
 
 def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
     """Matrix-level test: corank of map i equals the step d_{i+1} - d_i and
-    the kernels are in direct sum.  Equivalent to the rank-table test."""
+    the stacked kernel bases have full rank.  Equivalent to ``is_well_behaved``."""
     rep.check_endomorphisms(dv)
     steps = dv.steps()
-    kernels = []
-    for i, f in enumerate(rep.maps):
-        if rank(f) != dv.m - steps[i]:
+    rows = []
+    for f, step in zip(rep.maps, steps):
+        if rank(f) != dv.m - step:
             return False
-        kernels.append(kernel(f))
-    total = coordinate_subspace(rep.field, dv.m, ())
-    for K in kernels:
-        total = subspace_sum(total, K)
-    return total.dim == sum(steps)
+        rows.extend(map(list, kernel(f).basis))
+    return len(_pivots(rows, rep.field.characteristic)) == sum(steps)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -26,8 +25,10 @@ from .linalg import (
     coordinate_subspace,
     map_subspace,
     subspace_sum,
+    _images,
     _pivots,
     _reduce,
+    _unchecked,
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
@@ -179,8 +180,7 @@ def enumerate_subreps(
         return ((piv, _row_choices(p, rep.dims[v], piv)) for piv in pivot_sets)
 
     def image(v: int, basis: Rows) -> list[list[int]]:
-        images = ([sum(map(operator.mul, row, x)) % p for row in maps[v]] for x in basis)
-        return [y for y in images if any(y)]
+        return [y for y in _images(basis, maps[v], p) if any(y)]
 
     fields = (rep.field,) * rep.n
 
@@ -377,7 +377,7 @@ class _PointTables:
         """The decomposition of the rank table with these rows, kept."""
         dec = self.decomposed.get(rows)
         if dec is None:
-            dec = self.decomposed[rows] = decompose_from_ranks(RankTable(self.n, rows))
+            dec = self.decomposed[rows] = decompose_from_ranks(_unchecked(RankTable, self.n, rows))
         return dec
 
     def row_analysis(self, point: Sequence[Rows], p: int) -> PointAnalysis:

@@ -2,10 +2,14 @@
 
 Every scalar row is a tuple (or, inside an elimination, a list) of field
 elements: ``fractions.Fraction`` over Q and plain ints in ``[0, p)`` over
-F_p.  Both fields share one code path in pure Python; the only difference is
-that F_p reduces mod p and inverts a pivot with ``pow(x, -1, p)``, so nothing
-is ever rounded.  Subspaces are stored by their reduced row echelon basis,
-which is unique, so subspace equality and hashing are structural.
+F_p.  ``_check_elements`` is the one check of that rule, for ``Matrix`` and
+``Subspace`` alike; an int over Q would make elimination divide in floats.
+What the library builds from field elements skips it through ``_unchecked``.
+Both fields share one code path in pure Python; the only difference is that
+F_p reduces mod p and inverts a pivot with ``pow(x, -1, p)``, so nothing is
+ever rounded.  ``_images`` is the one product kernel, and it holds that
+difference for products.  Subspaces are stored by their reduced row echelon
+basis, which is unique, so subspace equality and hashing are structural.
 
 Elimination changes its list rows in place and does only the work its
 caller reads.  ``_pivots`` is the one forward pass: it brings rows to echelon
@@ -18,6 +22,7 @@ tail ``row[c:]`` only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -126,14 +131,44 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
+def _unchecked(cls, *values, **extra):
+    """An instance of the frozen dataclass ``cls`` from field values in order
+    and ``extra`` attributes, skipping ``__post_init__``: for parts that hold
+    its invariants.  Set one by one as ``__init__`` does, so no instance dict."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    for name, value in extra.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_elements(field: Field, rows: Sequence[Sequence], width: int, what: str) -> None:
+    """Raise ValidationError unless every row has ``width`` entries, each an
+    element of ``field``: an int in [0, p) over F_p, a Fraction over Q."""
+    q = field.characteristic
+    for row in rows:
+        if len(row) != width:
+            raise ValidationError(f"{what} row length differs from {width}")
+        for x in row:
+            if not (type(x) is int and 0 <= x < q if q else type(x) is Fraction):
+                raise ValidationError(f"{what} entries are not elements of {field}")
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix of field elements, checked on construction;
+    ``from_rows`` coerces ints, Fractions and exact strings first."""
 
     field: Field
     nrows: int
     ncols: int
     entries: tuple[tuple[object, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.nrows != len(self.entries) or type(self.ncols) is not int or self.ncols < 0:
+            raise ValidationError(f"matrix shape {self.shape} does not fit {len(self.entries)} rows")
+        _check_elements(self.field, self.entries, self.ncols, "matrix")
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":
@@ -147,44 +182,35 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        return Matrix(field, len(coerced), ncols, coerced)
+        return _unchecked(Matrix, field, len(coerced), ncols, coerced)
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
+        if not (type(nrows) is type(ncols) is int and min(nrows, ncols) >= 0):
+            raise ValidationError(f"matrix shape ({nrows!r}, {ncols!r}) needs integers >= 0")
         z = field.coerce(0)
-        return Matrix(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))
+        return _unchecked(Matrix, field, nrows, ncols, ((z,) * ncols,) * nrows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix.diagonal(field, [1] * n)
-
-    @staticmethod
-    def diagonal(field: Field, diag: Sequence) -> "Matrix":
-        n = len(diag)
-        z = field.coerce(0)
-        rows = []
-        for i, x in enumerate(diag):
-            row = [z] * n
-            row[i] = field.coerce(x)
-            rows.append(tuple(row))
-        return Matrix(field, n, n, tuple(rows))
+        return Matrix.projection(field, n, ())
 
     @staticmethod
     def projection(field: Field, m: int, killed: Iterable[int]) -> "Matrix":
         """Diagonal 0/1 projection on F^m killing the 0-based positions ``killed``."""
         killed = set(killed)
-        if not killed <= set(range(m)):
+        if type(m) is not int or m < 0 or not killed <= set(range(m)):
             raise ValidationError(f"killed positions {sorted(killed)} out of range(0, {m})")
-        return Matrix.diagonal(field, [0 if i in killed else 1 for i in range(m)])
+        z, one = field.coerce(0), field.coerce(1)
+        rows = tuple((z,) * i + (z if i in killed else one,) + (z,) * (m - i - 1) for i in range(m))
+        return _unchecked(Matrix, field, m, m, rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0:
-            return Matrix(self.field, self.ncols, 0, tuple(() for _ in range(self.ncols)))
-        return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.entries)))
+        return _unchecked(Matrix, self.field, self.ncols, self.nrows, _columns(self))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
@@ -193,20 +219,28 @@ class Matrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
+def _columns(M: Matrix) -> tuple[tuple, ...]:
+    """The columns of M, one tuple each, also when M has no rows."""
+    return tuple(zip(*M.entries)) if M.nrows else ((),) * M.ncols
+
+
+def _images(vectors: Iterable[Sequence], rows: Sequence[Sequence], p: int) -> list[list]:
+    """The image of each vector under the map with these rows, one fresh
+    list each, over F_p or Q for p = 0: the one exact product kernel."""
+    if p:
+        return [[sum(map(mul, row, v)) % p for row in rows] for v in vectors]
+    zero = Fraction(0)
+    return [[sum(map(mul, row, v), zero) for row in rows] for v in vectors]
+
+
 def compose(A: Matrix, B: Matrix) -> Matrix:
-    """Matrix product A @ B."""
+    """Matrix product A @ B: row i is A's row i mapped by B's columns."""
     if A.field != B.field:
         raise ValidationError("cannot multiply matrices over different fields")
     if A.ncols != B.nrows:
         raise ValidationError(f"shape mismatch: {A.shape} @ {B.shape}")
-    p = A.field.characteristic
-    bt = B.transpose().entries
-    if p:
-        rows = tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in A.entries)
-    else:
-        zero = Fraction(0)
-        rows = tuple(tuple(sum(map(mul, row, col), zero) for col in bt) for row in A.entries)
-    return Matrix(A.field, A.nrows, B.ncols, rows)
+    rows = _images(A.entries, _columns(B), A.field.characteristic)
+    return _unchecked(Matrix, A.field, A.nrows, B.ncols, tuple(map(tuple, rows)))
 
 
 def _pivots(rows: list[list], p: int) -> list[int]:
@@ -305,7 +339,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns. Zero rows sink to the bottom."""
     # list(r) gives the in-place elimination fresh rows, here and in rank
     rows, piv = _rref_rows([list(r) for r in M.entries], M.field.characteristic)
-    return Matrix(M.field, M.nrows, M.ncols, tuple(tuple(r) for r in rows)), tuple(piv)
+    return _unchecked(Matrix, M.field, M.nrows, M.ncols, tuple(map(tuple, rows))), tuple(piv)
 
 
 def rank(M: Matrix) -> int:
@@ -317,14 +351,11 @@ def inverse(M: Matrix) -> Matrix:
     if M.nrows != M.ncols:
         raise ValidationError("only square matrices can be inverted")
     n = M.nrows
-    zero, one = M.field.coerce(0), M.field.coerce(1)
-    aug = [list(row) + [zero] * n for row in M.entries]
-    for i, row in enumerate(aug):
-        row[n + i] = one
+    aug = [[*row, *e] for row, e in zip(M.entries, Matrix.identity(M.field, n).entries)]
     rows, piv = _rref_rows(aug, M.field.characteristic)
     if piv != list(range(n)):
         raise ValidationError("matrix is singular")
-    return Matrix(M.field, n, n, tuple(tuple(row[n:]) for row in rows))
+    return _unchecked(Matrix, M.field, n, n, tuple(tuple(row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -341,14 +372,8 @@ class Subspace:
             raise ValidationError("basis and pivot counts differ")
         if not all(a < b for a, b in zip([-1, *self.pivots], [*self.pivots, self.ambient])):
             raise ValidationError("pivots must be strictly increasing and in range")
-        q = self.field.characteristic
+        _check_elements(self.field, self.basis, self.ambient, "basis")
         for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
-            if len(row) != self.ambient:
-                raise ValidationError("basis row length differs from ambient dimension")
-            # another type would break structural equality and hashing
-            for x in row:
-                if not (type(x) is int and 0 <= x < q if q else type(x) is Fraction):
-                    raise ValidationError(f"basis entries are not elements of {self.field}")
             # a zero is falsy in both fields
             if row[p] != 1 or any(row[:p]) or any(row[c] for c in self.pivots[i + 1 :]):
                 raise ValidationError("basis is not in reduced row echelon form")
@@ -356,9 +381,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.dim, self.ambient, self.basis)
 
     def reduce(self, vector: Sequence) -> tuple:
         """Canonical residue of a vector modulo this subspace."""
@@ -402,19 +424,14 @@ def coordinate_subspace(field: Field, ambient: int, positions: Iterable[int]) ->
 
 def kernel(A: Matrix) -> Subspace:
     """Null space of A, as a subspace of F^ncols."""
-    R, piv = rref(A)
-    pivset = set(piv)
-    free = [c for c in range(A.ncols) if c not in pivset]
-    one = A.field.coerce(1)
-    z = A.field.coerce(0)
-    p = A.field.characteristic
+    p, one, z = A.field.characteristic, A.field.coerce(1), A.field.coerce(0)
+    R, piv = _rref_rows([list(r) for r in A.entries], p)
     rows = []
-    for f in free:
+    for f in sorted(set(range(A.ncols)).difference(piv)):
         v = [z] * A.ncols
         v[f] = one
-        for i, c in enumerate(piv):
-            x = R.entries[i][f]
-            v[c] = (-x) % p if p else -x
+        for row, c in zip(R, piv):
+            v[c] = -row[f] % p if p else -row[f]
         rows.append(v)
     return _span_rows(A.field, A.ncols, rows)
 
@@ -435,10 +452,9 @@ def subspace_sum(V: Subspace, W: Subspace) -> Subspace:
 
 def map_subspace(A: Matrix, V: Subspace) -> Subspace:
     """Image A(V) inside F^nrows."""
-    if A.ncols != V.ambient:
+    if A.field != V.field or A.ncols != V.ambient:
         raise ValidationError("matrix domain differs from subspace ambient")
-    B = compose(V.basis_matrix(), A.transpose())
-    return _span_rows(A.field, A.nrows, [list(r) for r in B.entries])
+    return _span_rows(A.field, A.nrows, _images(V.basis, A.entries, A.field.characteristic))
 
 
 def intertwiner_space_dim(
@@ -463,14 +479,10 @@ def intertwiner_space_dim(
             raise ValidationError("maps are not over the stated field")
         if f.shape != (dims_src[i + 1], dims_src[i]) or g.shape != (dims_tgt[i + 1], dims_tgt[i]):
             raise ValidationError("map shapes do not match vertex dimensions")
-    unknowns = sum(a * b for a, b in zip(dims_src, dims_tgt))
+    offsets = [0, *itertools.accumulate(a * b for a, b in zip(dims_src, dims_tgt))]
+    unknowns = offsets[-1]
     if unknowns == 0:
         return 0
-    offsets = []
-    acc = 0
-    for a, b in zip(dims_src, dims_tgt):
-        offsets.append(acc)
-        acc += a * b
     n_constraints = sum(dims_tgt[i + 1] * dims_src[i] for i in range(n - 1))
     if n_constraints == 0:
         return unknowns

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import GuardExceededError, ValidationError, _check_size
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, _unchecked
 from .representations import (
     Decomposition,
     DimVector,
@@ -142,11 +142,8 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
             size = f"at least {guard + 1}"
             raise GuardExceededError(f"{what} of size {size} exceeds the guard {guard}")
         dec = Decomposition(n, tuple(item for item in items if item[1]))
-        rs = object.__new__(RankSequence)  # its table is read off dec: not decomposed again
-        object.__setattr__(rs, "m", m)
-        object.__setattr__(rs, "table", ranks_from_decomposition(dec))
-        object.__setattr__(rs, "_decomposition", dec)
-        out.append(rs)
+        # the table is read off dec: not decomposed again
+        out.append(_unchecked(RankSequence, m, ranks_from_decomposition(dec), _decomposition=dec))
 
     def rec(pos: int) -> None:
         # an interval whose only multiplicity is 0 is passed over in this
@@ -218,7 +215,7 @@ class ProjectionTuple:
                 killed |= s
                 row.append(self.m - len(killed))
             rows.append(tuple(row))
-        return RankTable(self.n, tuple(rows))
+        return _unchecked(RankTable, self.n, tuple(rows))
 
     def rank_sequence(self) -> RankSequence:
         """The orbit of this tuple: its ``rank_table``, decomposed once."""

@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import NotRealizableError, NotSubrepresentationError, ValidationError
-from .linalg import Field, Matrix, Subspace
+from .linalg import Field, Matrix, Subspace, _unchecked
 
 __all__ = [
     "Decomposition",
@@ -318,7 +317,6 @@ def rank_profile(rep: RepMatrices) -> RankTable:
     and an image that is 0 ends its row in zeros.
     """
     p = rep.field.characteristic
-    zero = 0 if p else Fraction(0)
     rows = []
     for a in range(rep.n):
         row = [rep.dims[a]]
@@ -326,10 +324,8 @@ def rank_profile(rep: RepMatrices) -> RankTable:
         for f in rep.maps[a:]:
             if basis is None:
                 images = [list(col) for col in zip(*f.entries)]
-            elif p:
-                images = [[sum(map(operator.mul, v, fr)) % p for fr in f.entries] for v in basis]
             else:
-                images = [[sum(map(operator.mul, v, fr), zero) for fr in f.entries] for v in basis]
+                images = linalg._images(basis, f.entries, p)
             k = len(linalg._pivots(images, p))
             row.append(k)
             if not k:
@@ -337,7 +333,7 @@ def rank_profile(rep: RepMatrices) -> RankTable:
                 break
             basis = None if k == f.nrows else images[:k]
         rows.append(tuple(row))
-    return RankTable(rep.n, tuple(rows))
+    return _unchecked(RankTable, rep.n, tuple(rows))
 
 
 def decompose_from_ranks(table: RankTable) -> Decomposition:
@@ -391,7 +387,7 @@ def ranks_from_decomposition(D: Decomposition) -> RankTable:
         row = list(itertools.accumulate(reversed(ends[a:])))
         row.reverse()
         rows.append(tuple(row))
-    return RankTable(n, tuple(rows))
+    return _unchecked(RankTable, n, tuple(rows))
 
 
 def well_behaved_rep(dv: DimVector) -> Decomposition:
@@ -430,15 +426,10 @@ def minimal_projective_resolution(D: Decomposition) -> tuple[Decomposition, Deco
 def is_catenoid(D: Decomposition) -> bool:
     """True iff the distinct summands are pairwise comparable componentwise,
     i.e. all lie on one oriented path of the Auslander-Reiten quiver."""
-    ivs = D.intervals()
-    for i, x in enumerate(ivs):
-        for y in ivs[i + 1 :]:
-            if not (
-                (x.start <= y.start and x.end <= y.end)
-                or (y.start <= x.start and y.end <= x.end)
-            ):
-                return False
-    return True
+    return all(
+        (x.start <= y.start and x.end <= y.end) or (y.start <= x.start and y.end <= x.end)
+        for x, y in itertools.combinations(D.intervals(), 2)
+    )
 
 
 def schubert_embedding_target(D: Decomposition, dv: DimVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -512,7 +503,9 @@ def _index_sets(dims: Sequence[int], subsets: Sequence[Iterable[int]]) -> list[s
     return sets
 
 
-def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> None:
+def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> list[list[list]]:
+    """Raise NotSubrepresentationError unless each image f(b) of a basis row
+    b reduces to zero modulo the next space; return each edge's images."""
     if len(spaces) != rep.n:
         raise NotSubrepresentationError("need one subspace per vertex")
     for i, space in enumerate(spaces):
@@ -522,28 +515,28 @@ def _check_subrep(rep: RepMatrices, spaces: Sequence[Subspace]) -> None:
             raise NotSubrepresentationError(
                 f"subspace at vertex {i + 1} lives in dimension {space.ambient}, expected {rep.dims[i]}"
             )
+    p, out = rep.field.characteristic, []
     for i, f in enumerate(rep.maps):
-        if not linalg.contains(spaces[i + 1], linalg.map_subspace(f, spaces[i])):
+        images, L = linalg._images(spaces[i].basis, f.entries, p), spaces[i + 1]
+        if any(any(linalg._reduce(y, L.basis, L.pivots, p)) for y in images):
             raise NotSubrepresentationError(f"map {i + 1} does not preserve the subspaces")
+        out.append(images)
+    return out
 
 
 def _columns_at(field: Field, columns: Sequence[Sequence], positions: Sequence[int]) -> Matrix:
     """The matrix whose column j is ``columns[j]`` read at ``positions``."""
     rows = tuple(tuple(w[c] for w in columns) for c in positions)
-    return Matrix(field, len(positions), len(columns), rows)
+    return _unchecked(Matrix, field, len(positions), len(columns), rows)
 
 
 def restrict_rep(rep: RepMatrices, spaces: Sequence[Subspace]) -> RepMatrices:
     """The subrepresentation on the given subspaces, in their RREF bases."""
-    _check_subrep(rep, spaces)
-    maps = []
-    for i, f in enumerate(rep.maps):
-        # row j of the product is f(b_j) for the basis row b_j at vertex i; it
-        # lies in the RREF-basis subspace at i + 1, so its coordinates there
-        # are its entries at the pivots
-        images = linalg.compose(spaces[i].basis_matrix(), f.transpose()).entries
-        maps.append(_columns_at(rep.field, images, spaces[i + 1].pivots))
-    return RepMatrices(rep.field, tuple(s.dim for s in spaces), tuple(maps))
+    # the image f(b) of a basis row b at vertex i lies in the RREF-basis
+    # subspace at i + 1, so its coordinates there are its entries at the pivots
+    images = _check_subrep(rep, spaces)
+    maps = tuple(_columns_at(rep.field, y, s.pivots) for y, s in zip(images, spaces[1:]))
+    return RepMatrices(rep.field, tuple(s.dim for s in spaces), maps)
 
 
 def quotient_rep(rep: RepMatrices, spaces: Sequence[Subspace]) -> RepMatrices:

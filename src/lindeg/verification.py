@@ -119,9 +119,6 @@ def _random_decomposition(
 def _random_invertible(rng: random.Random, field: Field, size: int) -> tuple[Matrix, Matrix]:
     """A random invertible matrix and its inverse, from one elimination per
     draw: a singular draw fails ``inverse`` and is drawn again."""
-    if size == 0:
-        ident = Matrix.identity(field, 0)
-        return ident, ident
     while True:
         if field.is_modular:
             rows = [
@@ -221,6 +218,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
             dvs = list(_dim_vectors(m, n))
             for rs in orbits:
                 J = _check_orbit_roundtrips(check, rs, rng.choice([2, 3, 101]))
+                matrices = J.matrices(GF(5))
                 for dv in dvs:
                     flags = flat_flags(rs, dv)
                     irr = is_irreducible(rs, dv)
@@ -253,7 +251,7 @@ def suite_classify_consistency(seed: int = 0) -> SuiteResult:
                             "well-behaved orbit not flat-irreducible: {}, d={}", rs, dv.d,
                         )
                     check(
-                        is_well_behaved_matrices(J.matrices(GF(5)), dv) == wb,
+                        is_well_behaved_matrices(matrices, dv) == wb,
                         "matrix-level good behavior disagrees for {}, d={}", rs, dv.d,
                     )
     return check.result("classify-consistency")

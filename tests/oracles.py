@@ -25,7 +25,6 @@ from lindeg import (
     DimVector,
     FlatFlags,
     Interval,
-    Matrix,
     PointAnalysis,
     ProjectionTuple,
     RankSequence,
@@ -103,13 +102,20 @@ def ranks_oracle(D: Decomposition) -> RankTable:
 
 def rank_profile_oracle(rep: RepMatrices) -> RankTable:
     """Rank table of a matrix tuple: entry (a, b) is the rank, by
-    ``rref_oracle``, of the product f_{b-1} ... f_a multiplied out."""
+    ``rref_oracle``, of the product f_{b-1} ... f_a multiplied out by a
+    triple loop of its own, not by the library's product."""
+    p = rep.field.characteristic
 
     def entry(a: int, b: int) -> int:
-        prod = Matrix.identity(rep.field, rep.dims[a - 1])
+        size = rep.dims[a - 1]
+        prod = [[int(i == j) for j in range(size)] for i in range(size)]
         for f in rep.maps[a - 1 : b - 1]:
-            prod = f @ prod
-        return len(rref_oracle(prod.entries, rep.field.characteristic)[1])
+            prod = [
+                [sum(f.entries[i][k] * prod[k][j] for k in range(f.ncols)) for j in range(size)]
+                for i in range(f.nrows)
+            ]
+        rows = [[x % p if p else Fraction(x) for x in row] for row in prod]
+        return len(rref_oracle(rows, p)[1])
 
     return RankTable.from_function(rep.n, entry)
 

@@ -9,11 +9,13 @@ from lindeg import (
     QQ,
     DimVector,
     Interval,
+    Matrix,
     NotFlatError,
     NotIrreducibleError,
     ProjectionTuple,
     RankSequence,
     RankTable,
+    RepMatrices,
     SingularInfo,
     ValidationError,
     analyze_point,
@@ -419,6 +421,18 @@ class TestClassify:
         rs = RankSequence.two_step(6, 4)
         rep = representative(rs).matrices(GF(7))
         assert classify_matrices(rep, FLAG64) == classify(rs, FLAG64)
+
+    def test_matrices_rank_exactly_over_q(self):
+        """Integer rows of rank 2: coerced by ``from_rows`` they give edge
+        rank 2 and a singular variety, and ``Matrix(...)`` refuses them raw
+        (ints over Q once made elimination divide in floats: rank 3, smooth)."""
+        rows = ((-54, -72, -9), (5, 6, 3), (-3, -6, 6))
+        dv = DimVector(3, (1, 2))
+        report = classify_matrices(RepMatrices(QQ, (3, 3), (Matrix.from_rows(QQ, rows),)), dv)
+        assert report.edge_ranks == (2,) and not report.smooth
+        assert report == classify(RankSequence.two_step(3, 2), dv)
+        with pytest.raises(ValidationError, match="not elements of Q"):
+            Matrix(QQ, 3, 3, rows)
 
     def test_matrices_reject_wrong_shape(self):
         rep = ProjectionTuple(4, ({1},)).matrices(QQ)

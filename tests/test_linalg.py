@@ -31,6 +31,9 @@ from lindeg.linalg import _pivots
 from oracles import rref_oracle
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
+PRODUCT_FIELDS = [GF(2), GF(101), QQ]
+# integer rows of rank 2
+MISRANKED = ((-54, -72, -9), (5, 6, 3), (-3, -6, 6))
 
 
 def _random_matrix(rng, field, nrows, ncols, lo=-4, hi=4):
@@ -171,6 +174,66 @@ class TestMatrix:
         B = Matrix.zeros(QQ, 2, 3)
         with pytest.raises(ValidationError):
             _ = A @ B
+
+    @pytest.mark.parametrize(
+        "field, nrows, ncols, entries, message",
+        [
+            # ints over Q made elimination divide in floats and rank this 3
+            (QQ, 3, 3, MISRANKED, "matrix entries are not elements of Q"),
+            # 5 over F_5 used to leak a ValueError from the pivot inverse
+            (GF(5), 1, 1, ((5,),), "matrix entries are not elements of F_5"),
+            (QQ, 2, 1, ((Fraction(1),),), r"matrix shape \(2, 1\) does not fit 1 rows"),
+            (QQ, 1, -1, (), r"matrix shape \(1, -1\) does not fit 0 rows"),
+            (QQ, 1, 2, ((Fraction(1),),), "matrix row length differs from 2"),
+            (QQ, 1, 1, ((0.5,),), "matrix entries are not elements of Q"),
+            (GF(2), 1, 1, ((True,),), "matrix entries are not elements of F_2"),
+            (GF(3), 1, 1, ((-1,),), "matrix entries are not elements of F_3"),
+        ],
+        ids=["int-over-q", "int-too-large", "nrows-lies", "ncols-negative", "row-length",
+             "float", "bool", "int-negative"],
+    )
+    def test_matrix_checks_its_entries(self, field, nrows, ncols, entries, message):
+        with pytest.raises(ValidationError, match=message):
+            Matrix(field, nrows, ncols, entries)
+
+    def test_from_rows_coerces_before_it_builds(self):
+        M = Matrix.from_rows(QQ, MISRANKED)
+        assert rank(M) == 2 == len(rref_oracle(M.entries, 0)[1])
+        assert Matrix(QQ, 3, 3, M.entries) == M
+        assert Matrix.from_rows(QQ, [["1/2", "3e2"]]).entries == ((Fraction(1, 2), Fraction(300)),)
+        assert Matrix.from_rows(GF(5), [[5, -1]]).entries == ((0, 4),)
+
+
+def _draw_rows(data, field, nrows, ncols):
+    p = field.characteristic
+    entry = st.integers(0, p - 1) if p else st.fractions(-3, 3, max_denominator=3)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PRODUCT_FIELDS), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.data())
+def test_compose_matches_a_triple_loop(field, nr, nmid, nc, data):
+    """Every entry of A @ B is the sum over k of A[i][k] B[k][j], zero-sized
+    shapes included (an empty sum is 0)."""
+    a, b = _draw_rows(data, field, nr, nmid), _draw_rows(data, field, nmid, nc)
+    A, B = Matrix.from_rows(field, a, ncols=nmid), Matrix.from_rows(field, b, ncols=nc)
+    expected = [[sum(a[i][k] * b[k][j] for k in range(nmid)) for j in range(nc)] for i in range(nr)]
+    assert A @ B == Matrix.from_rows(field, expected, ncols=nc)
+    assert (A @ B).shape == (nr, nc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PRODUCT_FIELDS), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_map_subspace_matches_the_span_of_images(field, nr, nc, data):
+    """A(V) is the span of A v for the spanning vectors v of V, each image
+    computed by a plain loop."""
+    a = _draw_rows(data, field, nr, nc)
+    vectors = _draw_rows(data, field, data.draw(st.integers(0, 3)), nc)
+    A, V = Matrix.from_rows(field, a, ncols=nc), span(field, nc, vectors)
+    images = [[sum(row[c] * v[c] for c in range(nc)) for row in a] for v in vectors]
+    assert map_subspace(A, V) == span(field, nr, images)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,6 +519,9 @@ def _line(field, ambient):
         (lambda: Matrix.from_rows(GF(2), [[1, 0], [1]]), "matrix rows have unequal lengths"),
         (lambda: Matrix.from_rows(GF(2), [[1, 0]], ncols=3), "expected 3 columns, got 2"),
         (lambda: Matrix.projection(GF(2), 2, {2}), "killed positions [2] out of range(0, 2)"),
+        (lambda: Matrix.identity(GF(2), -1), "killed positions [] out of range(0, -1)"),
+        (lambda: Matrix.zeros(GF(2), -1, 2), "matrix shape (-1, 2) needs integers >= 0"),
+        (lambda: Matrix.zeros(GF(2), 1, True), "matrix shape (1, True) needs integers >= 0"),
         (lambda: Matrix.identity(GF(2), 2) @ Matrix.identity(GF(3), 2),
          "cannot multiply matrices over different fields"),
         (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), "only square matrices can be inverted"),
@@ -467,6 +533,8 @@ def _line(field, ambient):
          "subspaces live in different ambient spaces"),
         (lambda: map_subspace(Matrix.identity(GF(2), 2), _line(GF(2), 3)),
          "matrix domain differs from subspace ambient"),
+        (lambda: map_subspace(Matrix.identity(GF(2), 2), _line(GF(3), 2)),
+         "matrix domain differs from subspace ambient"),
         (lambda: intertwiner_space_dim(GF(2), (1, 1), (), (1, 1), ()),
          "representations have different quiver lengths"),
         (lambda: intertwiner_space_dim(
@@ -477,8 +545,9 @@ def _line(field, ambient):
         ), "map shapes do not match vertex dimensions"),
     ],
     ids=[
-        "ragged-rows", "column-count", "projection-range", "product-fields", "inverse-shape",
-        "vector-length", "coordinate-range", "contains-ambient", "sum-field", "map-domain",
+        "ragged-rows", "column-count", "projection-range", "identity-size", "zeros-size",
+        "zeros-bool", "product-fields", "inverse-shape",
+        "vector-length", "coordinate-range", "contains-ambient", "sum-field", "map-domain", "map-field",
         "intertwiner-length", "intertwiner-field", "intertwiner-shape",
     ],
 )

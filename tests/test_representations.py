@@ -31,13 +31,16 @@ from lindeg import (
     hom_dim,
     hom_dim_intervals,
     intertwiner_space_dim,
+    inverse,
     is_catenoid,
     map_subspace,
     minimal_projective_resolution,
     quotient_rep,
+    rank,
     rank_profile,
     ranks_from_decomposition,
     restrict_rep,
+    rref,
     schubert_embedding_target,
     span,
     subspace_sum,
@@ -334,6 +337,36 @@ def test_rank_profile_matches_multiplied_composites(field, dims, data):
     maps = tuple(_draw_map(data, field, b, a) for a, b in zip(dims, dims[1:]))
     rep = RepMatrices(field, tuple(dims), maps)
     assert rank_profile(rep) == rank_profile_oracle(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GF(2), GF(101), QQ]), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_library_built_matrices_pass_the_public_check(field, k, n, data):
+    """The library builds these matrices from field elements without the
+    element check; rebuilt through ``Matrix(...)``, each passes it and
+    equals itself."""
+    f = _draw_map(data, field, n, k)  # from_rows, zeros or a product
+    g = _draw_map(data, field, k, data.draw(st.integers(0, 3)))
+    V = span(field, k, _draw_map(data, field, data.draw(st.integers(0, 2)), k).entries)
+    W = subspace_sum(map_subspace(f, V), span(field, n, _draw_map(data, field, 1, n).entries))
+    rep = RepMatrices(field, (k, n), (f,))
+    killed = {i for i in range(n) if data.draw(st.booleans())}
+    built = [
+        f,
+        f.transpose(),
+        f @ g,
+        rref(f)[0],
+        Matrix.zeros(field, n, k),
+        Matrix.identity(field, n),
+        Matrix.projection(field, n, killed),
+        Matrix.from_rows(field, [[3, -1]] * n, ncols=2),
+        *restrict_rep(rep, (V, W)).maps,
+        *quotient_rep(rep, (V, W)).maps,
+    ]
+    if n == k == rank(f):
+        built.append(inverse(f))
+    for M in built:
+        assert Matrix(M.field, M.nrows, M.ncols, M.entries) == M
 
 
 @settings(max_examples=80, deadline=None)
