@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import QQ, Field, kernel, rank, _pivots
-from .orbits import ProjectionTuple, RankSequence, decomposition_of
+from .orbits import ProjectionTuple, RankSequence, _above_targets, decomposition_of
 from .representations import (
     Decomposition,
     DimVector,
@@ -53,7 +53,8 @@ def _segment_bounds(stratum: tuple[int, ...], n: int) -> list[tuple[int, int]]:
 
 
 def _check_pair(rs: RankSequence, dv: DimVector) -> None:
-    if rs.m != dv.m or rs.n != dv.n:
+    # the fields themselves, not the n properties: every classifier call checks
+    if rs.m != dv.m or rs.table.n != len(dv.d):
         raise ValidationError("rank sequence and dimension vector do not match")
 
 
@@ -61,7 +62,8 @@ def is_smooth(rs: RankSequence, dv: DimVector) -> bool:
     """Smooth iff every map has rank 0 or m (then the variety is a product of
     ordinary flag varieties)."""
     _check_pair(rs, dv)
-    return all(r in (0, rs.m) for r in rs.edge_ranks())
+    m = rs.m
+    return all(row[1] in (0, m) for row in rs.table.rows[:-1])
 
 
 def is_irreducible(rs: RankSequence, dv: DimVector) -> bool:
@@ -84,30 +86,22 @@ class FlatFlags:
 
 
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
-    """Flatness over the orbit's own stratum, in one pass over the rank table.
+    """Flatness over the orbit's own stratum, as two packed comparisons.
 
-    The stratum is the set of zero maps.  For a < b with no zero map between
-    them, the slack is r(a, b) - (m + d_a - d_b).  Every slack at least -1
-    means the fiber dimension stays at the flag dimension (flat over the
-    stratum); every slack at least 0 additionally forces irreducible fibers,
-    which for a point of its own stratum is the same as lying in the closure
-    of the generic irreducible locus.  This is the entrywise comparison with
-    the two tables of ``stratum_rank_targets``, the rule's oracle.
+    The stratum is the set of zero maps.  The fiber dimension stays at the
+    flag dimension (flat over the stratum) iff the rank table is entrywise at
+    least the second table of ``stratum_rank_targets``, with m + d_a - d_b - 1
+    at each a < b that no zero map separates; at least the first, with
+    m + d_a - d_b there, additionally forces irreducible fibers, which for a
+    point of its own stratum is the same as lying in the closure of the
+    generic irreducible locus.  Both targets come packed from a bounded memo
+    keyed by (m, d, stratum), and each comparison is the packed rule of
+    ``RankSequence.leq``: target <= rs iff ``((word | G) - target) & G == G``.
     """
     _check_pair(rs, dv)
-    rows, m, d = rs.table.rows, rs.m, dv.d
-    zero = [row[1] == 0 for row in rows[:-1]]
-    slack = 0
-    for a, row in enumerate(rows):
-        base = m + d[a]
-        for b in range(a + 1, rs.n):
-            if zero[b - 1]:
-                break
-            s = row[b - a] - base + d[b]
-            if s < slack:
-                slack = s
-    stratum = tuple(i for i, z in enumerate(zero, start=1) if z)
-    return FlatFlags(stratum, slack >= -1, slack >= 0)
+    stratum = tuple(a for a, row in enumerate(rs.table.rows[:-1], start=1) if row[1] == 0)
+    flat_irreducible, flat = _above_targets(rs, dv.d, stratum)
+    return FlatFlags(stratum, flat, flat_irreducible)
 
 
 def dimension(rs: RankSequence, dv: DimVector) -> int:
@@ -120,14 +114,16 @@ def dimension(rs: RankSequence, dv: DimVector) -> int:
 
 
 def _dimension(dv: DimVector, flags: FlatFlags) -> int:
+    """The flag dimension of d_lo < ... < d_hi in F^m is the sum of
+    d_i (d_{i+1} - d_i) over i in lo..hi with d_{hi+1} read as m; a zero map
+    at edge i ends a segment at vertex i."""
     if not flags.flat:
         raise NotFlatError(
             f"orbit is not flat over its stratum {flags.stratum}; dimension formula does not apply"
         )
-    return sum(
-        DimVector(dv.m, dv.d[lo - 1 : hi]).flag_dimension()
-        for lo, hi in _segment_bounds(flags.stratum, dv.n)
-    )
+    m, d = dv.m, dv.d
+    after = [m if i in flags.stratum else d[i] for i in range(1, dv.n)] + [m]
+    return sum(x * (y - x) for x, y in zip(d, after))
 
 
 def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:

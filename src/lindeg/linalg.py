@@ -143,11 +143,17 @@ def _unchecked(cls, *values, **extra):
     return obj
 
 
-def _check_elements(field: Field, rows: Sequence[Sequence], width: int, what: str) -> None:
-    """Raise ValidationError unless every row has ``width`` entries, each an
-    element of ``field``: an int in [0, p) over F_p, a Fraction over Q."""
+def _check_elements(field: Field, rows: tuple[tuple, ...], width: int, what: str) -> None:
+    """Raise ValidationError unless ``rows`` is a tuple of tuples of ``width``
+    entries, each an element of ``field``: an int in [0, p) over F_p, a
+    Fraction over Q.  Lists would leave the holder unhashable and unequal to
+    the same rows as tuples."""
     q = field.characteristic
+    if type(rows) is not tuple:
+        raise ValidationError(f"{what} rows must be a tuple of tuples")
     for row in rows:
+        if type(row) is not tuple:
+            raise ValidationError(f"{what} rows must be a tuple of tuples")
         if len(row) != width:
             raise ValidationError(f"{what} row length differs from {width}")
         for x in row:

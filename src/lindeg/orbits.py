@@ -5,10 +5,19 @@ bijection with realizable rank tables whose diagonal is constant m; a
 ``RankSequence`` refuses any other table.  The closure order is entrywise
 comparison, strata are indexed by the set of zero maps, and every orbit has
 a canonical representative by coordinate projections.
+
+Each orbit also holds its table packed into one int, the entries in
+row-major order as fields of w = m.bit_length() + 1 bits, the first entry in
+the highest field.  An entry lies in 0..m, below the top bit of its field,
+which is a guard bit; so s <= r entrywise iff ``((r | G) - s) & G == G`` for
+the mask G of the guard bits: a field where s exceeds r borrows from its
+guard bit, and no field borrows from the next.  One int operation then
+answers the closure order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -52,6 +61,8 @@ class RankSequence:
 
     Construction decomposes the table (NotRealizableError for a negative
     multiplicity) and keeps the result, not a field, for ``decomposition_of``.
+    It also keeps the packed table ``_word`` and its guard mask ``_guard``
+    (see the module docstring), which ``leq`` compares.
     """
 
     m: int
@@ -62,7 +73,11 @@ class RankSequence:
             raise ValidationError(f"m must be an integer, got {self.m!r}")
         if any(x != self.m for x in self.table.vertex_dims()):
             raise ValidationError("rank sequence must have constant vertex dimension m")
+        # set in the order enumerate_orbits sets them, so instances share dict keys
         object.__setattr__(self, "_decomposition", decompose_from_ranks(self.table))
+        w, n = _width(self.m), self.table.n
+        object.__setattr__(self, "_word", _pack(w, self.table.rows))
+        object.__setattr__(self, "_guard", _guards(w, n * (n + 1) // 2))
 
     @property
     def n(self) -> int:
@@ -72,16 +87,22 @@ class RankSequence:
         return self.table.r(a, b)
 
     def edge_ranks(self) -> tuple[int, ...]:
-        return tuple(self.table.r(i, i + 1) for i in range(1, self.n))
+        return tuple(row[1] for row in self.table.rows[:-1])
 
     def leq(self, other: "RankSequence") -> bool:
+        """Entrywise order of the tables, as one packed test: self <= other iff
+        ``((other._word | G) - self._word) & G == G`` for the shared guard
+        mask G.  ``RankTable.leq`` is its oracle."""
         if self.m != other.m:
             raise ValidationError("rank sequences have different ambient dimensions")
-        return self.table.leq(other.table)
+        guard = self._guard
+        if guard != other._guard:
+            raise ValidationError("rank tables have different lengths")
+        return ((other._word | guard) - self._word) & guard == guard
 
     def node_id(self) -> str:
         """Stable DOT node name: 'r_' plus the flattened table."""
-        return "r_" + "_".join(str(x) for x in self.table.entries_flat())
+        return "r_" + "_".join(map(str, self.table.entries_flat()))
 
     @staticmethod
     def identity_orbit(m: int, n: int) -> "RankSequence":
@@ -105,6 +126,31 @@ class RankSequence:
 
     def __str__(self) -> str:
         return f"ranks{self.edge_ranks()} on F^{self.m}"
+
+
+def _width(m: int) -> int:
+    """Bits per packed entry: m.bit_length() for 0..m and a guard bit on top."""
+    return m.bit_length() + 1
+
+
+def _pack(w: int, rows: Iterable[Sequence[int]]) -> int:
+    """Table rows as one int of w-bit fields, row-major, first entry highest.
+    Each row is packed on its own before it joins the word, so the growing
+    word is shifted once per row, not once per entry."""
+    word = 0
+    for row in rows:
+        packed = 0
+        for x in row:
+            packed = packed << w | x
+        word = word << w * len(row) | packed
+    return word
+
+
+@functools.lru_cache(maxsize=64)
+def _guards(w: int, count: int) -> int:
+    """The guard mask: the top bit of each of ``count`` w-bit fields, shared
+    by the packed words of one shape."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1) << (w - 1)
 
 
 def decomposition_of(rs: RankSequence) -> Decomposition:
@@ -136,16 +182,24 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
     caps = [m] * (n + 1)  # caps[v] for 1-based v; caps[0] unused
     items: list[tuple[Interval, int]] = []  # the multiplicities chosen, in sorted order
     out: list[RankSequence] = []
+    # the packed table is linear in the multiplicities: each copy of the
+    # interval at pos adds ``units[pos]``, the packed table of one copy,
+    # built when a multiplicity at pos is first chosen
+    w = _width(m)
+    mask = _guards(w, n * (n + 1) // 2)
+    units: dict[int, int] = {}
 
-    def emit() -> None:
+    def emit(word: int) -> None:
         if len(out) >= guard:
             size = f"at least {guard + 1}"
             raise GuardExceededError(f"{what} of size {size} exceeds the guard {guard}")
-        dec = Decomposition(n, tuple(item for item in items if item[1]))
+        # items are sorted and fit by construction, so dec skips its checks;
         # the table is read off dec: not decomposed again
-        out.append(_unchecked(RankSequence, m, ranks_from_decomposition(dec), _decomposition=dec))
+        dec = _unchecked(Decomposition, n, tuple(item for item in items if item[1]))
+        table = ranks_from_decomposition(dec)
+        out.append(_unchecked(RankSequence, m, table, _decomposition=dec, _word=word, _guard=mask))
 
-    def rec(pos: int) -> None:
+    def rec(pos: int, word: int) -> None:
         # an interval whose only multiplicity is 0 is passed over in this
         # loop, not by a call of its own, so the depth counts real choices
         while pos < len(intervals):
@@ -159,16 +213,23 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
             # no room at a..b (b < n) leaves none for a longer interval from a
             pos += max(n - b, 1)
         else:
-            emit()
+            emit(word)
             return
+        unit = units.get(pos)
+        if unit is None:
+            one_copy = ranks_from_decomposition(Decomposition(n, ((iv, 1),)))
+            unit = units[pos] = _pack(w, one_copy.rows)
         for k in choices:
             caps[a : b + 1] = [c - k for c in caps[a : b + 1]]
             items.append(shared.setdefault((pos, k), (iv, k)))
-            rec(pos + 1)
+            rec(pos + 1, word + k * unit)
             items.pop()
             caps[a : b + 1] = [c + k for c in caps[a : b + 1]]
 
-    rec(0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # the closure refers to itself: break that cycle
     return tuple(out)
 
 
@@ -280,18 +341,49 @@ def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence,
 
 def _stratum_table(I: Iterable[int], dv: DimVector, level: int) -> RankTable:
     """The table of ``stratum_rank_targets(I, dv)[level - 1]``, not checked
-    for realizability: m on the diagonal, 0 across an edge in I, and
-    m + d_a - d_b - (level - 1) elsewhere."""
+    for realizability."""
+    return RankTable(dv.n, _stratum_rows(I, dv.m, dv.d, level))
+
+
+def _stratum_rows(
+    I: Iterable[int], m: int, d: tuple[int, ...], level: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``_stratum_table``: m on the diagonal, 0 across an edge in
+    I, and m + d_a - d_b - (level - 1) elsewhere."""
     iset = frozenset(I)
+    n = len(d)
 
     def entry(a: int, b: int) -> int:
         if a == b:
-            return dv.m
+            return m
         if any(i in iset for i in range(a, b)):
             return 0
-        return dv.m + dv.d[a - 1] - dv.d[b - 1] - (level - 1)
+        return m + d[a - 1] - d[b - 1] - (level - 1)
 
-    return RankTable.from_function(dv.n, entry)
+    return tuple(tuple(entry(a, b) for b in range(a, n + 1)) for a in range(1, n + 1))
+
+
+def _above_targets(
+    rs: RankSequence, d: tuple[int, ...], stratum: tuple[int, ...]
+) -> tuple[bool, bool]:
+    """Whether the table of rs is entrywise at least the first and at least
+    the second table of ``stratum_rank_targets(stratum, DimVector(rs.m, d))``:
+    the packed rule of ``RankSequence.leq``, target <= rs iff
+    ``((word | G) - target) & G == G``, against memoized target words."""
+    upper, lower = _target_words(rs.m, d, stratum)
+    guard = rs._guard
+    word = rs._word | guard
+    return (word - upper) & guard == guard, (word - lower) & guard == guard
+
+
+@functools.lru_cache(maxsize=256)
+def _target_words(m: int, d: tuple[int, ...], stratum: tuple[int, ...]) -> tuple[int, int]:
+    """The two tables of ``stratum_rank_targets(stratum, DimVector(m, d))``
+    packed as a ``RankSequence`` of that shape packs its own, with no table
+    built.  A bounded memo: a flag datum has 2^(n-1) strata, and a long run
+    sees many data."""
+    w = _width(m)
+    return _pack(w, _stratum_rows(stratum, m, d, 1)), _pack(w, _stratum_rows(stratum, m, d, 2))
 
 
 def _covering_pairs(ordered: Sequence[RankSequence]) -> list[tuple[int, int]]:
@@ -353,7 +445,7 @@ def hasse_dot(
             raise ValidationError("orbits live on different quivers")
 
     def label(rs: RankSequence) -> str:
-        text = "r=" + ",".join(str(x) for x in rs.edge_ranks())
+        text = "r=" + ",".join(map(str, rs.edge_ranks()))
         extra = annotate(rs) if annotate else None
         if extra:
             text += "\\n" + extra

@@ -246,7 +246,8 @@ class RankTable:
             return flat
 
     def leq(self, other: "RankTable") -> bool:
-        """Entrywise comparison (same shape required)."""
+        """Entrywise comparison (same shape required), one entry at a time:
+        the oracle of the packed test in ``RankSequence.leq``."""
         if self.n != other.n:
             raise ValidationError("rank tables have different lengths")
         return all(map(operator.le, self.entries_flat(), other.entries_flat()))

@@ -243,12 +243,13 @@ def bruteforce_orbit_tables_f2(m: int, n: int) -> set[tuple[tuple[int, ...], ...
 
 
 def covering_pairs_oracle(orbits: Sequence[RankSequence]) -> list[tuple[int, int]]:
-    """Covers (i, j), j covered by i, by an O(k^3) scan of all triples."""
+    """Covers (i, j), j covered by i, by an O(k^3) scan of all triples of
+    the entrywise order, compared by ``RankTable.leq``."""
     k = len(orbits)
     less = [[False] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            if i != j and orbits[j].leq(orbits[i]) and orbits[i] != orbits[j]:
+            if i != j and orbits[j].table.leq(orbits[i].table) and orbits[i] != orbits[j]:
                 less[i][j] = True  # j strictly below i
     covers = []
     for i in range(k):
@@ -272,10 +273,11 @@ def census_oracle(rep: RepMatrices, dv: DimVector, guard: int = 10**7) -> Census
 
 def flat_flags_oracle(rs: RankSequence, dv: DimVector) -> FlatFlags:
     """Flatness flags by building both target tables of the orbit's stratum
-    and comparing the rank table with each entry by entry."""
+    and comparing the rank table with each entry by entry (``RankTable.leq``,
+    not the packed words)."""
     stratum = stratum_of(rs)
     upper, lower = stratum_rank_targets(stratum, dv)
-    return FlatFlags(stratum, lower.leq(rs), upper.leq(rs))
+    return FlatFlags(stratum, lower.table.leq(rs.table), upper.table.leq(rs.table))
 
 
 def subreps_oracle(rep: RepMatrices, targets: Sequence[int]) -> Iterator[SubrepPoint]:

@@ -196,6 +196,25 @@ class TestMatrix:
         with pytest.raises(ValidationError, match=message):
             Matrix(field, nrows, ncols, entries)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Matrix(QQ, 1, 1, [[Fraction(1)]]),
+            lambda: Matrix(QQ, 1, 1, [(Fraction(1),)]),
+            lambda: Matrix(GF(2), 1, 2, ([1, 0],)),
+            lambda: Subspace(QQ, 2, [(Fraction(1), Fraction(0))], (0,)),
+            lambda: Subspace(GF(2), 2, ([1, 0],), (0,)),
+        ],
+        ids=["matrix-lists", "matrix-list-of-tuples", "matrix-list-row",
+             "subspace-list-of-tuples", "subspace-list-row"],
+    )
+    def test_rows_must_be_tuples(self, build):
+        # list rows passed the element check but left the holder unhashable
+        # and unequal to the same rows given as tuples
+        with pytest.raises(ValidationError, match="rows must be a tuple of tuples"):
+            build()
+        assert hash(Matrix(QQ, 1, 1, ((Fraction(1),),))) == hash(Matrix.from_rows(QQ, [[1]]))
+
     def test_from_rows_coerces_before_it_builds(self):
         M = Matrix.from_rows(QQ, MISRANKED)
         assert rank(M) == 2 == len(rref_oracle(M.entries, 0)[1])

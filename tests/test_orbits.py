@@ -1,6 +1,7 @@
 """Orbit enumeration, closure order, strata and canonical representatives."""
 
 import dataclasses
+import gc
 import itertools
 import random
 import tracemalloc
@@ -21,10 +22,13 @@ from lindeg import (
     ValidationError,
     classify,
     decompose_from_ranks,
+    dimension,
     decomposition_of,
     degenerates_to,
     enumerate_orbits,
+    flat_flags,
     hasse_dot,
+    is_smooth,
     rank_profile,
     ranks_from_decomposition,
     representative,
@@ -72,6 +76,13 @@ class TestEnumeration:
             assert decompose_from_ranks(rs.table) == decomposition_of(rs)
             assert decomposition_of(rs).vertex_dims() == (3, 3, 3)
 
+    def test_kept_decompositions_pass_their_own_check(self):
+        # the enumeration builds them unchecked, sorted and positive by construction
+        for m, n in [(0, 3), (3, 3), (2, 4), (5, 2)]:
+            for rs in enumerate_orbits(m, n):
+                dec = decomposition_of(rs)
+                assert Decomposition(dec.n, dec.items) == dec
+
     def test_tables_distinct(self):
         orbits = enumerate_orbits(4, 3)
         assert len({rs.table for rs in orbits}) == len(orbits)
@@ -108,6 +119,19 @@ class TestEnumeration:
         for n in (100, 10**9):
             with pytest.raises(GuardExceededError, match=f"interval list for n={n} of size "):
                 enumerate_orbits(0, n, guard=5049)
+
+    def test_a_finished_enumeration_leaves_no_cycle(self):
+        # the walk's closures once formed a cycle that held every orbit of
+        # the call until the cyclic collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_orbits(3, 4)
+            with pytest.raises(GuardExceededError):
+                enumerate_orbits(3, 4, guard=50)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("m,n", [(-1, 2), (2, 0)])
     def test_rejects_a_negative_m_or_no_vertex(self, m, n):
@@ -252,6 +276,17 @@ class TestClosureOrder:
         top, low = RankSequence.two_step(3, 3), RankSequence.two_step(3, 1)
         assert degenerates_to(top, low)
         assert calls == [(low, top)]
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 4, 7, 8])
+    def test_packed_leq_is_the_table_order(self, m):
+        # m = 2^k - 1 and 2^k are the edges of the field width; the left
+        # side is built through __post_init__, the right side enumerated
+        for n in range(1, 4 if m > 4 else 5):
+            orbits = enumerate_orbits(m, n)
+            built = [RankSequence(m, rs.table) for rs in orbits]
+            for x, y in itertools.product(built, orbits):
+                assert x.leq(y) == x.table.leq(y.table), (x.table, y.table)
+                assert y.leq(x) == y.table.leq(x.table), (y.table, x.table)
 
     def test_leq_needs_same_quiver(self):
         with pytest.raises(ValidationError):
@@ -460,6 +495,50 @@ def _assert_covers_match(orbits):
     """Bitset covers equal the oracle's on the list as hasse_dot orders it."""
     ordered = sorted(set(orbits), key=lambda rs: rs.table.entries_flat(), reverse=True)
     assert sorted(_covering_pairs(ordered)) == sorted(covering_pairs_oracle(ordered))
+
+
+class TestPosetMemory:
+    def test_annotated_closures_keep_live_memory_flat(self):
+        """40 rounds of annotated closures, each job with a fresh DimVector,
+        leave the live memory about where the first round left it: nothing is
+        kept per orbit or per DimVector, and the stratum targets' memo is
+        bounded.  Its 48 keys (m, d, stratum) take about 11 KB after the
+        first round; one tuple of edge ranks cached per orbit adds about
+        40 KB more."""
+        orbits = enumerate_orbits(5, 4) + enumerate_orbits(6, 4)
+        names = {rs.node_id() for rs in orbits}  # as a caller that names every orbit first
+        rng = random.Random(0)
+
+        def label(rs, dv):
+            flags = flat_flags(rs, dv)
+            text = "smooth" if is_smooth(rs, dv) else ""
+            return f"{text},dim={dimension(rs, dv)}" if flags.flat else text
+
+        def one_round():
+            for _ in range(4):
+                below = []
+                while not 0 < len(below) <= 150:  # the size of a bench job's closure
+                    top = rng.choice(orbits)
+                    below = [rs for rs in orbits if rs.m == top.m and degenerates_to(top, rs)]
+                dv = DimVector(top.m, tuple(sorted(rng.sample(range(1, top.m), 4))))
+                dot = hasse_dot(below, annotate=lambda rs: label(rs, dv))
+                assert dot.count("[label=") == len(below)
+
+        def live():
+            gc.collect()  # also empties the interpreter's free lists
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            one_round()
+            first = live()
+            for _ in range(39):
+                one_round()
+            last = live()
+        finally:
+            tracemalloc.stop()
+        assert len(names) == len(orbits)
+        assert last - first < 32 * 1024, last - first
 
 
 class TestCovers:
