@@ -14,22 +14,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classifier import dimension, is_irreducible, singular_model
 from .errors import NotIrreducibleError, ValidationError, _check_size
-from .linalg import (
-    Field,
-    Matrix,
-    Subspace,
-    coordinate_subspace,
-    map_subspace,
-    subspace_sum,
-    _images,
-    _pivots,
-    _reduce,
-    _unchecked,
-)
+from .linalg import Field, Matrix, Subspace, _images, _pivots, _reduce, _rref_rows, _unchecked
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
     Decomposition,
@@ -92,18 +81,23 @@ def subspaces_iter(field: Field, ambient: int, dim: int) -> Iterator[Subspace]:
     then within each pivot class the product of the ``_row_choices``, last
     row and last entry fastest.  A pivot class is one torus cell of the
     Grassmannian: under t*e_j = t^j e_j every member tends to the coordinate
-    subspace on its pivots as t -> 0, which comes first.
+    subspace on its pivots as t -> 0, which comes first.  It is ``_walk`` on
+    one vertex, whose RREF rows are built into subspaces unchecked.
     """
     if not field.is_modular:
         raise ValidationError("subspace enumeration needs a finite field")
+    if type(ambient) is not int or type(dim) is not int:
+        raise ValidationError(f"ambient and dim must be integers, got {ambient!r}, {dim!r}")
     if not 0 <= dim <= ambient:
         raise ValidationError(f"subspace dimension {dim} out of range 0..{ambient}")
     p = field.characteristic
-    return (
-        Subspace(field, ambient, rows, pivots)
-        for pivots in itertools.combinations(range(ambient), dim)
-        for rows in itertools.product(*_row_choices(p, ambient, pivots))
-    )
+    pivot_sets = itertools.combinations(range(ambient), dim)
+    classes = ((piv, _row_choices(p, ambient, piv)) for piv in pivot_sets)
+
+    def point(bases: list[Rows], pivots: list[tuple[int, ...]]) -> Subspace:
+        return _unchecked(Subspace, field, ambient, bases[0], pivots[0])
+
+    return _walk(p, 1, lambda v: classes, None, point)
 
 
 def _row_choices(p: int, ambient: int, pivots: Sequence[int]) -> list[list[tuple[int, ...]]]:
@@ -134,6 +128,10 @@ def check_search_space(
     """
     if not field.is_modular:
         raise ValidationError("point counting needs a finite field")
+    if len(dims) != len(targets):
+        raise ValidationError(f"{len(dims)} ambient dimensions but {len(targets)} targets")
+    if not all(type(x) is int for x in (*dims, *targets)):
+        raise ValidationError(f"dimensions must be integers, got {dims!r}, {targets!r}")
     p = field.characteristic
     k = 0
     if all(0 <= t <= amb for amb, t in zip(dims, targets)):
@@ -144,15 +142,19 @@ def check_search_space(
 
 
 def count_points(rep: RepMatrices, targets, guard: int = POINT_GUARD) -> int:
-    """Number of points of the quiver Grassmannian Gr_targets(rep) over F_p."""
-    return sum(1 for _ in enumerate_subreps(rep, targets, guard=guard))
+    """Number of points of the quiver Grassmannian Gr_targets(rep) over F_p:
+    the walk of ``enumerate_subreps``, same checks and guard, counted with no
+    subspace or point built."""
+    return sum(_point_rows(rep, targets, guard, lambda bases, pivots: 1))
 
 
 def _normalize_targets(rep: RepMatrices, targets) -> tuple[int, ...]:
     if isinstance(targets, DimVector):
         rep.check_endomorphisms(targets)
         return targets.d
-    t = tuple(int(x) for x in targets)
+    t = tuple(targets) if isinstance(targets, Iterable) else targets
+    if type(t) is not tuple or not all(type(x) is int for x in t):
+        raise ValidationError(f"target dimensions must be integers, got {targets!r}")
     if len(t) != rep.n:
         raise ValidationError("need one target dimension per vertex")
     for amb, x in zip(rep.dims, t):
@@ -167,10 +169,23 @@ def enumerate_subreps(
     """Stream the points of the quiver Grassmannian Gr_targets(rep).
 
     targets may be a DimVector (then rep must act on F^m everywhere) or any
-    per-vertex dimension sequence.  Points come out vertex-lexicographically
+    per-vertex sequence of ints.  Points come out vertex-lexicographically
     in the subspaces_iter order.  Raises GuardExceededError if the search
-    space (product of subspace counts) exceeds ``guard``.
+    space (product of subspace counts) exceeds ``guard``.  Each point's
+    subspaces are built unchecked from the RREF rows of the walk.
     """
+    fields = (rep.field,) * rep.n
+
+    def point(bases: list[Rows], pivots: list[tuple[int, ...]]) -> SubrepPoint:
+        spaces = tuple(map(_unchecked, (Subspace,) * rep.n, fields, rep.dims, bases, pivots))
+        return _unchecked(SubrepPoint, spaces)
+
+    return _point_rows(rep, targets, guard, point)
+
+
+def _point_rows(rep: RepMatrices, targets, guard: int, point) -> Iterator:
+    """``_walk`` over the points of Gr_targets(rep), yielding ``point(bases,
+    pivots)`` for each.  The targets and the guard are checked at the call."""
     t = _normalize_targets(rep, targets)
     check_search_space(rep.field, rep.dims, t, guard)
     p, maps = rep.field.characteristic, [f.entries for f in rep.maps]
@@ -182,11 +197,6 @@ def enumerate_subreps(
     def image(v: int, basis: Rows) -> list[list[int]]:
         return [y for y in _images(basis, maps[v], p) if any(y)]
 
-    fields = (rep.field,) * rep.n
-
-    def point(bases: list[Rows], pivots: list[tuple[int, ...]]) -> SubrepPoint:
-        return SubrepPoint(tuple(map(Subspace, fields, rep.dims, bases, pivots)))
-
     return _walk(p, rep.n, classes, image, point)
 
 
@@ -196,8 +206,9 @@ def _walk(p: int, n: int, classes, image, point) -> Iterator:
     pivots per vertex, in lists the walk reuses.  ``classes(v)`` gives the
     pivot classes at the 0-based vertex v as (pivots, ``_row_choices``)
     pairs, and ``image(v, basis)`` the nonzero images of the basis rows at v
-    under the edge out of v.  Vertex v keeps a member when each image of the
-    basis chosen at v - 1 reduces to zero modulo it."""
+    under the edge out of v (never called when n = 1).  Vertex v keeps a
+    member when each image of the basis chosen at v - 1 reduces to zero
+    modulo it."""
     bases: list[Rows] = []
     pivs: list[tuple[int, ...]] = []
 
@@ -582,20 +593,6 @@ def _census(rs: RankSequence, field: Field, dv: DimVector, guard: int) -> Census
     return CensusResult(total, singular, total - singular)
 
 
-def _drop_first_matrix(field: Field, m: int) -> Matrix:
-    """(m-1) x m matrix deleting the first coordinate."""
-    return Matrix.from_rows(
-        field,
-        [[1 if j == i + 1 else 0 for j in range(m)] for i in range(m - 1)],
-        ncols=m,
-    )
-
-
-def _include_last_matrix(field: Field, m: int) -> Matrix:
-    """m x (m-1) matrix embedding onto the last m-1 coordinates."""
-    return _drop_first_matrix(field, m).transpose()
-
-
 def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
     """Concrete matrices for the corank-one singular-locus module.
 
@@ -606,12 +603,15 @@ def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
     if n < 2 or not 1 <= h <= n - 1:
         raise ValidationError(f"edge index h={h} out of range 1..{n - 1}")
     dims = tuple(m - 1 if v in (h, h + 1) else m for v in range(1, n + 1))
+    # (m-1) x m, deleting the first coordinate; its transpose embeds F^(m-1)
+    # onto the last m-1 coordinates
+    drop = Matrix.from_rows(field, [[int(j == i + 1) for j in range(m)] for i in range(m - 1)], m)
     maps = []
     for i in range(1, n):
         if i == h - 1:
-            maps.append(_drop_first_matrix(field, m))
+            maps.append(drop)
         elif i == h + 1:
-            maps.append(_include_last_matrix(field, m))
+            maps.append(drop.transpose())
         else:
             maps.append(Matrix.identity(field, dims[i - 1]))
     return RepMatrices(field, dims, tuple(maps))
@@ -632,41 +632,26 @@ class SigmaReport:
     failures: tuple[str, ...] = ()
 
 
-def _sigma_forward(
-    ambient: RepMatrices, h: int, point: SubrepPoint
-) -> tuple[Subspace, ...]:
-    """Push a model point into the ambient Grassmannian.
-
-    Away from h and h + 1 the subspace is kept; at h and h + 1 it is embedded
-    by the index shift, and at h the first coordinate line is added back.
-    """
-    field, m = ambient.field, ambient.dims[0]
-    incl = _include_last_matrix(field, m)
-    e1 = coordinate_subspace(field, m, [0])
-    spaces = []
-    for v, V in enumerate(point.spaces, start=1):
-        if v == h:
-            spaces.append(subspace_sum(map_subspace(incl, V), e1))
-        elif v == h + 1:
-            spaces.append(map_subspace(incl, V))
-        else:
-            spaces.append(V)
-    return tuple(spaces)
+def _sigma_forward(m: int, h: int, point: tuple[Rows, ...]) -> tuple[Rows, ...]:
+    """Push a model point, one RREF basis per vertex, into the ambient
+    Grassmannian on F^m: at h and h + 1 the index shift puts a 0 before each
+    row, and at h the line e_1 goes on top, which leaves the rows RREF."""
+    e1 = (1,) + (0,) * (m - 1)
+    out = list(point)
+    out[h - 1] = (e1, *((0, *row) for row in point[h - 1]))
+    out[h] = tuple((0, *row) for row in point[h])
+    return tuple(out)
 
 
-def _sigma_backward(
-    ambient: RepMatrices, h: int, point: SubrepPoint
-) -> tuple[Subspace, ...]:
-    """Project a singular ambient point down to the model Grassmannian."""
-    field, m = ambient.field, ambient.dims[0]
-    drop = _drop_first_matrix(field, m)
-    spaces = []
-    for v, V in enumerate(point.spaces, start=1):
-        if v in (h, h + 1):
-            spaces.append(map_subspace(drop, V))
-        else:
-            spaces.append(V)
-    return tuple(spaces)
+def _sigma_backward(p: int, h: int, point: tuple[Rows, ...]) -> tuple[Rows, ...]:
+    """Project an ambient point over F_p, one RREF basis per vertex, down to
+    the model Grassmannian: at h and h + 1 the first coordinate is deleted
+    and the rows that are left are reduced again."""
+    out = list(point)
+    for v in (h - 1, h):
+        rows, pivots = _rref_rows([list(row[1:]) for row in point[v]], p)
+        out[v] = tuple(map(tuple, rows[: len(pivots)]))
+    return tuple(out)
 
 
 def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport:
@@ -678,28 +663,29 @@ def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport
     inverts it.  Both walks are bounded by POINT_GUARD.  A point of Gr_d(J)
     is singular when its tangent dimension, read off the column ranks of its
     RREF bases as in the census (``_PointTables.row_analysis``, whose oracle
-    is ``analyze_point``), exceeds ``dimension``.
+    is ``analyze_point``), exceeds ``dimension``.  Points stay the RREF rows
+    of the walk of ``enumerate_subreps``, one basis per vertex, and are
+    compared as such: the RREF basis of a subspace is unique.
     """
     model_info = singular_model(dv, h)
     field = Field(prime)
     J = single_kill_tuple(dv.m, dv.n, h)
-    ambient = J.matrices(field)
     model = singular_model_rep(field, dv.m, dv.n, h)
     assert model.dims == model_info.module_dims
 
     # J's one corank is 1, at most every flag step, so Gr_d(J) is irreducible
     tables, expected = _PointTables(J), dimension(J.rank_sequence(), dv)
     singular_points = {
-        point.spaces
-        for point in enumerate_subreps(ambient, dv, guard=POINT_GUARD)
-        if tables.row_analysis([V.basis for V in point.spaces], prime).tangent_dim > expected
+        point
+        for point in _point_rows(J.matrices(field), dv, POINT_GUARD, lambda bases, _: tuple(bases))
+        if tables.row_analysis(point, prime).tangent_dim > expected
     }
     failures: list[str] = []
-    image: set[tuple[Subspace, ...]] = set()
+    image: set[tuple[Rows, ...]] = set()
     model_count = 0
-    for mp in enumerate_subreps(model, model_info.sub_dims, guard=POINT_GUARD):
+    for mp in _point_rows(model, model_info.sub_dims, POINT_GUARD, lambda bases, _: tuple(bases)):
         model_count += 1
-        fwd = _sigma_forward(ambient, h, mp)
+        fwd = _sigma_forward(dv.m, h, mp)
         if fwd not in singular_points:
             failures.append(f"sigma misses the singular locus at model point {model_count}")
             continue
@@ -707,8 +693,7 @@ def sigma_bijection_report(dv: DimVector, h: int, prime: int = 2) -> SigmaReport
             failures.append(f"sigma collides at model point {model_count}")
             continue
         image.add(fwd)
-        back = _sigma_backward(ambient, h, SubrepPoint(fwd))
-        if back != mp.spaces:
+        if _sigma_backward(prime, h, fwd) != mp:
             failures.append(f"sigma' does not invert sigma at model point {model_count}")
     if image != singular_points:
         failures.append(

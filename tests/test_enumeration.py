@@ -45,13 +45,38 @@ from lindeg import (
     span,
     subspaces_iter,
 )
-from lindeg import enumeration, linalg
+from lindeg import enumeration, linalg, orbits, representations
 from lindeg.enumeration import _row_choices
 from lindeg.verification import _cell_cases, _conjugate
 
 from oracles import census_oracle, fixed_point_oracle, subreps_oracle
 
 FLAG3 = DimVector(3, (1, 2))
+
+
+def _record_points(monkeypatch) -> dict:
+    """Count each Subspace and SubrepPoint made from now on by class name
+    and route: "checked" through __post_init__, "unchecked" through the
+    ``_unchecked`` of any lindeg module."""
+    made: dict[tuple[str, str], int] = {}
+
+    def record(cls, route):
+        made[cls.__name__, route] = made.get((cls.__name__, route), 0) + 1
+
+    for cls in (Subspace, SubrepPoint):
+        def checked(obj, cls=cls, post_init=cls.__post_init__):
+            record(cls, "checked")
+            post_init(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", checked)
+    for module in (linalg, representations, orbits, enumeration):
+        def unchecked(cls, *values, inner=module._unchecked, **extra):
+            if cls in (Subspace, SubrepPoint):
+                record(cls, "unchecked")
+            return inner(cls, *values, **extra)
+
+        monkeypatch.setattr(module, "_unchecked", unchecked)
+    return made
 
 
 class TestGaussian:
@@ -93,6 +118,12 @@ class TestSubspacesIter:
         # before the first next(), as enumerate_subreps does
         with pytest.raises(ValidationError):
             subspaces_iter(field, ambient, dim)
+
+    @pytest.mark.parametrize("ambient,dim", [(3, True), (2.0, 1), (3, 1.0), ("3", 1)])
+    def test_rejects_dimensions_that_are_not_ints(self, ambient, dim):
+        # a bool compares as 0 or 1 but is no dimension, and a float is none either
+        with pytest.raises(ValidationError, match="integers"):
+            subspaces_iter(GF(2), ambient, dim)
 
     def test_pivot_classes_chain_into_the_walk(self):
         for p in (2, 3):
@@ -139,15 +170,44 @@ class TestPointStream:
                             points += len(expected)
         assert (walks, points) == (1640, 7288)
 
-    def test_only_the_points_are_validated(self, monkeypatch):
+    def test_only_the_points_are_built(self, monkeypatch):
         # 25 points of two vertices: one Subspace per vertex of each point,
-        # none for the 24 rejected candidates and no image subspace
+        # none for the 24 rejected candidates and no image subspace, and
+        # none of them checked again, since the walk's rows are RREF already
         rep = ProjectionTuple(3, ({1},)).matrices(GF(2))
-        made = []
-        post_init = Subspace.__post_init__
-        monkeypatch.setattr(Subspace, "__post_init__", lambda V: made.append(V) or post_init(V))
+        made = _record_points(monkeypatch)
         assert len(list(enumerate_subreps(rep, FLAG3))) == 25
-        assert len(made) == 50
+        assert sorted(made.items()) == [
+            (("SubrepPoint", "unchecked"), 25), (("Subspace", "unchecked"), 50)
+        ]
+
+    def test_no_subspace_is_checked_and_counts_build_none(self, monkeypatch):
+        made = _record_points(monkeypatch)
+        for m in range(4):
+            assert len(list(subspaces_iter(GF(3), m, m // 2))) == gaussian_binomial(m, m // 2, 3)
+        assert made == {("Subspace", "unchecked"): 1 + 1 + 4 + 13}
+        made.clear()
+        assert count_points(ProjectionTuple(3, ({1},)).matrices(GF(2)), FLAG3) == 25
+        assert sigma_bijection_report(DimVector(4, (1, 2, 3)), 1, prime=3).ok
+        assert made == {}
+
+    def test_streamed_subspaces_pass_the_checked_constructor(self):
+        """The walk builds its subspaces unchecked, so each one is rebuilt
+        here through Subspace's own check of RREF rows of field elements."""
+        rng = random.Random(1)
+        spaces = 0
+        for p in (2, 3):
+            field = GF(p)
+            streams = [subspaces_iter(field, m, k) for m in range(5) for k in range(m + 1)]
+            for m, n in ((2, 2), (3, 2), (2, 3)):
+                for rs in enumerate_orbits(m, n):
+                    rep = _conjugate(rng, representative(rs).matrices(field))
+                    for t in itertools.product(range(m + 1), repeat=n):
+                        streams.append(V for pt in enumerate_subreps(rep, t) for V in pt.spaces)
+            for V in itertools.chain.from_iterable(streams):
+                assert Subspace(V.field, V.ambient, V.basis, V.pivots) == V
+                spaces += 1
+        assert spaces == 8852
 
     def test_vertices_of_different_dimensions(self):
         walks = 0
@@ -234,6 +294,26 @@ class TestCountPoints:
             check_search_space(GF(2), (3000, 3000), (1, 1500), guard=10)
         with pytest.raises(GuardExceededError, match=r"at least 2\^64 "):
             check_search_space(GF(3), (16, 16), (8, 0), guard=10)
+
+    @pytest.mark.parametrize("targets", [(1.7, 2.2), ("1", "2"), (True, 2), (1, 2.0), 2])
+    def test_targets_that_are_not_ints_are_rejected(self, targets):
+        # int() would quietly read the first two as (1, 2): rejected instead
+        rep = RepMatrices.identity_tuple(GF(2), 3, 2)
+        with pytest.raises(ValidationError, match="integers"):
+            count_points(rep, targets)
+        with pytest.raises(ValidationError, match="integers"):
+            enumerate_subreps(rep, targets)
+
+    def test_search_space_needs_one_target_per_dimension(self):
+        # zip would drop the second vertex: a search space of 1,023 for 1,023^2
+        for dims, targets in (((10, 10), (1,)), ((10,), (1, 1))):
+            with pytest.raises(ValidationError, match="targets"):
+                check_search_space(GF(2), dims, targets, guard=2000)
+        check_search_space(GF(2), (10, 10), (1, 1), guard=1023**2)
+        # 3.5 would fail an assertion in gaussian_binomial, and True pass as 1
+        for dims, targets in (((3.5,), (1,)), ((3,), (True,))):
+            with pytest.raises(ValidationError, match="integers"):
+                check_search_space(GF(2), dims, targets, guard=100)
 
     def test_search_space_needs_no_maps(self):
         # Gr(1, F_2^3) and Gr(2, F_2^3) have 7 points each: 49 candidate pairs
@@ -573,23 +653,25 @@ class TestCellCensus:
             inner = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: made.append(args) or inner(*args))
 
-        for name in ("analyze_point", "decompose_from_ranks", "map_subspace"):
+        for name in ("analyze_point", "decompose_from_ranks"):
             count(enumeration, name)
         count(enumeration._PointTables, "fixed_analysis", "fixed point")
         count(enumeration._PointTables, "row_analysis", "rows")
         count(linalg, "map_subspace")
         count(linalg, "compose")
-        count(Subspace, "__post_init__", "Subspace")
-        count(SubrepPoint, "__post_init__", "SubrepPoint")
-        never = ("analyze_point", "map_subspace", "compose", "Subspace", "SubrepPoint")
+        points = _record_points(monkeypatch)
+        never = ("analyze_point", "map_subspace", "compose")
 
         def census(rep, dv):
             for made in calls.values():
                 made.clear()
+            points.clear()
             result = singular_point_census(rep, dv)
             # with two vertices the orbit's rank table needs no product, so
             # a compose call could only come from the cell walk
             assert {name: len(calls[name]) for name in never} == dict.fromkeys(never, 0)
+            # and no Subspace or SubrepPoint is made, checked or not
+            assert points == {}
             # in these censuses no rank table is decomposed twice
             tables = [args[0] for args in calls["decompose_from_ranks"]]
             assert len(tables) == len(set(tables))
@@ -664,7 +746,7 @@ class TestSigma:
         assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 0)
 
     def test_forward_map_off_the_singular_locus(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_sigma_forward", lambda ambient, h, mp: mp.spaces)
+        monkeypatch.setattr(enumeration, "_sigma_forward", lambda m, h, mp: mp)
         report = sigma_bijection_report(FLAG3, 1)
         assert not report.ok
         assert report.failures == (
@@ -675,8 +757,8 @@ class TestSigma:
     def test_forward_map_that_collides(self, monkeypatch):
         forward, images = enumeration._sigma_forward, []
 
-        def first_image(ambient, h, mp):
-            images.append(forward(ambient, h, mp))
+        def first_image(m, h, mp):
+            images.append(forward(m, h, mp))
             return images[0]
 
         monkeypatch.setattr(enumeration, "_sigma_forward", first_image)
@@ -685,9 +767,35 @@ class TestSigma:
         assert not report.ok
 
     def test_backward_map_that_does_not_invert(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_sigma_backward", lambda ambient, h, pt: pt.spaces)
+        monkeypatch.setattr(enumeration, "_sigma_backward", lambda p, h, pt: pt)
         report = sigma_bijection_report(FLAG3, 1)
         assert report.failures == ("sigma' does not invert sigma at model point 1",)
+
+    def test_sigma_on_rows_is_the_linear_map_on_subspaces(self):
+        """sigma on RREF rows is the embedding x -> (0, x) at h and h + 1 plus
+        the line e_1 at h, and sigma' deletes the first coordinate: checked
+        on every model point against the same maps applied to subspaces."""
+        points = 0
+        for p, dv, h in ((2, DimVector(4, (1, 2, 3)), 1), (3, DimVector(4, (1, 2, 3)), 2),
+                         (2, DimVector(5, (2, 3)), 1)):
+            field, m = GF(p), dv.m
+            drop = Matrix.from_rows(field, [[int(j == i + 1) for j in range(m)] for i in range(m - 1)])
+            embed = drop.transpose()
+            e1 = linalg.coordinate_subspace(field, m, [0])
+            model = singular_model(dv, h)
+            rep = singular_model_rep(field, m, dv.n, h)
+            for pt in enumerate_subreps(rep, model.sub_dims):
+                spaces = list(pt.spaces)
+                spaces[h - 1] = linalg.subspace_sum(linalg.map_subspace(embed, spaces[h - 1]), e1)
+                spaces[h] = linalg.map_subspace(embed, spaces[h])
+                rows = tuple(V.basis for V in pt.spaces)
+                forward = enumeration._sigma_forward(m, h, rows)
+                assert forward == tuple(V.basis for V in spaces)
+                back = [linalg.map_subspace(drop, V) if v in (h - 1, h) else V
+                        for v, V in enumerate(spaces)]
+                assert enumeration._sigma_backward(p, h, forward) == tuple(V.basis for V in back)
+                points += 1
+        assert points == 178
 
     def test_model_matrices_realize_the_model_module(self):
         # every edge h, so each branch of singular_model_rep runs: the deletion
