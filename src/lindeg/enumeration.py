@@ -152,8 +152,10 @@ def _normalize_targets(rep: RepMatrices, targets) -> tuple[int, ...]:
     if isinstance(targets, DimVector):
         rep.check_endomorphisms(targets)
         return targets.d
-    t = tuple(targets) if isinstance(targets, Iterable) else targets
-    if type(t) is not tuple or not all(type(x) is int for x in t):
+    if not isinstance(targets, Iterable):
+        raise ValidationError(f"target dimensions must be integers, got {targets!r}")
+    t = tuple(targets)
+    if not all(type(x) is int for x in t):
         raise ValidationError(f"target dimensions must be integers, got {targets!r}")
     if len(t) != rep.n:
         raise ValidationError("need one target dimension per vertex")
@@ -205,10 +207,9 @@ def _walk(p: int, n: int, classes, image, point) -> Iterator:
     yielding ``point(bases, pivots)`` for each point: one RREF basis and its
     pivots per vertex, in lists the walk reuses.  ``classes(v)`` gives the
     pivot classes at the 0-based vertex v as (pivots, ``_row_choices``)
-    pairs, and ``image(v, basis)`` the nonzero images of the basis rows at v
-    under the edge out of v (never called when n = 1).  Vertex v keeps a
-    member when each image of the basis chosen at v - 1 reduces to zero
-    modulo it."""
+    pairs, and ``image(v, basis)`` for v < n - 1 the nonzero images of the
+    basis rows at v under the edge out of v.  Vertex v keeps a member when
+    each image of the basis chosen at v - 1 reduces to zero modulo it."""
     bases: list[Rows] = []
     pivs: list[tuple[int, ...]] = []
 
