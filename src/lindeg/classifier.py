@@ -17,7 +17,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import QQ, Field, kernel, rank, _pivots
-from .orbits import ProjectionTuple, RankSequence, _above_targets, decomposition_of
+from .orbits import (
+    ProjectionTuple,
+    RankSequence,
+    _above_targets,
+    decomposition_of,
+    stratum_of,
+)
 from .representations import (
     Decomposition,
     DimVector,
@@ -88,18 +94,19 @@ class FlatFlags:
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
     """Flatness over the orbit's own stratum, as two packed comparisons.
 
-    The stratum is the set of zero maps.  The fiber dimension stays at the
-    flag dimension (flat over the stratum) iff the rank table is entrywise at
-    least the second table of ``stratum_rank_targets``, with m + d_a - d_b - 1
-    at each a < b that no zero map separates; at least the first, with
-    m + d_a - d_b there, additionally forces irreducible fibers, which for a
-    point of its own stratum is the same as lying in the closure of the
-    generic irreducible locus.  Both targets come packed from a bounded memo
-    keyed by (m, d, stratum), and each comparison is the packed rule of
+    The stratum is ``stratum_of(rs)``, the set of zero maps.  The fiber
+    dimension stays at the flag dimension (flat over the stratum) iff the
+    rank table is entrywise at least the second table of
+    ``stratum_rank_targets``, with m + d_a - d_b - 1 at each a < b that no
+    zero map separates; at least the first, with m + d_a - d_b there,
+    additionally forces irreducible fibers, which for a point of its own
+    stratum is the same as lying in the closure of the generic irreducible
+    locus.  Both targets come packed from a bounded memo keyed by
+    (m, d, stratum), and each comparison is the packed rule of
     ``RankSequence.leq``: target <= rs iff ``((word | G) - target) & G == G``.
     """
     _check_pair(rs, dv)
-    stratum = tuple(a for a, row in enumerate(rs.table.rows[:-1], start=1) if row[1] == 0)
+    stratum = stratum_of(rs)
     flat_irreducible, flat = _above_targets(rs, dv.d, stratum)
     return FlatFlags(stratum, flat, flat_irreducible)
 

@@ -47,14 +47,15 @@ class GuardExceededError(LindegError):
 
 def _check_size(what: str, k: int, size: Callable[[], int], guard: int) -> None:
     """Raise GuardExceededError if an enumeration of ``size()`` items, at least
-    2^k, exceeds ``guard``, and ValidationError if ``guard`` is negative.
+    2^k, exceeds ``guard``, and ValidationError if ``guard`` is negative or
+    not an int (a bool included).
 
     ``size`` runs only when 2^k does not settle the guard.  A size past 64
     bits is printed as "at least 2^k" (k from the exact size if taken), since
     Python refuses to print an int of more than 4300 decimal digits.
     """
-    if guard < 0:
-        raise ValidationError(f"guard must be an integer >= 0, got {guard}")
+    if type(guard) is not int or guard < 0:
+        raise ValidationError(f"guard must be an integer >= 0, got {guard!r}")
     exact = None
     if k < max(64, guard.bit_length()):
         exact = size()

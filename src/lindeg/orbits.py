@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -318,8 +319,8 @@ def representative(rs: RankSequence) -> ProjectionTuple:
 
 
 def stratum_of(rs: RankSequence) -> tuple[int, ...]:
-    """1-based indices of the zero maps."""
-    return tuple(i for i in range(1, rs.n) if rs.r(i, i + 1) == 0)
+    """1-based indices of the zero maps, read off the table's rows."""
+    return tuple([a for a, row in enumerate(rs.table.rows[:-1], 1) if not row[1]])
 
 
 def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence, RankSequence]:
@@ -389,30 +390,32 @@ def _target_words(m: int, d: tuple[int, ...], stratum: tuple[int, ...]) -> tuple
 def _covering_pairs(ordered: Sequence[RankSequence]) -> list[tuple[int, int]]:
     """Covers (i, j), j covered by i, of the entrywise order on ``ordered``.
 
-    ``ordered`` must be distinct orbits sorted by flattened rank table in
-    descending lexicographic order, a linear extension of the order: an orbit
-    strictly below another comes later.  Position b is bit b of an int
-    bitset.  For each table entry c, ``le[x]`` holds the positions whose entry
-    c is at most x; ``below[i]`` is the AND of those over the entries of i.
-    The lowest bit left in a candidate set is maximal among the rest, so it
-    is a cover, and everything below it is dropped.
+    ``ordered`` must be distinct orbits of one quiver sorted by flattened rank
+    table in descending lexicographic order, a linear extension of the order:
+    an orbit strictly below another comes later.  Position b is bit b of an
+    int bitset.  For each table entry c that is not constant over the list
+    (the diagonal, always m, is skipped), ``le[x]`` holds the positions whose
+    entry c is at most x, for x in 0..m; ``below[i]`` is the AND of those over
+    the entries of i.  The lowest bit left in a candidate set is maximal among
+    the rest, so it is a cover, and everything below it is dropped.
     """
     k = len(ordered)
-    flats = [rs.table.entries_flat() for rs in ordered]
+    if not k:
+        return []
+    size = ordered[0].m + 1
+    bits = [1 << b for b in range(k)]
     below = [(1 << k) - 1] * k
-    for column in zip(*flats):
-        at: dict[int, int] = {}
-        for b, x in enumerate(column):
-            at[x] = at.get(x, 0) | 1 << b
-        le: dict[int, int] = {}
-        acc = 0
-        for x in sorted(at):
-            acc |= at[x]
-            le[x] = acc
-        below = [mask & le[x] for mask, x in zip(below, column)]
+    for column in zip(*(rs.table.entries_flat() for rs in ordered)):
+        if column.count(column[0]) == k:
+            continue
+        at = [0] * size
+        for bit, x in zip(bits, column):
+            at[x] |= bit
+        le = list(itertools.accumulate(at, operator.or_))
+        below = list(map(operator.and_, below, map(le.__getitem__, column)))
     covers = []
     for i in range(k):
-        cand = below[i] & ~(1 << i)
+        cand = below[i] & ~bits[i]
         while cand:
             j = (cand & -cand).bit_length() - 1
             covers.append((i, j))
@@ -426,37 +429,49 @@ def hasse_dot(
 ) -> str:
     """Deterministic DOT source for the Hasse diagram of the closure order.
 
-    Nodes are named 'r_' + flattened rank table; edges point from an orbit to
-    the orbits it covers (towards deeper degenerations).  The covers are
-    those of the order induced on the given orbits, for any list, not only
-    for closures: an orbit covers another when no listed orbit lies strictly
-    between them.  They cost O(k * entries) bitset ANDs on k-bit ints plus
-    one step per cover, for k distinct orbits.
+    Nodes are named 'r_' + flattened rank table, in descending order of the
+    table; edges point from an orbit to the orbits it covers (towards deeper
+    degenerations), sorted by the names of their ends.  The covers are those
+    of the order induced on the given orbits, for any list, not only for
+    closures: an orbit covers another when no listed orbit lies strictly
+    between them.  For k distinct orbits they cost O(k) bitset ANDs on k-bit
+    ints per table entry that is not constant over the list, plus one step
+    per cover.  Each table is read once: its entries become strings through
+    one table of str(0..m), for its name and its label, and the names are
+    ranked once, so the edges sort as pairs of int ranks.
     """
-    seen: dict[str, RankSequence] = {}
+    seen: dict[tuple[int, ...], RankSequence] = {}
     for rs in orbits:
-        seen.setdefault(rs.node_id(), rs)
-    nodes = sorted(seen.items(), key=lambda item: item[1].table.entries_flat(), reverse=True)
-    ids = [node for node, _ in nodes]
-    ordered = [rs for _, rs in nodes]
-    if ordered:
-        m0, n0 = ordered[0].m, ordered[0].n
-        if any(rs.m != m0 or rs.n != n0 for rs in ordered):
-            raise ValidationError("orbits live on different quivers")
-
-    def label(rs: RankSequence) -> str:
-        text = "r=" + ",".join(map(str, rs.edge_ranks()))
-        extra = annotate(rs) if annotate else None
-        if extra:
-            text += "\\n" + extra
-        return text
-
+        seen.setdefault(rs.table.entries_flat(), rs)
+    flats = sorted(seen, reverse=True)
+    ordered = [seen[flat] for flat in flats]
     lines = ["digraph orbits {", "  rankdir=TB;"]
-    for rs, node in zip(ordered, ids):
-        lines.append(f'  "{node}" [label="{label(rs)}"];')
-    edges = sorted((ids[i], ids[j]) for i, j in _covering_pairs(ordered))
-    for src, dst in edges:
-        lines.append(f'  "{src}" -> "{dst}";')
+    if ordered:
+        m, n = ordered[0].m, ordered[0].n
+        if any(rs.m != m or rs.n != n for rs in ordered):
+            raise ValidationError("orbits live on different quivers")
+        text = [str(x) for x in range(m + 1)]
+        # entry (a + 1, a + 2) of the table, for 0-based a < n - 1
+        edge_at = [a * n - a * (a - 1) // 2 + 1 for a in range(n - 1)]
+        ids = []
+        for rs, flat in zip(ordered, flats):
+            entries = [text[x] for x in flat]
+            node = "r_" + "_".join(entries)
+            ids.append(node)
+            label = "r=" + ",".join([entries[c] for c in edge_at])
+            extra = annotate(rs) if annotate else None
+            if extra:
+                label += "\\n" + extra
+            lines.append(f'  "{node}" [label="{label}"];')
+        k = len(ids)
+        by_name = sorted(range(k), key=ids.__getitem__)
+        rank = [0] * k
+        for r, i in enumerate(by_name):
+            rank[i] = r
+        keys = sorted(rank[i] * k + rank[j] for i, j in _covering_pairs(ordered))
+        for key in keys:
+            src, dst = divmod(key, k)
+            lines.append(f'  "{ids[by_name[src]]}" -> "{ids[by_name[dst]]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -3,7 +3,8 @@
 Each oracle recomputes a library answer by a visibly different route:
 decompositions by solving the hom-count linear system, catenoid detection by
 path search in the irreducible-morphism digraph, orbit lists by brute force
-over all matrix tuples of F_2, Hasse covers by scanning all triples, singular
+over all matrix tuples of F_2, Hasse covers by scanning all triples, Hasse
+diagrams as DOT text from each orbit's own node name and edge ranks, singular
 point censuses by analyzing every point, flatness flags by comparing with the
 stratum's target rank tables, points of a quiver Grassmannian by a walk over
 validated subspaces, the analysis and cell dimension of a fixed point from one
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from lindeg import (
     CensusResult,
@@ -257,6 +258,32 @@ def covering_pairs_oracle(orbits: Sequence[RankSequence]) -> list[tuple[int, int
             if less[i][j] and not any(less[i][t] and less[t][j] for t in range(k)):
                 covers.append((i, j))
     return covers
+
+
+def hasse_dot_oracle(
+    orbits: Sequence[RankSequence], annotate: Callable[[RankSequence], str] | None = None
+) -> str:
+    """The DOT source of ``hasse_dot`` rendered from the orbits' own methods:
+    orbits deduped by ``node_id``, nodes sorted by flattened table in
+    descending order and labelled from ``edge_ranks``, covers from
+    ``covering_pairs_oracle`` and edges sorted as pairs of node-id strings."""
+    seen: dict[str, RankSequence] = {}
+    for rs in orbits:
+        seen.setdefault(rs.node_id(), rs)
+    nodes = sorted(seen.items(), key=lambda item: item[1].table.entries_flat(), reverse=True)
+    ids = [node for node, _ in nodes]
+    lines = ["digraph orbits {", "  rankdir=TB;"]
+    for node, rs in nodes:
+        text = "r=" + ",".join(map(str, rs.edge_ranks()))
+        extra = annotate(rs) if annotate else None
+        if extra:
+            text += "\\n" + extra
+        lines.append(f'  "{node}" [label="{text}"];')
+    covers = covering_pairs_oracle([rs for _, rs in nodes])
+    for src, dst in sorted((ids[i], ids[j]) for i, j in covers):
+        lines.append(f'  "{src}" -> "{dst}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def census_oracle(rep: RepMatrices, dv: DimVector, guard: int = 10**7) -> CensusResult:

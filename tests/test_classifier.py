@@ -35,6 +35,7 @@ from lindeg import (
     single_kill_tuple,
     singular_model,
     singular_summary,
+    stratum_of,
     stratum_rank_targets,
     well_behaved_rep,
 )
@@ -101,6 +102,13 @@ class TestFlatFlags:
             for rs in enumerate_orbits(m, n):
                 for dv in _all_dvs(m, n):
                     assert flat_flags(rs, dv) == flat_flags_oracle(rs, dv), (rs.table, dv)
+
+    def test_stratum_is_stratum_of(self):
+        # one source for the stratum, and it is the set of zero maps
+        dv = DimVector(5, (1, 2, 3, 4))
+        for rs in enumerate_orbits(5, 4):
+            zero_maps = tuple(i for i in range(1, 4) if rs.r(i, i + 1) == 0)
+            assert flat_flags(rs, dv).stratum == stratum_of(rs) == zero_maps, rs.table
 
     def test_mismatched_inputs(self):
         with pytest.raises(ValidationError):

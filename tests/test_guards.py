@@ -11,8 +11,10 @@ from lindeg import (
     DimVector,
     GuardExceededError,
     ProjectionTuple,
+    RepMatrices,
     ValidationError,
     check_search_space,
+    count_points,
     enumerate_orbits,
     enumerate_subreps,
     fixed_points,
@@ -23,6 +25,7 @@ from lindeg import (
 
 FLAG3 = DimVector(3, (1, 2))
 KILL1 = ProjectionTuple(3, ({1},))
+IDENTITY32 = RepMatrices.identity_tuple(GF(2), 3, 2)
 
 # the five in-advance checks, each once with a size printed exactly and once
 # with a size past 64 bits, printed as "at least 2^k"
@@ -78,6 +81,7 @@ GUARDED = {
     "enumerate_subreps": lambda g: enumerate_subreps(KILL1.matrices(GF(2)), FLAG3, guard=g),
     "fixed_points": lambda g: fixed_points(KILL1, FLAG3, g),
     "singular_point_census": lambda g: singular_point_census(KILL1.matrices(GF(2)), FLAG3, g),
+    "count_points": lambda g: count_points(IDENTITY32, (1, 2), guard=g),
     "enumerate_orbits": lambda g: enumerate_orbits(3, 2, guard=g),
     "strata_subsets": lambda g: strata_subsets(1, guard=g),
     "strata_dot": lambda g: strata_dot(3, guard=g),
@@ -91,3 +95,13 @@ def test_negative_guard_is_malformed_input(name):
     # a guard of 0 is well formed, and every one of these enumerations exceeds it
     with pytest.raises(GuardExceededError):
         GUARDED[name](0)
+
+
+@pytest.mark.parametrize("guard", [2.5, True, False, "3", None])
+@pytest.mark.parametrize("name", GUARDED)
+def test_non_int_guard_is_malformed_input(name, guard):
+    # a bool is not read as 0 or 1, and a float or a string fails as input,
+    # not on an attribute of int
+    message = f"guard must be an integer >= 0, got {guard!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        GUARDED[name](guard)

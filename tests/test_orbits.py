@@ -41,7 +41,7 @@ from lindeg import (
     well_behaved_rep,
 )
 from lindeg.orbits import _covering_pairs
-from oracles import bruteforce_orbit_tables_f2, covering_pairs_oracle
+from oracles import bruteforce_orbit_tables_f2, covering_pairs_oracle, hasse_dot_oracle
 
 
 def _count_by_direct_enumeration(m, n):
@@ -477,6 +477,32 @@ class TestDot:
         orbits = [RankSequence.identity_orbit(3, 3), RankSequence.identity_orbit(*other)]
         with pytest.raises(ValidationError, match="different quivers"):
             hasse_dot(orbits)
+
+    def test_matches_oracle_on_two_digit_entries(self):
+        # with entries up to 10 the string order of the names is not the
+        # numeric order of the tables, and the edges sort by the names
+        orbits = enumerate_orbits(10, 3)
+        names = [rs.node_id() for rs in orbits]
+        by_table = [rs.node_id() for rs in sorted(orbits, key=lambda rs: rs.table.entries_flat())]
+        assert sorted(names) != by_table
+        assert hasse_dot(orbits) == hasse_dot_oracle(orbits)
+
+    def test_matches_oracle_on_annotated_closures(self):
+        orbits = enumerate_orbits(6, 4)
+        rng = random.Random(6)
+        dv = DimVector(6, (1, 2, 4, 5))
+
+        def label(rs):
+            flags = flat_flags(rs, dv)
+            return f"flat,dim={dimension(rs, dv)}" if flags.flat else ""
+
+        tops = [top for top in orbits if sum(degenerates_to(top, s) for s in orbits) <= 150]
+        for top in rng.sample(tops, 10):
+            below = [s for s in orbits if degenerates_to(top, s)]
+            assert hasse_dot(below, annotate=label) == hasse_dot_oracle(below, annotate=label)
+
+    def test_empty_matches_oracle(self):
+        assert hasse_dot([]) == hasse_dot_oracle([]) == "digraph orbits {\n  rankdir=TB;\n}\n"
 
     def test_strata_dot_structure(self):
         dot = strata_dot(3)
