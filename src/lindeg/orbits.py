@@ -463,15 +463,14 @@ def hasse_dot(
             if extra:
                 label += "\\n" + extra
             lines.append(f'  "{node}" [label="{label}"];')
+        names = sorted(ids)
+        rank = {node: r for r, node in enumerate(names)}
+        order = [rank[node] for node in ids]
         k = len(ids)
-        by_name = sorted(range(k), key=ids.__getitem__)
-        rank = [0] * k
-        for r, i in enumerate(by_name):
-            rank[i] = r
-        keys = sorted(rank[i] * k + rank[j] for i, j in _covering_pairs(ordered))
+        keys = sorted(order[i] * k + order[j] for i, j in _covering_pairs(ordered))
         for key in keys:
             src, dst = divmod(key, k)
-            lines.append(f'  "{ids[by_name[src]]}" -> "{ids[by_name[dst]]}";')
+            lines.append(f'  "{names[src]}" -> "{names[dst]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
