@@ -63,7 +63,9 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
+    """Number of k-dimensional subspaces of F_q^n, for integers n, k and q >= 2."""
+    if not (type(n) is type(k) is type(q) is int and q >= 2):
+        raise ValidationError(f"gaussian_binomial needs integers n, k and q >= 2, got {(n, k, q)!r}")
     if k < 0 or k > n:
         return 0
     num = den = 1

@@ -36,7 +36,6 @@ __all__ = [
     "Field",
     "Matrix",
     "Subspace",
-    "contains",
     "coordinate_subspace",
     "intertwiner_space_dim",
     "inverse",
@@ -45,7 +44,6 @@ __all__ = [
     "rank",
     "rref",
     "span",
-    "subspace_sum",
 ]
 
 _PRIME_LIMIT = 2**16
@@ -388,16 +386,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vector: Sequence) -> tuple:
-        """Canonical residue of a vector modulo this subspace."""
-        v = [self.field.coerce(x) for x in vector]
-        if len(v) != self.ambient:
-            raise ValidationError("vector length differs from ambient dimension")
-        return tuple(_reduce(v, self.basis, self.pivots, self.field.characteristic))
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
-
     def complement_positions(self) -> tuple[int, ...]:
         """Non-pivot coordinate positions, increasing; they span a complement."""
         ps = set(self.pivots)
@@ -440,20 +428,6 @@ def kernel(A: Matrix) -> Subspace:
             v[c] = -row[f] % p if p else -row[f]
         rows.append(v)
     return _span_rows(A.field, A.ncols, rows)
-
-
-def contains(V: Subspace, W: Subspace) -> bool:
-    """True iff W is contained in V."""
-    if V.field != W.field or V.ambient != W.ambient:
-        raise ValidationError("subspaces live in different ambient spaces")
-    p = V.field.characteristic
-    return W.dim <= V.dim and not any(any(_reduce(row, V.basis, V.pivots, p)) for row in W.basis)
-
-
-def subspace_sum(V: Subspace, W: Subspace) -> Subspace:
-    if V.field != W.field or V.ambient != W.ambient:
-        raise ValidationError("subspaces live in different ambient spaces")
-    return _span_rows(V.field, V.ambient, [list(r) for r in V.basis + W.basis])
 
 
 def map_subspace(A: Matrix, V: Subspace) -> Subspace:

@@ -32,13 +32,10 @@ __all__ = [
     "ext_dim_intervals",
     "hom_dim",
     "hom_dim_intervals",
-    "is_catenoid",
-    "minimal_projective_resolution",
     "quotient_rep",
     "rank_profile",
     "ranks_from_decomposition",
     "restrict_rep",
-    "schubert_embedding_target",
     "well_behaved_rep",
 ]
 
@@ -125,12 +122,14 @@ class Decomposition:
     items: tuple[tuple[Interval, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 0:
+            raise ValidationError(f"quiver length must be an integer >= 0, got {self.n!r}")
         prev = None
         for iv, k in self.items:
             if iv.end > self.n:
                 raise ValidationError(f"{iv} does not fit in A_{self.n}")
-            if k <= 0:
-                raise ValidationError("multiplicities must be positive")
+            if type(k) is not int or k <= 0:
+                raise ValidationError(f"multiplicities must be positive integers, got {k!r}")
             if prev is not None and not prev < iv:
                 raise ValidationError("items must be sorted by interval with no repeats")
             prev = iv
@@ -141,8 +140,8 @@ class Decomposition:
         for key in sorted(mult, key=lambda k: (k.start, k.end) if isinstance(k, Interval) else k):
             iv = key if isinstance(key, Interval) else Interval(*key)
             k = mult[key]
-            if k:
-                items.append((iv, int(k)))
+            if k or type(k) is not int:  # a zero that is no int, like 0.0, meets the check
+                items.append((iv, k))
         return Decomposition(n, tuple(items))
 
     @staticmethod
@@ -152,9 +151,6 @@ class Decomposition:
             iv = key if isinstance(key, Interval) else Interval(*key)
             counts[iv] = counts.get(iv, 0) + 1
         return Decomposition.from_multiplicities(n, counts)
-
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(iv for iv, _ in self.items)
 
     def summands(self) -> tuple[Interval, ...]:
         """All summands with multiplicity, expanded."""
@@ -262,8 +258,12 @@ class RepMatrices:
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "maps", tuple(self.maps))
         if not self.dims:
             raise ValidationError("representation needs at least one vertex")
+        if not all(type(x) is int and x >= 0 for x in self.dims):
+            raise ValidationError(f"vertex dimensions must be integers >= 0, got {self.dims!r}")
         if len(self.maps) != len(self.dims) - 1:
             raise ValidationError("need exactly n-1 maps for n vertices")
         for i, f in enumerate(self.maps):
@@ -402,52 +402,6 @@ def well_behaved_rep(dv: DimVector) -> Decomposition:
         counts[Interval(i + 1, n)] = counts.get(Interval(i + 1, n), 0) + step
     counts[Interval(1, n)] = counts.get(Interval(1, n), 0) + (m - d[-1] + d[0])
     return Decomposition.from_multiplicities(n, counts)
-
-
-def minimal_projective_resolution(D: Decomposition) -> tuple[Decomposition, Decomposition]:
-    """The pair (P, Q) with 0 -> Q -> P -> M -> 0 the minimal projective
-    resolution: P has P_i with multiplicity dim Hom(M, S_i), Q has P_i with
-    multiplicity dim Ext^1(M, S_i).  Here P_i = U[i, n]."""
-    n = D.n
-    p_counts: dict[Interval, int] = {}
-    q_counts: dict[Interval, int] = {}
-    for iv, k in D.items:
-        proj = Interval(iv.start, n)
-        p_counts[proj] = p_counts.get(proj, 0) + k
-        if iv.end < n:
-            cop = Interval(iv.end + 1, n)
-            q_counts[cop] = q_counts.get(cop, 0) + k
-    P = Decomposition.from_multiplicities(n, p_counts)
-    Q = Decomposition.from_multiplicities(n, q_counts)
-    pd, qd, md = P.vertex_dims(), Q.vertex_dims(), D.vertex_dims()
-    assert all(p - q == m for p, q, m in zip(pd, qd, md)), "resolution dims do not close"
-    return P, Q
-
-
-def is_catenoid(D: Decomposition) -> bool:
-    """True iff the distinct summands are pairwise comparable componentwise,
-    i.e. all lie on one oriented path of the Auslander-Reiten quiver."""
-    return all(
-        (x.start <= y.start and x.end <= y.end) or (y.start <= x.start and y.end <= x.end)
-        for x, y in itertools.combinations(D.intervals(), 2)
-    )
-
-
-def schubert_embedding_target(D: Decomposition, dv: DimVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Ambient flag dimensions and target subspace dimensions for realizing
-    the quiver Grassmannian Gr_dv(M) inside a partial flag variety.
-
-    Returns (dim P, dv + dim Q) where 0 -> Q -> P -> M -> 0 is the minimal
-    projective resolution.
-    """
-    if D.n != dv.n:
-        raise ValidationError("decomposition and dimension vector lengths differ")
-    if D.vertex_dims() != (dv.m,) * dv.n:
-        raise ValidationError("decomposition does not have constant vertex dimension m")
-    P, Q = minimal_projective_resolution(D)
-    ambient = P.vertex_dims()
-    target = tuple(d + q for d, q in zip(dv.d, Q.vertex_dims()))
-    return ambient, target
 
 
 @dataclass(frozen=True)

@@ -478,6 +478,6 @@ def run_suites(names: Sequence[str] | None = None, seed: int = 0) -> list[SuiteR
     results = []
     for name in picked:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+            raise ValidationError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
         results.append(SUITES[name](seed))
     return results

@@ -1,17 +1,16 @@
 """Independent oracle implementations used only by the tests.
 
 Each oracle recomputes a library answer by a visibly different route:
-decompositions by solving the hom-count linear system, catenoid detection by
-path search in the irreducible-morphism digraph, orbit lists by brute force
-over all matrix tuples of F_2, Hasse covers by scanning all triples, Hasse
-diagrams as DOT text from each orbit's own node name and edge ranks, singular
-point censuses by analyzing every point, flatness flags by comparing with the
-stratum's target rank tables, points of a quiver Grassmannian by a walk over
-validated subspaces, the analysis and cell dimension of a fixed point from one
-pair of strands per coordinate, reduced row echelon forms by full-row
-Gauss-Jordan elimination, rank tables by counting the summands that contain
-each entry or by multiplying out every composite, and multiplicities by
-second differences of the table.
+decompositions by solving the hom-count linear system, orbit lists by brute
+force over all matrix tuples of F_2, Hasse covers by scanning all triples,
+Hasse diagrams as DOT text from each orbit's own node name and edge ranks,
+singular point censuses by analyzing every point, flatness flags by comparing
+with the stratum's target rank tables, points of a quiver Grassmannian by a
+walk over validated subspaces, the analysis and cell dimension of a fixed
+point from one pair of strands per coordinate, reduced row echelon forms by
+full-row Gauss-Jordan elimination, rank tables by counting the summands that
+contain each entry or by multiplying out every composite, and multiplicities
+by second differences of the table.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from lindeg import (
     RepMatrices,
     SubrepPoint,
     analyze_point,
-    contains,
     dimension,
     enumerate_subreps,
     euler_form,
@@ -42,6 +40,7 @@ from lindeg import (
     hom_dim_intervals,
     intertwiner_space_dim,
     map_subspace,
+    span,
     stratum_of,
     stratum_rank_targets,
     subspaces_iter,
@@ -153,42 +152,6 @@ def decomposition_oracle(rep: RepMatrices) -> Decomposition:
         if k:
             mult[iv] = int(k)
     return Decomposition.from_multiplicities(n, mult)
-
-
-def _ar_arrows(interval: Interval) -> list[Interval]:
-    """Targets of irreducible morphisms out of an interval module."""
-    out = []
-    if interval.start > 1:
-        out.append(Interval(interval.start - 1, interval.end))
-    if interval.start < interval.end:
-        out.append(Interval(interval.start, interval.end - 1))
-    return out
-
-
-def _reaches(x: Interval, y: Interval) -> bool:
-    """Directed path search in the irreducible-morphism digraph."""
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        cur = frontier.pop()
-        if cur == y:
-            return True
-        for nxt in _ar_arrows(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return x == y
-
-
-def catenoid_oracle(D: Decomposition) -> bool:
-    """Brute force: some ordering of the distinct summands forms one path."""
-    supports = D.intervals()
-    if len(supports) <= 1:
-        return True
-    for perm in itertools.permutations(supports):
-        if all(_reaches(perm[i], perm[i + 1]) for i in range(len(perm) - 1)):
-            return True
-    return False
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -311,7 +274,8 @@ def subreps_oracle(rep: RepMatrices, targets: Sequence[int]) -> Iterator[SubrepP
     """The points of Gr_targets(rep) over F_p by a walk over validated
     subspaces: vertex v tries every subspace of ``subspaces_iter`` and keeps
     those that contain the image (``map_subspace``) of the one chosen at
-    v - 1, in the order of ``enumerate_subreps``."""
+    v - 1, that is, whose span with that image is themselves, in the order
+    of ``enumerate_subreps``."""
 
     def rec(v: int, chosen: tuple) -> Iterator[SubrepPoint]:
         if v == rep.n:
@@ -319,7 +283,7 @@ def subreps_oracle(rep: RepMatrices, targets: Sequence[int]) -> Iterator[SubrepP
             return
         required = map_subspace(rep.maps[v - 1], chosen[-1]) if v else None
         for V in subspaces_iter(rep.field, rep.dims[v], targets[v]):
-            if required is None or contains(V, required):
+            if required is None or span(V.field, V.ambient, V.basis + required.basis) == V:
                 yield from rec(v + 1, chosen + (V,))
 
     return rec(0, ())

@@ -94,6 +94,16 @@ class TestGaussian:
                 for q in (2, 3, 5):
                     assert gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(3, 1, 1), (3, 1, 0), (3.0, 1, 2), (3, 1.0, 2), (3, 1, 2.0), (True, 1, 2), (3, 1, True)],
+        ids=["q-1", "q-0", "float-n", "float-k", "float-q", "bool-n", "bool-q"],
+    )
+    def test_rejects_what_is_not_a_count(self, args):
+        # q = 1 used to divide by zero, and n = 3.0 to return 7.0
+        with pytest.raises(ValidationError, match="integers"):
+            gaussian_binomial(*args)
+
 
 class TestSubspacesIter:
     def test_counts_match_gaussian(self):
@@ -786,7 +796,9 @@ class TestSigma:
             rep = singular_model_rep(field, m, dv.n, h)
             for pt in enumerate_subreps(rep, model.sub_dims):
                 spaces = list(pt.spaces)
-                spaces[h - 1] = linalg.subspace_sum(linalg.map_subspace(embed, spaces[h - 1]), e1)
+                spaces[h - 1] = linalg.span(
+                    field, m, linalg.map_subspace(embed, spaces[h - 1]).basis + e1.basis
+                )
                 spaces[h] = linalg.map_subspace(embed, spaces[h])
                 rows = tuple(V.basis for V in pt.spaces)
                 forward = enumeration._sigma_forward(m, h, rows)

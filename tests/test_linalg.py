@@ -16,7 +16,6 @@ from lindeg import (
     Matrix,
     Subspace,
     ValidationError,
-    contains,
     coordinate_subspace,
     intertwiner_space_dim,
     inverse,
@@ -25,7 +24,6 @@ from lindeg import (
     rank,
     rref,
     span,
-    subspace_sum,
 )
 from lindeg.linalg import _pivots
 from oracles import rref_oracle
@@ -34,6 +32,12 @@ FIELDS = [QQ, GF(2), GF(3), GF(101)]
 PRODUCT_FIELDS = [GF(2), GF(101), QQ]
 # integer rows of rank 2
 MISRANKED = ((-54, -72, -9), (5, 6, 3), (-3, -6, 6))
+
+
+def _holds(V, *vectors):
+    """True iff the subspace V contains every vector: adding them to its
+    basis spans V again."""
+    return span(V.field, V.ambient, V.basis + vectors) == V
 
 
 def _random_matrix(rng, field, nrows, ncols, lo=-4, hi=4):
@@ -291,7 +295,7 @@ class TestSubspace:
             W = span(field, 4, mixed)
             if field.characteristic == 3:
                 # 3 * row vanishes mod 3; spanning set may lose a generator
-                assert contains(V, W)
+                assert _holds(V, *W.basis)
             else:
                 assert V == W
                 assert V.basis == W.basis
@@ -300,8 +304,8 @@ class TestSubspace:
         Z = coordinate_subspace(QQ, 3, ())
         F = coordinate_subspace(QQ, 3, range(3))
         assert Z.dim == 0 and F.dim == 3
-        assert contains(F, Z)
-        assert subspace_sum(Z, F) == F
+        assert _holds(F, *Z.basis)
+        assert span(QQ, 3, Z.basis + F.basis) == F
 
     @pytest.mark.parametrize(
         "field, basis, pivots, message",
@@ -353,22 +357,16 @@ class TestSubspace:
     def test_coordinates_membership(self):
         V = span(QQ, 3, [[1, 0, 1], [0, 1, 1]])
         v = [Fraction(1), Fraction(1), Fraction(2)]
-        assert V.contains_vector(v)
+        assert _holds(V, tuple(v))
         # a member of an RREF-basis subspace has its coordinates at the pivots
         assert [sum(v[c] * row[k] for c, row in zip(V.pivots, V.basis)) for k in range(3)] == v
-        assert not V.contains_vector([0, 0, 1])
+        assert not _holds(V, (0, 0, 1))
 
     def test_coordinate_subspace(self):
         V = coordinate_subspace(GF(2), 4, [0, 2])
         assert V.dim == 2
-        assert V.contains_vector([1, 0, 1, 0])
-        assert not V.contains_vector([0, 1, 0, 0])
-
-    def test_sum_and_contains(self):
-        V = span(QQ, 3, [[1, 0, 0]])
-        W = span(QQ, 3, [[0, 1, 0]])
-        S = subspace_sum(V, W)
-        assert S.dim == 2 and contains(S, V) and contains(S, W)
+        assert _holds(V, (1, 0, 1, 0))
+        assert not _holds(V, (0, 1, 0, 0))
 
     def test_rref_idempotent(self):
         A = Matrix.from_rows(GF(5), [[2, 4, 1], [1, 2, 3], [3, 1, 0]], ncols=3)
@@ -544,12 +542,7 @@ def _line(field, ambient):
         (lambda: Matrix.identity(GF(2), 2) @ Matrix.identity(GF(3), 2),
          "cannot multiply matrices over different fields"),
         (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), "only square matrices can be inverted"),
-        (lambda: _line(GF(2), 2).reduce([1]), "vector length differs from ambient dimension"),
         (lambda: coordinate_subspace(GF(2), 2, [2]), "positions (2,) out of range(0, 2)"),
-        (lambda: contains(_line(GF(2), 2), _line(GF(2), 3)),
-         "subspaces live in different ambient spaces"),
-        (lambda: subspace_sum(_line(GF(2), 2), _line(GF(3), 2)),
-         "subspaces live in different ambient spaces"),
         (lambda: map_subspace(Matrix.identity(GF(2), 2), _line(GF(2), 3)),
          "matrix domain differs from subspace ambient"),
         (lambda: map_subspace(Matrix.identity(GF(2), 2), _line(GF(3), 2)),
@@ -566,7 +559,7 @@ def _line(field, ambient):
     ids=[
         "ragged-rows", "column-count", "projection-range", "identity-size", "zeros-size",
         "zeros-bool", "product-fields", "inverse-shape",
-        "vector-length", "coordinate-range", "contains-ambient", "sum-field", "map-domain", "map-field",
+        "coordinate-range", "map-domain", "map-field",
         "intertwiner-length", "intertwiner-field", "intertwiner-shape",
     ],
 )

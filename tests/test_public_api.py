@@ -1,10 +1,12 @@
-"""The package's export list names exactly what it binds, and each name is
-declared public once, in the module that defines it."""
+"""The package's export list names exactly what it binds, each name is
+declared public once, in the module that defines it, and something other
+than the tests reads it."""
 
 import ast
 import importlib
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +80,42 @@ def test_star_import_binds_exactly_the_export_list():
     exec("from lindeg import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(lindeg.__all__)
+
+
+# Public names that no library, demo or bench code reads as a name, each with
+# its reader: the bench tracer looks these up by string with getattr, and the
+# README's quick start calls the last one.
+READ_ELSEWHERE = {
+    "rref": "bench/tracing.py",
+    "span": "bench/tracing.py",
+    "map_subspace": "bench/tracing.py",
+    "subspaces_iter": "bench/tracing.py",
+    "classify_matrices": "README.md",
+}
+
+
+def names_read(root):
+    """Every name that the Python files under ``root``, tests aside, load as
+    a variable or an attribute, or import."""
+    names = set()
+    for path in root.rglob("*.py"):
+        if "tests" in path.relative_to(root).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    """No export that only the tests read: a public name is read by the
+    library, a demo or the bench, or is listed above with its reader."""
+    repo = Path(__file__).resolve().parents[1]
+    read = set().union(*(names_read(repo / part) for part in ("src/lindeg", "demos", "bench")))
+    unread = [name for name in lindeg.__all__ if name not in read and name not in READ_ELSEWHERE]
+    assert not unread
+    assert not set(READ_ELSEWHERE) & read

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lindeg import (
     GF,
     QQ,
+    CensusResult,
     Decomposition,
     DimVector,
     Interval,
@@ -32,22 +33,18 @@ from lindeg import (
     hom_dim_intervals,
     intertwiner_space_dim,
     inverse,
-    is_catenoid,
     map_subspace,
-    minimal_projective_resolution,
     quotient_rep,
     rank,
     rank_profile,
     ranks_from_decomposition,
     restrict_rep,
     rref,
-    schubert_embedding_target,
+    singular_point_census,
     span,
-    subspace_sum,
     well_behaved_rep,
 )
 from oracles import (
-    catenoid_oracle,
     decomposition_oracle,
     multiplicity,
     rank_profile_oracle,
@@ -160,8 +157,10 @@ class TestDecomposition:
             (((Interval(1, 2), 1), (Interval(1, 1), 1)), "sorted"),
             (((Interval(1, 1), 1), (Interval(1, 1), 2)), "no repeats"),
             (((Interval(1, 1), 0),), "positive"),
+            (((Interval(1, 2), 1.5),), "integers"),
+            (((Interval(1, 2), True),), "integers"),
         ],
-        ids=["unsorted", "repeated", "zero-multiplicity"],
+        ids=["unsorted", "repeated", "zero-multiplicity", "float-multiplicity", "bool-multiplicity"],
     )
     def test_rejects_malformed_items(self, items, message):
         with pytest.raises(ValidationError, match=message):
@@ -348,7 +347,7 @@ def test_library_built_matrices_pass_the_public_check(field, k, n, data):
     f = _draw_map(data, field, n, k)  # from_rows, zeros or a product
     g = _draw_map(data, field, k, data.draw(st.integers(0, 3)))
     V = span(field, k, _draw_map(data, field, data.draw(st.integers(0, 2)), k).entries)
-    W = subspace_sum(map_subspace(f, V), span(field, n, _draw_map(data, field, 1, n).entries))
+    W = span(field, n, map_subspace(f, V).basis + _draw_map(data, field, 1, n).entries)
     rep = RepMatrices(field, (k, n), (f,))
     killed = {i for i in range(n) if data.draw(st.booleans())}
     built = [
@@ -387,70 +386,16 @@ def test_rank_profile_weakly_decreasing(n, data):
                 assert t.r(a, b + 1) <= t.r(a, b)
 
 
-class TestResolution:
-    def test_interval_cases(self):
-        D = Decomposition.from_intervals(3, [(1, 2)])
-        P, Q = minimal_projective_resolution(D)
-        assert P == Decomposition.from_intervals(3, [(1, 3)])
-        assert Q == Decomposition.from_intervals(3, [(3, 3)])
-
-    def test_projective_has_no_kernel(self):
-        D = Decomposition.from_intervals(3, [(2, 3)])
-        P, Q = minimal_projective_resolution(D)
-        assert P == D and Q.items == ()
-
-    def test_dims_close_up(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            D = _random_decomposition(rng, n)
-            P, Q = minimal_projective_resolution(D)
-            assert tuple(
-                p - q for p, q in zip(P.vertex_dims(), Q.vertex_dims())
-            ) == D.vertex_dims()
-
-
-class TestCatenoid:
-    def test_known_cases(self):
-        assert not is_catenoid(Decomposition.from_intervals(3, [(1, 3), (2, 2)]))
-        assert is_catenoid(Decomposition.from_intervals(3, [(1, 2), (2, 3)]))
-        assert is_catenoid(Decomposition.from_intervals(2, [(1, 1), (1, 2), (2, 2)]))
-
-    def test_all_pairs_n2(self):
-        for x in _all_intervals(2):
-            for y in _all_intervals(2):
-                D = Decomposition.from_intervals(2, [x, y])
-                assert is_catenoid(D)
-
-    def test_matches_path_oracle(self):
-        """Exhaustive check against reachability in the irreducible-map graph."""
-        n = 4
-        ivs = _all_intervals(n)
-        for size in (1, 2, 3):
-            for subset in itertools.combinations(ivs, size):
-                D = Decomposition.from_intervals(n, subset)
-                assert is_catenoid(D) == catenoid_oracle(D), subset
-
-
-class TestSchubertEmbedding:
-    def test_hand_example(self):
-        D = Decomposition.from_multiplicities(
-            2, {Interval(1, 1): 1, Interval(2, 2): 1, Interval(1, 2): 2}
-        )
-        ambient, target = schubert_embedding_target(D, DimVector(3, (1, 2)))
-        assert ambient == (3, 4)
-        assert target == (1, 3)
-
-    def test_identity_is_trivial(self):
-        D = Decomposition.from_multiplicities(2, {Interval(1, 2): 3})
-        ambient, target = schubert_embedding_target(D, DimVector(3, (1, 2)))
-        assert ambient == (3, 3)
-        assert target == (1, 2)
-
-    def test_rejects_wrong_dims(self):
-        D = Decomposition.from_intervals(2, [(1, 1)])
-        with pytest.raises(ValidationError):
-            schubert_embedding_target(D, DimVector(3, (1, 2)))
+class TestRepMatrices:
+    def test_lists_are_stored_as_tuples(self):
+        # list dims used to fail check_endomorphisms' comparison with a
+        # tuple, and make the representation unhashable
+        field = GF(2)
+        rep = RepMatrices(field, [3, 3], [Matrix.identity(field, 3)])
+        same = RepMatrices.identity_tuple(field, 3, 2)
+        assert type(rep.dims) is type(rep.maps) is tuple
+        assert rep == same and hash(rep) == hash(same)
+        assert singular_point_census(rep, DimVector(3, (1, 2))) == CensusResult(21, 0, 21)
 
 
 class TestWellBehaved:
@@ -498,7 +443,7 @@ class TestSubrep:
         for v, amb in enumerate(dims):
             V = span(field, amb, [[entry() for _ in range(amb)] for _ in range(rng.randint(0, 2))])
             if v:
-                V = subspace_sum(V, map_subspace(maps[v - 1], spaces[-1]))
+                V = span(field, amb, V.basis + map_subspace(maps[v - 1], spaces[-1]).basis)
             spaces.append(V)
         return rep, spaces
 
@@ -534,7 +479,12 @@ class TestSubrep:
                     for jj, j in enumerate(src_comp):
                         e = [0] * src.ambient
                         e[j] = 1
-                        residue = tgt.reduce(f_of(e))
+                        y = f_of(e)
+                        # the RREF rule: subtract y[pivot] times each basis row
+                        residue = [
+                            field.coerce(x - sum(y[c] * w[k] for w, c in zip(tgt.basis, tgt.pivots)))
+                            for k, x in enumerate(y)
+                        ]
                         assert [Q.entries[r][jj] for r in range(len(tgt_comp))] == [
                             residue[c] for c in tgt_comp
                         ]
@@ -590,10 +540,20 @@ class TestSubrepPoint:
         lambda: Interval("1", 2),
         lambda: ProjectionTuple(3, ({True},)),
         lambda: ProjectionTuple(3.0, ({1},)),
+        lambda: RepMatrices(GF(2), ("a",), ()),
+        lambda: RepMatrices(GF(2), (True,), ()),
+        lambda: RepMatrices(GF(2), (1.0,), ()),
+        lambda: Decomposition(2.0, ()),
+        # int(k) read these as 1; a multiplicity of 1.5 reached hom_dim
+        lambda: Decomposition.from_multiplicities(2, {Interval(1, 2): 1.5}),
+        lambda: Decomposition.from_multiplicities(2, {Interval(1, 2): True}),
+        lambda: Decomposition.from_multiplicities(2, {Interval(1, 2): 0.0}),
     ],
     ids=[
         "dim-vector-bool", "dim-vector-float-m", "dim-vector-str", "interval-bool",
-        "interval-str", "zero-set-bool", "projection-float-m",
+        "interval-str", "zero-set-bool", "projection-float-m", "rep-dims-str", "rep-dims-bool",
+        "rep-dims-float", "decomposition-float-n", "multiplicity-float", "multiplicity-bool",
+        "multiplicity-float-zero",
     ],
 )
 def test_constructors_reject_what_is_not_an_int(build):
@@ -622,15 +582,16 @@ def _line(field, ambient):
          "rank table entry (2, 1) needs a <= b"),
         (lambda: RepMatrices(GF(2), (), ()), ValidationError,
          "representation needs at least one vertex"),
+        (lambda: Decomposition(-1, ()), ValidationError,
+         "quiver length must be an integer >= 0, got -1"),
+        (lambda: RepMatrices(GF(2), (-1,), ()), ValidationError,
+         "vertex dimensions must be integers >= 0, got (-1,)"),
         (lambda: RepMatrices(GF(2), (1, 1), ()), ValidationError,
          "need exactly n-1 maps for n vertices"),
         (lambda: RepMatrices(GF(2), (1, 1), (Matrix.identity(GF(3), 1),)), ValidationError,
          "map fields disagree with representation field"),
         (lambda: RepMatrices(GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),)), ValidationError,
          "map 1 has shape (2, 1), expected (1, 1)"),
-        (lambda: schubert_embedding_target(
-            Decomposition(1, ((Interval(1, 1), 3),)), DimVector(3, (1, 2))
-        ), ValidationError, "decomposition and dimension vector lengths differ"),
         (lambda: SubrepPoint(()), ValidationError, "a point needs at least one vertex"),
         (lambda: SubrepPoint.from_coordinates(GF(2), (3,), [(1,), (2,)]), ValidationError,
          "need one index subset per vertex"),
@@ -643,7 +604,7 @@ def _line(field, ambient):
     ],
     ids=[
         "euler-lengths", "hom-lengths", "ext-lengths", "rank-entry-order", "no-vertex",
-        "map-count", "map-field", "map-shape", "schubert-lengths", "empty-point",
+        "negative-quiver-length", "negative-vertex-dim", "map-count", "map-field", "map-shape", "empty-point",
         "coordinates-count", "subspace-count", "subspace-field", "subspace-ambient",
     ],
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lindeg import GF, QQ, SUITES, Matrix, enumerate_orbits, run_suites
+from lindeg import GF, QQ, SUITES, Matrix, ValidationError, enumerate_orbits, run_suites
 from lindeg.verification import (
     _random_invertible,
     suite_exthom,
@@ -29,6 +29,12 @@ def test_suite_registry_names():
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
+        run_suites(["no-such-suite"], seed=0)
+
+
+def test_unknown_suite_is_a_validation_error():
+    # the library's own error, still a ValueError for callers that catch that
+    with pytest.raises(ValidationError, match="unknown suite 'no-such-suite'"):
         run_suites(["no-such-suite"], seed=0)
 
 
