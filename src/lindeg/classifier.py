@@ -9,14 +9,12 @@ entry points reduce to rank tables first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     NotFlatError,
     NotIrreducibleError,
     ValidationError,
 )
-from .linalg import QQ, Field, kernel, rank, _pivots
+from .linalg import QQ, Field, _Record, _set, kernel, rank, _pivots
 from .orbits import (
     ProjectionTuple,
     RankSequence,
@@ -82,13 +80,15 @@ def is_irreducible(rs: RankSequence, dv: DimVector) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FlatFlags:
+class FlatFlags(_Record):
     """Flatness of the family restricted to the orbit's own stratum."""
 
-    stratum: tuple[int, ...]
-    flat: bool
-    flat_irreducible: bool
+    __slots__ = ("stratum", "flat", "flat_irreducible")
+
+    def __init__(self, stratum: tuple[int, ...], flat: bool, flat_irreducible: bool) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "flat", flat)
+        _set(self, "flat_irreducible", flat_irreducible)
 
 
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
@@ -154,8 +154,7 @@ def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
     return len(_pivots(rows, rep.field.characteristic)) == sum(steps)
 
 
-@dataclass(frozen=True)
-class SingularModel:
+class SingularModel(_Record):
     """Explicit model of the singular locus of a corank-one degeneration.
 
     For the orbit with a single rank drop m - 1 at edge h, the singular locus
@@ -164,12 +163,23 @@ class SingularModel:
     h and h + 1).  Its dimension and codimension are recorded.
     """
 
-    h: int
-    module: Decomposition
-    module_dims: tuple[int, ...]
-    sub_dims: tuple[int, ...]
-    singular_dim: int
-    singular_codim: int
+    __slots__ = ("h", "module", "module_dims", "sub_dims", "singular_dim", "singular_codim")
+
+    def __init__(
+        self,
+        h: int,
+        module: Decomposition,
+        module_dims: tuple[int, ...],
+        sub_dims: tuple[int, ...],
+        singular_dim: int,
+        singular_codim: int,
+    ) -> None:
+        _set(self, "h", h)
+        _set(self, "module", module)
+        _set(self, "module_dims", module_dims)
+        _set(self, "sub_dims", sub_dims)
+        _set(self, "singular_dim", singular_dim)
+        _set(self, "singular_codim", singular_codim)
 
 
 def singular_model(dv: DimVector, h: int) -> SingularModel:
@@ -190,8 +200,7 @@ def singular_model(dv: DimVector, h: int) -> SingularModel:
     return SingularModel(h, module, module_dims, sub, sing_dim, codim)
 
 
-@dataclass(frozen=True)
-class SingularInfo:
+class SingularInfo(_Record):
     """Singular locus of an irreducible degeneration.
 
     kind is 'empty' (smooth), 'exact' (codimension known, with a model when
@@ -199,12 +208,24 @@ class SingularInfo:
     to lie in [codim_lower, codim_upper]).
     """
 
-    kind: str
-    ambient_dim: int
-    codim_lower: int | None = None
-    codim_upper: int | None = None
-    singular_dim: int | None = None
-    model: SingularModel | None = None
+    __slots__ = ("kind", "ambient_dim", "codim_lower", "codim_upper", "singular_dim", "model")
+
+    def __init__(
+        self,
+        kind: str,
+        ambient_dim: int,
+        codim_lower: int | None = None,
+        codim_upper: int | None = None,
+        singular_dim: int | None = None,
+        model: SingularModel | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "codim_lower", codim_lower)
+        _set(self, "codim_upper", codim_upper)
+        _set(self, "singular_dim", singular_dim)
+        _set(self, "model", model)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("empty", "exact", "bounded"):
@@ -317,22 +338,51 @@ def _witness_chain(J: ProjectionTuple, dv: DimVector) -> list[tuple[int, ...]]:
     return subsets
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(_Record):
     """Everything the classifier knows about one (orbit, flag data) pair."""
 
-    edge_ranks: tuple[int, ...]
-    decomposition: Decomposition
-    stratum: tuple[int, ...]
-    smooth: bool
-    irreducible: bool
-    flat: bool
-    flat_irreducible: bool
-    well_behaved: bool
-    dimension: int | None
-    normal: bool | None
-    regular_in_codim_2: bool | None
-    singular: SingularInfo | None
+    __slots__ = (
+        "edge_ranks",
+        "decomposition",
+        "stratum",
+        "smooth",
+        "irreducible",
+        "flat",
+        "flat_irreducible",
+        "well_behaved",
+        "dimension",
+        "normal",
+        "regular_in_codim_2",
+        "singular",
+    )
+
+    def __init__(
+        self,
+        edge_ranks: tuple[int, ...],
+        decomposition: Decomposition,
+        stratum: tuple[int, ...],
+        smooth: bool,
+        irreducible: bool,
+        flat: bool,
+        flat_irreducible: bool,
+        well_behaved: bool,
+        dimension: int | None,
+        normal: bool | None,
+        regular_in_codim_2: bool | None,
+        singular: SingularInfo | None,
+    ) -> None:
+        _set(self, "edge_ranks", edge_ranks)
+        _set(self, "decomposition", decomposition)
+        _set(self, "stratum", stratum)
+        _set(self, "smooth", smooth)
+        _set(self, "irreducible", irreducible)
+        _set(self, "flat", flat)
+        _set(self, "flat_irreducible", flat_irreducible)
+        _set(self, "well_behaved", well_behaved)
+        _set(self, "dimension", dimension)
+        _set(self, "normal", normal)
+        _set(self, "regular_in_codim_2", regular_in_codim_2)
+        _set(self, "singular", singular)
 
 
 def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:

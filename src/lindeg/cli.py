@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Any, NoReturn, Sequence
 
@@ -35,7 +34,7 @@ from .enumeration import (
     fixed_points,
 )
 from .errors import GuardExceededError, LindegError, ValidationError
-from .linalg import QQ, Field, Matrix
+from .linalg import QQ, Field, Matrix, _Record, _set
 from .orbits import (
     ORBIT_GUARD,
     STRATA_GUARD,
@@ -63,15 +62,23 @@ TOOL = "lindeg"
 # ---------------------------------------------------------------- problem I/O
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(_Record):
     """A problem: the flag dimensions, the field, and the one description of
     the tuple of maps that the input gives, built and checked at load."""
 
-    dv: DimVector
-    field: Field
-    maps: RankSequence | ProjectionTuple | RepMatrices
-    sha256: str
+    __slots__ = ("dv", "field", "maps", "sha256")
+
+    def __init__(
+        self,
+        dv: DimVector,
+        field: Field,
+        maps: RankSequence | ProjectionTuple | RepMatrices,
+        sha256: str,
+    ) -> None:
+        _set(self, "dv", dv)
+        _set(self, "field", field)
+        _set(self, "maps", maps)
+        _set(self, "sha256", sha256)
 
     def projection_tuple(self, what: str) -> ProjectionTuple:
         if not isinstance(self.maps, ProjectionTuple):
@@ -277,7 +284,7 @@ def _singular_json(info: SingularInfo | None) -> dict | None:
     """The report's fields, with the model's module as interval objects."""
     if info is None:
         return None
-    payload = asdict(info)
+    payload = info._asdict()
     if info.model is not None:
         payload["model"]["module"] = _decomposition_json(info.model.module)
     return payload
@@ -500,7 +507,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
         **_problem_envelope("enumerate", problem),
         "prime": field.characteristic,
         "points": total,
-        "census": asdict(census) if census else None,
+        "census": census._asdict() if census else None,
         "fixed_points": len(fixed_points(J, dv, args.guard)) if J is not None else None,
     }
     if args.limit:
@@ -558,7 +565,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             **_envelope("verify", None),
             "seed": args.seed,
             "passed": ok,
-            "suites": [asdict(r) for r in results],
+            "suites": [r._asdict() for r in results],
         }
         return _emit(payload, "json"), 0 if ok else 1
     lines = [r.summary_line() for r in results]

@@ -13,12 +13,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .classifier import dimension, is_irreducible, singular_model
 from .errors import NotIrreducibleError, ValidationError, _check_size
-from .linalg import Field, Matrix, Subspace, _images, _pivots, _reduce, _rref_rows, _unchecked
+from .linalg import (
+    Field,
+    Matrix,
+    Subspace,
+    _images,
+    _pivots,
+    _Record,
+    _reduce,
+    _rref_rows,
+    _set,
+    _unchecked,
+)
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
 from .representations import (
     Decomposition,
@@ -270,12 +280,14 @@ def fixed_points(
     return out
 
 
-@dataclass(frozen=True)
-class PointAnalysis:
+class PointAnalysis(_Record):
     """Local data of one Grassmannian point: L inside M with quotient M/L."""
 
-    tangent_dim: int
-    ext: int
+    __slots__ = ("tangent_dim", "ext")
+
+    def __init__(self, tangent_dim: int, ext: int) -> None:
+        _set(self, "tangent_dim", tangent_dim)
+        _set(self, "ext", ext)
 
 
 def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
@@ -299,11 +311,13 @@ def _analysis(sub: Decomposition, quo: Decomposition) -> PointAnalysis:
     return PointAnalysis(hom, ext)
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    total: int
-    singular: int
-    smooth: int
+class CensusResult(_Record):
+    __slots__ = ("total", "singular", "smooth")
+
+    def __init__(self, total: int, singular: int, smooth: int) -> None:
+        _set(self, "total", total)
+        _set(self, "singular", singular)
+        _set(self, "smooth", smooth)
 
 
 def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
@@ -620,8 +634,7 @@ def singular_model_rep(field: Field, m: int, n: int, h: int) -> RepMatrices:
     return RepMatrices(field, dims, tuple(maps))
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(_Record):
     """Result of matching the singular-locus model against actual points.
 
     The model Grassmannian Gr_{d - e_h} of the corank-one module should map
@@ -629,10 +642,15 @@ class SigmaReport:
     sigma is the forward map and sigma' the inverse.
     """
 
-    singular_count: int
-    model_count: int
-    ok: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = ("singular_count", "model_count", "ok", "failures")
+
+    def __init__(
+        self, singular_count: int, model_count: int, ok: bool, failures: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "singular_count", singular_count)
+        _set(self, "model_count", model_count)
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)
 
 
 def _sigma_forward(m: int, h: int, point: tuple[Rows, ...]) -> tuple[Rows, ...]:

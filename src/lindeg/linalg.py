@@ -11,6 +11,13 @@ ever rounded.  ``_images`` is the one product kernel, and it holds that
 difference for products.  Subspaces are stored by their reduced row echelon
 basis, which is unique, so subspace equality and hashing are structural.
 
+Every value the library hands out is a ``_Record``: an immutable slotted
+class whose ``__slots__`` list its fields in order, then any private extras
+(names with a leading underscore) that the record computes once and keeps.
+Records equal and hash by their field tuples within one class and repr as
+``Name(field=value, ...)``; ``_fields`` names the fields and ``_asdict()``
+gives them as a dict.
+
 Elimination changes its list rows in place and does only the work its
 caller reads.  ``_pivots`` is the one forward pass: it brings rows to echelon
 form and returns the pivot columns, which is all that ``rank`` and
@@ -23,9 +30,8 @@ tail ``row[c:]`` only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -65,14 +71,115 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's records.  A subclass lists its fields, then its
+    private extras, in ``__slots__``, and sets them in ``__init__`` with
+    ``_set``; assignment and deletion through the instance raise
+    AttributeError.  An instance equals another of the same class with
+    equal field tuple (NotImplemented for any other class), hashes as that
+    tuple, and ignores the extras in both and in ``repr``; a class that
+    writes out its own ``__eq__`` and ``__hash__`` keeps them.  ``_fields``
+    names the fields; ``_asdict()`` maps them to their values, with records,
+    also inside tuples, turned into dicts."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if "__eq__" in cls.__dict__:
+            return
+        # reads the field tuple in C; of one field, its bare value, which
+        # compares as the tuple does but hashes otherwise
+        get = attrgetter(*fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        if len(fields) == 1:
+
+            def __hash__(self):
+                return hash((get(self),))
+
+        else:
+
+            def __hash__(self):
+                return hash(get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        # copy and pickle: every slot that is set, the extras too
+        return {name: getattr(self, name) for name in self.__slots__ if hasattr(self, name)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            _set(self, name, value)
+
+    def _asdict(self) -> dict:
+        return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+def _plain(value):
+    """``value`` with every record in it, also inside tuples, turned into a
+    dict by ``_asdict``."""
+    if isinstance(value, _Record):
+        return value._asdict()
+    if type(value) is tuple:
+        return tuple(map(_plain, value))
+    return value
+
+
+def _unchecked(cls, *values, **extra):
+    """An instance of the record class ``cls`` from its field values in
+    ``cls._fields`` order and ``extra`` private slots, skipping
+    ``__post_init__``: for parts that hold its invariants.  A name that is
+    not a slot of ``cls`` raises AttributeError."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set(obj, name, value)
+    for name, value in extra.items():
+        _set(obj, name, value)
+    return obj
+
+
+class Field(_Record):
     """Coefficient field: ``Field()`` is Q, ``Field(p)`` is F_p for a prime p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int = 0) -> None:
+        _set(self, "characteristic", characteristic)
+        self.__post_init__()
+
+    # written out for speed, as in Interval: matrix routines compare fields
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.characteristic == other.characteristic
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if type(c) is not int:
+            raise ValidationError(f"field characteristic must be an integer, got {c!r}")
         if c == 0:
             return
         if not (2 <= c < _PRIME_LIMIT) or not _is_prime(c):
@@ -129,18 +236,6 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _unchecked(cls, *values, **extra):
-    """An instance of the frozen dataclass ``cls`` from field values in order
-    and ``extra`` attributes, skipping ``__post_init__``: for parts that hold
-    its invariants.  Set one by one as ``__init__`` does, so no instance dict."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    for name, value in extra.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _check_elements(field: Field, rows: tuple[tuple, ...], width: int, what: str) -> None:
     """Raise ValidationError unless ``rows`` is a tuple of tuples of ``width``
     entries, each an element of ``field``: an int in [0, p) over F_p, a
@@ -159,15 +254,20 @@ def _check_elements(field: Field, rows: tuple[tuple, ...], width: int, what: str
                 raise ValidationError(f"{what} entries are not elements of {field}")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Record):
     """Immutable dense matrix of field elements, checked on construction;
     ``from_rows`` coerces ints, Fractions and exact strings first."""
 
-    field: Field
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[object, ...], ...]
+    __slots__ = ("field", "nrows", "ncols", "entries")
+
+    def __init__(
+        self, field: Field, nrows: int, ncols: int, entries: tuple[tuple[object, ...], ...]
+    ) -> None:
+        _set(self, "field", field)
+        _set(self, "nrows", nrows)
+        _set(self, "ncols", ncols)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.nrows != len(self.entries) or type(self.ncols) is not int or self.ncols < 0:
@@ -362,14 +462,23 @@ def inverse(M: Matrix) -> Matrix:
     return _unchecked(Matrix, M.field, n, n, tuple(tuple(row[n:]) for row in rows))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A linear subspace of F^ambient held by its unique RREF basis (rows)."""
 
-    field: Field
-    ambient: int
-    basis: tuple[tuple[object, ...], ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("field", "ambient", "basis", "pivots")
+
+    def __init__(
+        self,
+        field: Field,
+        ambient: int,
+        basis: tuple[tuple[object, ...], ...],
+        pivots: tuple[int, ...],
+    ) -> None:
+        _set(self, "field", field)
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
+        _set(self, "pivots", pivots)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.basis) != len(self.pivots):

@@ -20,11 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import GuardExceededError, ValidationError, _check_size
-from .linalg import Field, Matrix, _unchecked
+from .linalg import Field, Matrix, _Record, _set, _unchecked
 from .representations import (
     Decomposition,
     DimVector,
@@ -56,29 +55,31 @@ ORBIT_GUARD = 10**6
 STRATA_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class RankSequence:
+class RankSequence(_Record):
     """Orbit invariant: a realizable rank table whose diagonal entries all equal m.
 
     Construction decomposes the table (NotRealizableError for a negative
-    multiplicity) and keeps the result, not a field, for ``decomposition_of``.
-    It also keeps the packed table ``_word`` and its guard mask ``_guard``
-    (see the module docstring), which ``leq`` compares.
+    multiplicity) and keeps the result, a private slot and not a field, for
+    ``decomposition_of``.  It also keeps the packed table ``_word`` and its
+    guard mask ``_guard`` (see the module docstring), which ``leq`` compares.
     """
 
-    m: int
-    table: RankTable
+    __slots__ = ("m", "table", "_decomposition", "_word", "_guard")
+
+    def __init__(self, m: int, table: RankTable) -> None:
+        _set(self, "m", m)
+        _set(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.m) is not int:
             raise ValidationError(f"m must be an integer, got {self.m!r}")
         if any(x != self.m for x in self.table.vertex_dims()):
             raise ValidationError("rank sequence must have constant vertex dimension m")
-        # set in the order enumerate_orbits sets them, so instances share dict keys
-        object.__setattr__(self, "_decomposition", decompose_from_ranks(self.table))
+        _set(self, "_decomposition", decompose_from_ranks(self.table))
         w, n = _width(self.m), self.table.n
-        object.__setattr__(self, "_word", _pack(w, self.table.rows))
-        object.__setattr__(self, "_guard", _guards(w, n * (n + 1) // 2))
+        _set(self, "_word", _pack(w, self.table.rows))
+        _set(self, "_guard", _guards(w, n * (n + 1) // 2))
 
     @property
     def n(self) -> int:
@@ -234,19 +235,21 @@ def enumerate_orbits(m: int, n: int, guard: int = ORBIT_GUARD) -> tuple[RankSequ
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProjectionTuple:
+class ProjectionTuple(_Record):
     """Endomorphism tuple of coordinate projections.
 
     ``zero_sets[i]`` holds the 1-based coordinate indices killed by the map
     out of vertex i + 1; all other coordinates are fixed.
     """
 
-    m: int
-    zero_sets: tuple[frozenset[int], ...]
+    __slots__ = ("m", "zero_sets")
+
+    def __init__(self, m: int, zero_sets: Iterable[Iterable[int]]) -> None:
+        _set(self, "m", m)
+        _set(self, "zero_sets", tuple(frozenset(s) for s in zero_sets))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zero_sets", tuple(frozenset(s) for s in self.zero_sets))
         if type(self.m) is not int:
             raise ValidationError(f"m must be an integer, got {self.m!r}")
         allowed = range(1, self.m + 1)  # a range tests membership without a set of size m

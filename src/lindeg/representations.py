@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import NotRealizableError, NotSubrepresentationError, ValidationError
-from .linalg import Field, Matrix, Subspace, _unchecked
+from .linalg import Field, Matrix, Subspace, _Record, _set, _unchecked
 
 __all__ = [
     "Decomposition",
@@ -40,18 +39,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """The interval module U[start, end], 1-based and inclusive."""
+class Interval(_Record):
+    """The interval module U[start, end], 1-based and inclusive, ordered as
+    the tuple (start, end)."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.start) is not int or type(self.end) is not int or not (
             1 <= self.start <= self.end
         ):
             raise ValidationError(f"bad interval [{self.start!r}, {self.end!r}]")
+
+    # eq and hash as _Record makes them, written out: the hottest records
+    # read their fields directly, not through _Record's getter, and compare
+    # field by field, which for int fields gives what the tuples give
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.start == other.start and self.end == other.end
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) < (other.start, other.end)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) <= (other.start, other.end)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) > (other.start, other.end)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) >= (other.start, other.end)
+        return NotImplemented
 
     def contains(self, vertex: int) -> bool:
         return self.start <= vertex <= self.end
@@ -78,15 +112,17 @@ def euler_form(d: Sequence[int], e: Sequence[int]) -> int:
     return sum(d[i] * e[i] for i in range(n)) - sum(d[i] * e[i + 1] for i in range(n - 1))
 
 
-@dataclass(frozen=True)
-class DimVector:
+class DimVector(_Record):
     """Flag dimension vector: 0 < d_1 < ... < d_n < m."""
 
-    m: int
-    d: tuple[int, ...]
+    __slots__ = ("m", "d")
+
+    def __init__(self, m: int, d: Iterable[int]) -> None:
+        _set(self, "m", m)
+        _set(self, "d", tuple(d))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(self.d))
         if type(self.m) is not int or not all(type(x) is int for x in self.d):
             raise ValidationError(f"m and d must be integers, got d={self.d!r}, m={self.m!r}")
         if not self.d:
@@ -114,12 +150,15 @@ class DimVector:
         return euler_form(self.d, self.complement())
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Multiset of interval modules over a fixed quiver length n."""
 
-    n: int
-    items: tuple[tuple[Interval, int], ...]
+    __slots__ = ("n", "items")
+
+    def __init__(self, n: int, items: tuple[tuple[Interval, int], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "items", items)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 0:
@@ -190,8 +229,7 @@ def ext_dim(A: Decomposition, B: Decomposition) -> int:
     )
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(_Record):
     """Triangular table of composite ranks: entry (a, b) with 1 <= a <= b <= n.
 
     The diagonal holds vertex dimensions; entry (a, b) for a < b is the rank
@@ -200,8 +238,21 @@ class RankTable:
     second differences of ``decompose_from_ranks`` use.
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "rows", "_flat")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "rows", rows)
+        self.__post_init__()
+
+    # written out for speed, as in Interval
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     def __post_init__(self) -> None:
         if type(self.n) is not int:
@@ -231,14 +282,14 @@ class RankTable:
     def entries_flat(self) -> tuple[int, ...]:
         """Row-major entries, built on first use and kept on the instance.
 
-        The cache is not a dataclass field, so eq, hash and repr ignore it,
-        and tables that are never flattened pay nothing.
+        The cache is the private slot ``_flat``, not a field, so eq, hash and
+        repr ignore it, and tables that are never flattened pay nothing.
         """
         try:
             return self._flat
         except AttributeError:
             flat = tuple(x for row in self.rows for x in row)
-            object.__setattr__(self, "_flat", flat)
+            _set(self, "_flat", flat)
             return flat
 
     def leq(self, other: "RankTable") -> bool:
@@ -249,17 +300,18 @@ class RankTable:
         return all(map(operator.le, self.entries_flat(), other.entries_flat()))
 
 
-@dataclass(frozen=True)
-class RepMatrices:
+class RepMatrices(_Record):
     """A quiver representation as vertex dimensions plus a matrix tuple."""
 
-    field: Field
-    dims: tuple[int, ...]
-    maps: tuple[Matrix, ...]
+    __slots__ = ("field", "dims", "maps")
+
+    def __init__(self, field: Field, dims: Iterable[int], maps: Iterable[Matrix]) -> None:
+        _set(self, "field", field)
+        _set(self, "dims", tuple(dims))
+        _set(self, "maps", tuple(maps))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "maps", tuple(self.maps))
         if not self.dims:
             raise ValidationError("representation needs at least one vertex")
         if not all(type(x) is int and x >= 0 for x in self.dims):
@@ -404,8 +456,7 @@ def well_behaved_rep(dv: DimVector) -> Decomposition:
     return Decomposition.from_multiplicities(n, counts)
 
 
-@dataclass(frozen=True)
-class SubrepPoint:
+class SubrepPoint(_Record):
     """A point of a quiver Grassmannian: one subspace per vertex.
 
     Equality and hashing go by the subspaces alone.  ``coordinates`` is
@@ -413,10 +464,13 @@ class SubrepPoint:
     spanned by standard basis vectors (a coordinate point), else None.
     """
 
-    spaces: tuple[Subspace, ...]
+    __slots__ = ("spaces",)
+
+    def __init__(self, spaces: Iterable[Subspace]) -> None:
+        _set(self, "spaces", tuple(spaces))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spaces", tuple(self.spaces))
         if not self.spaces:
             raise ValidationError("a point needs at least one vertex")
 

@@ -9,7 +9,6 @@ these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -35,7 +34,7 @@ from .enumeration import (
     singular_point_census,
 )
 from .errors import GuardExceededError, NotFlatError, ValidationError
-from .linalg import GF, QQ, Field, Matrix, intertwiner_space_dim, inverse, rank
+from .linalg import GF, QQ, Field, Matrix, _Record, _set, intertwiner_space_dim, inverse, rank
 from .orbits import (
     ProjectionTuple,
     RankSequence,
@@ -66,12 +65,14 @@ __all__ = [
 P_LARGE = 101
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    failures: tuple[str, ...]
+class SuiteResult(_Record):
+    __slots__ = ("name", "passed", "checks", "failures")
+
+    def __init__(self, name: str, passed: bool, checks: int, failures: tuple[str, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "checks", checks)
+        _set(self, "failures", failures)
 
     def summary_line(self) -> str:
         status = "ok" if self.passed else "FAIL"

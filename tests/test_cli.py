@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -554,7 +553,7 @@ class TestEnumerate:
             "--census", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["census"] == asdict(census_oracle(rep, DimVector(m, d)))
+        assert json.loads(out)["census"] == census_oracle(rep, DimVector(m, d))._asdict()
 
 
 class TestFixedPoints:

@@ -555,12 +555,19 @@ def _line(field, ambient):
         (lambda: intertwiner_space_dim(
             GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),), (1, 1), (Matrix.identity(GF(2), 1),)
         ), "map shapes do not match vertex dimensions"),
+        (lambda: Field(3.0), "field characteristic must be an integer, got 3.0"),
+        (lambda: Field(0.0), "field characteristic must be an integer, got 0.0"),
+        (lambda: Field(True), "field characteristic must be an integer, got True"),
+        (lambda: GF("3"), "field characteristic must be an integer, got '3'"),
+        (lambda: rank(Matrix.from_rows(Field(3.0), [[1, 2], [2, 1]])),
+         "field characteristic must be an integer, got 3.0"),
     ],
     ids=[
         "ragged-rows", "column-count", "projection-range", "identity-size", "zeros-size",
         "zeros-bool", "product-fields", "inverse-shape",
         "coordinate-range", "map-domain", "map-field",
         "intertwiner-length", "intertwiner-field", "intertwiner-shape",
+        "field-float", "field-float-zero", "field-bool", "field-str", "field-float-rank",
     ],
 )
 def test_malformed_arguments_are_rejected(call, message):
