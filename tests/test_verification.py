@@ -13,6 +13,7 @@ from lindeg.verification import (
     suite_roundtrips,
     suite_sigma,
 )
+from draws import draw_digest
 from oracles import rref_oracle
 
 
@@ -77,6 +78,48 @@ def test_suites_keep_their_random_draws(seed, rank_composition_checks):
     ]:
         assert result.passed, result.failures[:5]
         assert result.checks == checks, result.name
+
+
+# recorded before the suites built their oracle values incrementally
+DRAW_DIGESTS = {
+    "exthom": [
+        "c929b86170d43c0e5878f02563a105859626fbe4b2d9465c858fe6ae9796e650",
+        "6d9b272b72d586989efd5d49c6923cd9dfe657650cef5002d46bc3b0d956e172",
+        "0c940d03503b0fa612998fbd9d175dac5d73b03e196da2dea41476cfbb34a188",
+        "bd204adcf4f0ab386e6d987b40ef61a0ec54f22231dbfeab1867f72fcd07c919",
+        "354224b7d1c319e1d56be1e914d6795e02f173e97eeb66dbf9c559cd6feb5f16",
+    ],
+    "rank-composition": [
+        "1d5a4af340c609faec63d4a09682dad940f40f65f5d574d8f7b6ae6e666a8283",
+        "5dcd6d8efe9e0247f0fc54c698c61aa2a98ecca172cae81760806064430ce6e1",
+        "fed7cbdc2ede9fd958eaf40b584cde6315f29198dc414145af13a7b708452bd2",
+        "cffc2d87c4d7567121a02e29807e7e2c14cb751ca15f45d9d43a12357cd23b0f",
+        "e592fa441e3af7dd675b2fd77e836c3f7fc799b9f265b09d8c0e6ffdc0058ce8",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DRAW_DIGESTS))
+@pytest.mark.parametrize("seed", range(5))
+def test_suites_draw_what_they_drew(suite, seed):
+    """exthom makes two checks per pair whatever it draws, so its check
+    count cannot see a drift in its draws; the digest of the values its
+    checks read can, and so can rank-composition's."""
+    assert draw_digest(suite, seed) == DRAW_DIGESTS[suite][seed]
+
+
+def test_draw_digest_sees_a_changed_draw(monkeypatch):
+    from lindeg import verification
+
+    drawn = verification._random_decomposition
+    monkeypatch.setattr(
+        verification,
+        "_random_decomposition",
+        lambda rng, n, max_mult=2, max_vertex_dim=5: drawn(rng, n, 1, max_vertex_dim),
+    )
+    result = suite_exthom(0, pairs=80)
+    assert result.passed and result.checks == 160
+    assert draw_digest("exthom", 0) != DRAW_DIGESTS["exthom"][0]
 
 
 def test_roundtrips_decomposes_only_the_tables_it_checks(decompose_calls):
