@@ -200,7 +200,7 @@ def singular_model(dv: DimVector, h: int) -> SingularModel:
     return SingularModel(h, module, module_dims, sub, sing_dim, codim)
 
 
-class SingularInfo(_Record):
+class SingularInfo(_Record, nullable=True):
     """Singular locus of an irreducible degeneration.
 
     kind is 'empty' (smooth), 'exact' (codimension known, with a model when
@@ -338,7 +338,7 @@ def _witness_chain(J: ProjectionTuple, dv: DimVector) -> list[tuple[int, ...]]:
     return subsets
 
 
-class DegenerationReport(_Record):
+class DegenerationReport(_Record, nullable=True):
     """Everything the classifier knows about one (orbit, flag data) pair."""
 
     __slots__ = (

@@ -72,6 +72,9 @@ def _is_prime(n: int) -> bool:
 
 
 _set = object.__setattr__
+# what a nullable record hashes in place of a None field: a fixed int, the
+# constant that Python 3.12 hashes None to
+_NONE_HASH = 0xFCA86420
 
 
 class _Record:
@@ -81,14 +84,17 @@ class _Record:
     AttributeError.  An instance equals another of the same class with
     equal field tuple (NotImplemented for any other class), hashes as that
     tuple, and ignores the extras in both and in ``repr``; a class that
-    writes out its own ``__eq__`` and ``__hash__`` keeps them.  ``_fields``
-    names the fields; ``_asdict()`` maps them to their values, with records,
-    also inside tuples, turned into dicts."""
+    writes out its own ``__eq__`` and ``__hash__`` keeps them.  A class
+    whose fields can be None is declared ``nullable=True``: its hash reads
+    each None field as ``_NONE_HASH``, since Python 3.11 hashes None by its
+    address, which changes from process to process.  ``_fields`` names the
+    fields; ``_asdict()`` maps them to their values, with records, also
+    inside tuples, turned into dicts."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, nullable: bool = False) -> None:
         cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         if "__eq__" in cls.__dict__:
             return
@@ -101,7 +107,13 @@ class _Record:
                 return get(self) == get(other)
             return NotImplemented
 
-        if len(fields) == 1:
+        if nullable:
+            assert len(fields) > 1, "a nullable record has more than one field"
+
+            def __hash__(self):
+                return hash(tuple([_NONE_HASH if x is None else x for x in get(self)]))
+
+        elif len(fields) == 1:
 
             def __hash__(self):
                 return hash((get(self),))
@@ -451,11 +463,19 @@ def rank(M: Matrix) -> int:
 
 
 def inverse(M: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValidationError if singular."""
+    """Inverse of a square matrix; raises ValidationError if singular.
+
+    Gauss-Jordan on [M | I]: each augmented row is built once, as M's row
+    followed by a row of the identity, with no identity Matrix."""
     if M.nrows != M.ncols:
         raise ValidationError("only square matrices can be inverted")
     n = M.nrows
-    aug = [[*row, *e] for row, e in zip(M.entries, Matrix.identity(M.field, n).entries)]
+    z, one = M.field.coerce(0), M.field.coerce(1)
+    aug = []
+    for i, row in enumerate(M.entries):
+        e = [z] * n
+        e[i] = one
+        aug.append([*row, *e])
     rows, piv = _rref_rows(aug, M.field.characteristic)
     if piv != list(range(n)):
         raise ValidationError("matrix is singular")

@@ -10,6 +10,7 @@ conversely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterable, Mapping, Sequence
@@ -92,6 +93,14 @@ class Interval(_Record):
 
     def __str__(self) -> str:
         return f"U[{self.start},{self.end}]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _interval(start: int, end: int) -> Interval:
+    """``Interval(start, end)`` from a bounded table of shared instances: an
+    Interval is immutable, and the routines that build many decompositions
+    build the same few intervals over and over."""
+    return Interval(start, end)
 
 
 def hom_dim_intervals(x: Interval, y: Interval) -> int:
@@ -346,13 +355,21 @@ class RepMatrices(_Record):
 
     @staticmethod
     def from_decomposition(D: Decomposition, field: Field) -> "RepMatrices":
-        """0/1 block realization: one basis strand per summand, in sorted order."""
+        """0/1 block realization: one basis strand per summand, in sorted order.
+        The entries are the field's zero and one, coerced once."""
         strands = D.summands()
         # layout[v-1]: the strands alive at vertex v, in order
         layout = [[s for s, iv in enumerate(strands) if iv.contains(v)] for v in range(1, D.n + 1)]
+        z, one = field.coerce(0), field.coerce(1)
         # entry (r, c) of a map is 1 exactly when row r and column c are one strand
         maps = tuple(
-            Matrix.from_rows(field, [[int(r == c) for c in here] for r in there], ncols=len(here))
+            _unchecked(
+                Matrix,
+                field,
+                len(there),
+                len(here),
+                tuple(tuple([one if r == c else z for c in here]) for r in there),
+            )
             for here, there in zip(layout, layout[1:])
         )
         return RepMatrices(field, tuple(map(len, layout)), maps)
@@ -409,7 +426,7 @@ def decompose_from_ranks(table: RankTable) -> Decomposition:
             if k < 0:
                 offending.append((a, a + j, k))
             elif k:
-                items.append((Interval(a, a + j), k))
+                items.append((_interval(a, a + j), k))
         up = (*row[1:], 0)
     if offending:
         raise NotRealizableError(
@@ -450,9 +467,10 @@ def well_behaved_rep(dv: DimVector) -> Decomposition:
     counts: dict[Interval, int] = {}
     for i in range(1, n):
         step = d[i] - d[i - 1]
-        counts[Interval(1, i)] = counts.get(Interval(1, i), 0) + step
-        counts[Interval(i + 1, n)] = counts.get(Interval(i + 1, n), 0) + step
-    counts[Interval(1, n)] = counts.get(Interval(1, n), 0) + (m - d[-1] + d[0])
+        for iv in (_interval(1, i), _interval(i + 1, n)):
+            counts[iv] = counts.get(iv, 0) + step
+    iv = _interval(1, n)
+    counts[iv] = counts.get(iv, 0) + (m - d[-1] + d[0])
     return Decomposition.from_multiplicities(n, counts)
 
 

@@ -34,7 +34,20 @@ from .enumeration import (
     singular_point_census,
 )
 from .errors import GuardExceededError, NotFlatError, ValidationError
-from .linalg import GF, QQ, Field, Matrix, _Record, _set, intertwiner_space_dim, inverse, rank
+from .linalg import (
+    GF,
+    QQ,
+    Field,
+    Matrix,
+    _images,
+    _pivots,
+    _Record,
+    _set,
+    _unchecked,
+    intertwiner_space_dim,
+    inverse,
+    rank,
+)
 from .orbits import (
     ProjectionTuple,
     RankSequence,
@@ -45,8 +58,8 @@ from .orbits import (
 from .representations import (
     Decomposition,
     DimVector,
-    Interval,
     RepMatrices,
+    _interval,
     decompose_from_ranks,
     ext_dim,
     euler_form,
@@ -109,7 +122,7 @@ def _random_decomposition(
             for b in range(a, n + 1):
                 k = rng.randrange(max_mult + 1)
                 if k:
-                    mult[Interval(a, b)] = k
+                    mult[_interval(a, b)] = k
         if not mult:
             continue
         D = Decomposition.from_multiplicities(n, mult)
@@ -119,7 +132,10 @@ def _random_decomposition(
 
 def _random_invertible(rng: random.Random, field: Field, size: int) -> tuple[Matrix, Matrix]:
     """A random invertible matrix and its inverse, from one elimination per
-    draw: a singular draw fails ``inverse`` and is drawn again."""
+    draw: a singular draw fails ``inverse`` and is drawn again.  Each entry
+    is drawn as an element of the field, an int in [0, p) or a Fraction over
+    Q, so the draw becomes a Matrix through ``_unchecked``, with no
+    per-entry coercion."""
     while True:
         if field.is_modular:
             rows = [
@@ -130,7 +146,7 @@ def _random_invertible(rng: random.Random, field: Field, size: int) -> tuple[Mat
             rows = [
                 [Fraction(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)
             ]
-        M = Matrix.from_rows(field, rows, ncols=size)
+        M = _unchecked(Matrix, field, size, size, tuple(map(tuple, rows)))
         try:
             return M, inverse(M)
         except ValidationError:
@@ -293,20 +309,21 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
 
 
 def _random_matrix_of_rank(rng: random.Random, field: Field, m: int, r: int) -> Matrix:
-    """Random m x m matrix of exact rank r, as a product of thin factors."""
+    """Random m x m matrix of exact rank r over F_p, as a product of thin
+    factors: an m x r draw, then an r x m draw, each row by row, until the
+    product has rank r.  The draws are elements of F_p already, so the
+    factors stay rows: ``_images`` multiplies them and ``_pivots`` ranks a
+    copy of the product, and only the accepted product becomes a Matrix,
+    through ``_unchecked``."""
     if r == 0:
         return Matrix.zeros(field, m, m)
     p = field.characteristic
     while True:
-        left = Matrix.from_rows(
-            field, [[rng.randrange(p) for _ in range(r)] for _ in range(m)], ncols=r
-        )
-        right = Matrix.from_rows(
-            field, [[rng.randrange(p) for _ in range(m)] for _ in range(r)], ncols=m
-        )
-        M = left @ right
-        if rank(M) == r:
-            return M
+        left = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
+        rows = _images(left, list(zip(*right)), p)
+        if len(_pivots([row[:] for row in rows], p)) == r:
+            return _unchecked(Matrix, field, m, m, tuple(map(tuple, rows)))
 
 
 def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
@@ -315,7 +332,12 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
     Random tuples with rk f_i >= m - (d_{i+1} - d_i) must satisfy
     rk(f_{b-1} ... f_a) >= m + d_a - d_b for every a < b; the rank profile is
     also recomputed by direct multiplication as an oracle for the profile
-    routine itself.
+    routine itself.  Each composite is built once, from the one before it
+    out of the same vertex: a -> a + 1 is f_a and a -> b + 1 is
+    f_b (a -> b), so n vertices take (n - 1)(n - 2)/2 products.  The oracle
+    stays independent of ``rank_profile``: every composite is a product of
+    the maps themselves, ranked by its own elimination, and the composite
+    a -> a is the identity of F^m, whose rank is m.
     """
     rng = random.Random(seed)
     field = GF(P_LARGE)
@@ -332,11 +354,13 @@ def suite_rank_composition(seed: int = 0, cases: int = 1000) -> SuiteResult:
         rep = RepMatrices(field, (m,) * n, tuple(maps))
         table = rank_profile(rep)
         for a in range(1, n + 1):
+            prod, got = None, m
             for b in range(a, n + 1):
-                prod = Matrix.identity(field, m)
-                for i in range(a, b):
-                    prod = maps[i - 1] @ prod
-                got, want = rank(prod), table.r(a, b)
+                if b > a:
+                    f = maps[b - 2]
+                    prod = f if prod is None else f @ prod
+                    got = rank(prod)
+                want = table.r(a, b)
                 check(
                     got == want,
                     "case {}: composite {}->{} rank {} != table {}", k, a, b, got, want,

@@ -189,3 +189,29 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_report_hashes_do_not_follow_none_s_address():
+    """Reports hold None for what is unknown, and Python 3.11 hashes None by
+    its address, which changes from process to process; a nullable record
+    hashes a fixed int in its place, so at a fixed PYTHONHASHSEED two
+    processes agree.  Equality is unchanged."""
+    src = str(Path(lindeg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    code = (
+        "from lindeg import DimVector, SingularInfo, classify, enumerate_orbits\n"
+        "reports = [classify(rs, DimVector(3, (1, 2))) for rs in enumerate_orbits(3, 2)]\n"
+        "assert any(r.dimension is None or r.singular is None for r in reports)\n"
+        "print([hash(r) for r in reports], hash(SingularInfo('empty', 3)))"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    report = SingularInfo("bounded", 5, 2, None)
+    assert report == SingularInfo("bounded", 5, 2)
+    assert hash(report) == hash(SingularInfo("bounded", 5, 2))
+    assert report != SingularInfo("bounded", 5, 2, 0xFCA86420)

@@ -131,6 +131,35 @@ def test_roundtrips_decomposes_only_the_tables_it_checks(decompose_calls):
     assert len(decompose_calls) == 300 + orbits
 
 
+def test_rank_composition_multiplies_each_composite_once(monkeypatch):
+    """A case with n vertices makes (n - 1)(n - 2)/2 products: a -> a + 1 is
+    a map itself and each longer composite is one map times the composite
+    before it.  The diagonal is the vertex dimension, so no identity matrix
+    is built, and the random maps are multiplied as rows, not as matrices."""
+    from lindeg import linalg, verification
+
+    events = []
+    compose, profile = linalg.compose, verification.rank_profile
+    monkeypatch.setattr(linalg, "compose", lambda A, B: events.append(0) or compose(A, B))
+    monkeypatch.setattr(
+        verification, "rank_profile", lambda rep: events.append(rep.n) or profile(rep)
+    )
+    monkeypatch.setattr(
+        Matrix, "identity", staticmethod(lambda field, n: events.append("identity"))
+    )
+    assert suite_rank_composition(0, cases=80).passed
+    assert "identity" not in events
+    cases = []  # [n, products] per case: its rank profile comes first
+    for event in events:
+        if event:
+            cases.append([event, 0])
+        else:
+            cases[-1][1] += 1
+    assert len(cases) == 80 and {n for n, _ in cases} == {2, 3, 4}
+    assert all(products == (n - 1) * (n - 2) // 2 for n, products in cases)
+    assert sum(products for _, products in cases) == 97
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_random_invertible_keeps_its_draws(field):
     """Candidates are drawn row by row until one is nonsingular, and nothing
