@@ -19,6 +19,7 @@ from .orbits import (
     ProjectionTuple,
     RankSequence,
     _above_targets,
+    _target_words,
     decomposition_of,
     stratum_of,
 )
@@ -134,11 +135,10 @@ def _dimension(dv: DimVector, flags: FlatFlags) -> int:
 
 
 def is_well_behaved(rs: RankSequence, dv: DimVector) -> bool:
-    """Flat with irreducible normal fibers: rank table exactly m + d_a - d_b."""
+    """Flat with irreducible normal fibers: rank table exactly m + d_a - d_b,
+    the first of ``stratum_rank_targets((), dv)``, compared as packed words."""
     _check_pair(rs, dv)
-    m, d = rs.m, dv.d
-    rows = enumerate(rs.table.rows)
-    return all(x == m + d[a] - d[a + j] for a, row in rows for j, x in enumerate(row))
+    return rs._word == _target_words(rs.m, dv.d, ())[0]
 
 
 def is_well_behaved_matrices(rep: RepMatrices, dv: DimVector) -> bool:
@@ -200,7 +200,7 @@ def singular_model(dv: DimVector, h: int) -> SingularModel:
     return SingularModel(h, module, module_dims, sub, sing_dim, codim)
 
 
-class SingularInfo(_Record, nullable=True):
+class SingularInfo(_Record):
     """Singular locus of an irreducible degeneration.
 
     kind is 'empty' (smooth), 'exact' (codimension known, with a model when
@@ -338,7 +338,7 @@ def _witness_chain(J: ProjectionTuple, dv: DimVector) -> list[tuple[int, ...]]:
     return subsets
 
 
-class DegenerationReport(_Record, nullable=True):
+class DegenerationReport(_Record):
     """Everything the classifier knows about one (orbit, flag data) pair."""
 
     __slots__ = (

@@ -14,9 +14,10 @@ basis, which is unique, so subspace equality and hashing are structural.
 Every value the library hands out is a ``_Record``: an immutable slotted
 class whose ``__slots__`` list its fields in order, then any private extras
 (names with a leading underscore) that the record computes once and keeps.
-Records equal and hash by their field tuples within one class and repr as
-``Name(field=value, ...)``; ``_fields`` names the fields and ``_asdict()``
-gives them as a dict.
+Every record equals and hashes by one rule, which ``_Record`` alone writes:
+by its field tuple within one class, with a None field hashed as a fixed
+int.  Records repr as ``Name(field=value, ...)``; ``_fields`` names the
+fields and ``_asdict()`` gives them as a dict.
 
 Elimination changes its list rows in place and does only the work its
 caller reads.  ``_pivots`` is the one forward pass: it brings rows to echelon
@@ -72,8 +73,8 @@ def _is_prime(n: int) -> bool:
 
 
 _set = object.__setattr__
-# what a nullable record hashes in place of a None field: a fixed int, the
-# constant that Python 3.12 hashes None to
+# what a record hashes in place of a None field: a fixed int, the constant
+# that Python 3.12 hashes None to
 _NONE_HASH = 0xFCA86420
 
 
@@ -81,47 +82,36 @@ class _Record:
     """Base of the library's records.  A subclass lists its fields, then its
     private extras, in ``__slots__``, and sets them in ``__init__`` with
     ``_set``; assignment and deletion through the instance raise
-    AttributeError.  An instance equals another of the same class with
-    equal field tuple (NotImplemented for any other class), hashes as that
-    tuple, and ignores the extras in both and in ``repr``; a class that
-    writes out its own ``__eq__`` and ``__hash__`` keeps them.  A class
-    whose fields can be None is declared ``nullable=True``: its hash reads
-    each None field as ``_NONE_HASH``, since Python 3.11 hashes None by its
-    address, which changes from process to process.  ``_fields`` names the
-    fields; ``_asdict()`` maps them to their values, with records, also
-    inside tuples, turned into dicts."""
+    AttributeError.  ``__init_subclass__`` gives every record the same eq
+    and hash, and no record writes its own: an instance equals another of
+    the same class with equal field tuple (NotImplemented for any other
+    class), hashes as that tuple, and ignores the extras in both and in
+    ``repr``.  The hash reads a None field as ``_NONE_HASH``, since Python
+    3.10 and 3.11 hash None by its address, which changes from process to
+    process.  ``_fields`` names the fields; ``_asdict()`` maps them to their
+    values, with records, also inside tuples, turned into dicts."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, nullable: bool = False) -> None:
+    def __init_subclass__(cls) -> None:
         cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
-        if "__eq__" in cls.__dict__:
-            return
-        # reads the field tuple in C; of one field, its bare value, which
-        # compares as the tuple does but hashes otherwise
+        # reads the field tuple in C; of one name, attrgetter gives the bare
+        # value, which is wrapped
         get = attrgetter(*fields)
+        if len(fields) == 1:
+            get = lambda self, one=get: (one(self),)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
                 return get(self) == get(other)
             return NotImplemented
 
-        if nullable:
-            assert len(fields) > 1, "a nullable record has more than one field"
-
-            def __hash__(self):
-                return hash(tuple([_NONE_HASH if x is None else x for x in get(self)]))
-
-        elif len(fields) == 1:
-
-            def __hash__(self):
-                return hash((get(self),))
-
-        else:
-
-            def __hash__(self):
-                return hash(get(self))
+        def __hash__(self):
+            values = get(self)
+            if None in values:
+                values = tuple([_NONE_HASH if x is None else x for x in values])
+            return hash(values)
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
@@ -178,15 +168,6 @@ class Field(_Record):
     def __init__(self, characteristic: int = 0) -> None:
         _set(self, "characteristic", characteristic)
         self.__post_init__()
-
-    # written out for speed, as in Interval: matrix routines compare fields
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.characteristic == other.characteristic
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.characteristic,))
 
     def __post_init__(self) -> None:
         c = self.characteristic

@@ -334,26 +334,22 @@ def stratum_rank_targets(I: Iterable[int], dv: DimVector) -> tuple[RankSequence,
     A rank table at least the second target is flat over its stratum, at
     least the first is flat with irreducible fibers.
     """
-    iset = frozenset(I)
-    if not iset <= set(range(1, dv.n)):
-        raise ValidationError(f"stratum {sorted(iset)} not within edges 1..{dv.n - 1}")
+    edges = tuple(I)
+    iset = frozenset(edges)
+    if any(type(i) is not int for i in edges) or not iset <= set(range(1, dv.n)):
+        raise ValidationError(f"stratum {list(edges)} not within edges 1..{dv.n - 1}")
     return (
-        RankSequence(dv.m, _stratum_table(iset, dv, 1)),
-        RankSequence(dv.m, _stratum_table(iset, dv, 2)),
+        RankSequence(dv.m, RankTable(dv.n, _stratum_rows(iset, dv.m, dv.d, 1))),
+        RankSequence(dv.m, RankTable(dv.n, _stratum_rows(iset, dv.m, dv.d, 2))),
     )
-
-
-def _stratum_table(I: Iterable[int], dv: DimVector, level: int) -> RankTable:
-    """The table of ``stratum_rank_targets(I, dv)[level - 1]``, not checked
-    for realizability."""
-    return RankTable(dv.n, _stratum_rows(I, dv.m, dv.d, level))
 
 
 def _stratum_rows(
     I: Iterable[int], m: int, d: tuple[int, ...], level: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The rows of ``_stratum_table``: m on the diagonal, 0 across an edge in
-    I, and m + d_a - d_b - (level - 1) elsewhere."""
+    """The rows of ``stratum_rank_targets(I, DimVector(m, d))[level - 1]``,
+    not checked for realizability: m on the diagonal, 0 across an edge in I,
+    and m + d_a - d_b - (level - 1) elsewhere."""
     iset = frozenset(I)
     n = len(d)
 

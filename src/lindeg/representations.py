@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 
+@functools.total_ordering
 class Interval(_Record):
     """The interval module U[start, end], 1-based and inclusive, ordered as
     the tuple (start, end)."""
@@ -57,35 +58,9 @@ class Interval(_Record):
         ):
             raise ValidationError(f"bad interval [{self.start!r}, {self.end!r}]")
 
-    # eq and hash as _Record makes them, written out: the hottest records
-    # read their fields directly, not through _Record's getter, and compare
-    # field by field, which for int fields gives what the tuples give
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.start == other.start and self.end == other.end
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.start, self.end) < (other.start, other.end)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start, self.end) <= (other.start, other.end)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start, self.end) > (other.start, other.end)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start, self.end) >= (other.start, other.end)
         return NotImplemented
 
     def contains(self, vertex: int) -> bool:
@@ -93,6 +68,10 @@ class Interval(_Record):
 
     def __str__(self) -> str:
         return f"U[{self.start},{self.end}]"
+
+
+# the sort key of intervals, read in C
+_start_end = operator.attrgetter("start", "end")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -172,8 +151,15 @@ class Decomposition(_Record):
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 0:
             raise ValidationError(f"quiver length must be an integer >= 0, got {self.n!r}")
+        if type(self.items) is not tuple:
+            raise ValidationError(f"decomposition items must be a tuple, got {self.items!r}")
         prev = None
-        for iv, k in self.items:
+        for item in self.items:
+            if type(item) is not tuple or len(item) != 2 or type(item[0]) is not Interval:
+                raise ValidationError(
+                    f"decomposition items must be (Interval, int) pairs, got {item!r}"
+                )
+            iv, k = item
             if iv.end > self.n:
                 raise ValidationError(f"{iv} does not fit in A_{self.n}")
             if type(k) is not int or k <= 0:
@@ -183,11 +169,15 @@ class Decomposition(_Record):
             prev = iv
 
     @staticmethod
-    def from_multiplicities(n: int, mult: Mapping) -> "Decomposition":
+    def from_multiplicities(n: int, mult: Mapping[Interval, int]) -> "Decomposition":
+        """The decomposition with ``mult[iv]`` copies of each Interval key
+        ``iv``, less the keys with an int count of 0."""
+        for key in mult:
+            if type(key) is not Interval:
+                raise ValidationError(f"multiplicities must be keyed by Interval, got {key!r}")
         items = []
-        for key in sorted(mult, key=lambda k: (k.start, k.end) if isinstance(k, Interval) else k):
-            iv = key if isinstance(key, Interval) else Interval(*key)
-            k = mult[key]
+        for iv in sorted(mult, key=_start_end):
+            k = mult[iv]
             if k or type(k) is not int:  # a zero that is no int, like 0.0, meets the check
                 items.append((iv, k))
         return Decomposition(n, tuple(items))
@@ -254,18 +244,11 @@ class RankTable(_Record):
         _set(self, "rows", rows)
         self.__post_init__()
 
-    # written out for speed, as in Interval
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             raise ValidationError(f"rank table length must be an integer, got {self.n!r}")
+        if type(self.rows) is not tuple or not all(type(row) is tuple for row in self.rows):
+            raise ValidationError(f"rank table rows must be a tuple of tuples, got {self.rows!r}")
         if len(self.rows) != self.n:
             raise ValidationError("rank table must have one row per vertex")
         for a, row in enumerate(self.rows, start=1):
@@ -434,7 +417,9 @@ def decompose_from_ranks(table: RankTable) -> Decomposition:
             + ", ".join(f"U[{a},{b}] -> {k}" for a, b, k in offending),
             offending,
         )
-    return Decomposition(table.n, tuple(items))  # (a, b) order is sorted order
+    # (a, b) order is sorted order, and every item is an Interval that fits
+    # with a positive int count: nothing for __post_init__ to check
+    return _unchecked(Decomposition, table.n, tuple(items))
 
 
 def ranks_from_decomposition(D: Decomposition) -> RankTable:

@@ -51,7 +51,7 @@ from .linalg import (
 from .orbits import (
     ProjectionTuple,
     RankSequence,
-    _stratum_table,
+    _stratum_rows,
     enumerate_orbits,
     representative,
 )
@@ -302,7 +302,7 @@ def suite_roundtrips(seed: int = 0) -> SuiteResult:
             for dv in _dim_vectors(m, n):
                 dec = well_behaved_rep(dv)
                 check(
-                    ranks_from_decomposition(dec) == _stratum_table((), dv, 1),
+                    ranks_from_decomposition(dec).rows == _stratum_rows((), m, dv.d, 1),
                     "generic construction has wrong ranks for m={}, d={}", m, dv.d,
                 )
     return check.result("roundtrips")

@@ -331,6 +331,12 @@ class TestStrata:
         with pytest.raises(ValidationError):
             stratum_rank_targets((2,), DimVector(3, (1, 2)))
 
+    @pytest.mark.parametrize("edges", [[True], [1.0], [1, True], ["1"]])
+    def test_rejects_an_edge_that_is_not_an_int(self, edges):
+        # True and 1.0 equal 1, so they passed for edge 1
+        with pytest.raises(ValidationError):
+            stratum_rank_targets(edges, DimVector(3, (1, 2)))
+
     def test_subsets_order(self):
         assert strata_subsets(3) == ((), (1,), (2,), (1, 2))
         assert stratum_node_id((1, 2)) == "S_1_2"

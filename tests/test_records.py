@@ -149,6 +149,21 @@ class TestContract:
             _unchecked(cls, *values(SAMPLES[name]), undeclared=1)
 
 
+def test_only_the_base_writes_eq_and_hash():
+    """Every record takes its eq and hash from ``_Record.__init_subclass__``,
+    which takes no class keyword; of the order methods, Interval writes only
+    ``__lt__``."""
+    generated = "_Record.__init_subclass__.<locals>."
+    for name, cls in record_classes().items():
+        for method in ("__eq__", "__hash__"):
+            assert vars(cls)[method].__qualname__ == generated + method, (name, method)
+    with pytest.raises(TypeError):
+        type("Keyed", (_Record,), {"__slots__": ("a", "b")}, nullable=True)
+    order = ("__lt__", "__le__", "__gt__", "__ge__")
+    written = [m for m in order if vars(Interval)[m].__qualname__.startswith("Interval.")]
+    assert written == ["__lt__"]
+
+
 def test_nested_records_become_dicts():
     assert SAMPLES["Decomposition"]._asdict() == {
         "n": 2,
@@ -193,7 +208,7 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 def test_report_hashes_do_not_follow_none_s_address():
     """Reports hold None for what is unknown, and Python 3.11 hashes None by
-    its address, which changes from process to process; a nullable record
+    its address, which changes from process to process; a record
     hashes a fixed int in its place, so at a fixed PYTHONHASHSEED two
     processes agree.  Equality is unchanged."""
     src = str(Path(lindeg.__file__).resolve().parents[1])

@@ -20,6 +20,7 @@ from lindeg import (
     NotRealizableError,
     NotSubrepresentationError,
     ProjectionTuple,
+    RankSequence,
     RankTable,
     RepMatrices,
     SubrepPoint,
@@ -159,12 +160,34 @@ class TestDecomposition:
             (((Interval(1, 1), 0),), "positive"),
             (((Interval(1, 2), 1.5),), "integers"),
             (((Interval(1, 2), True),), "integers"),
+            # a list was taken, compared unequal to its tuple form and left
+            # the decomposition unhashable; the other shapes below raised
+            # AttributeError, ValueError or TypeError
+            ([(Interval(1, 2), 1)], "a tuple"),
+            (([Interval(1, 2), 1],), "pairs"),
+            ((((1, 2), 1),), "pairs"),
+            (((Interval(1, 2),),), "pairs"),
+            (((Interval(1, 2), 1, 1),), "pairs"),
+            ((5,), "pairs"),
         ],
-        ids=["unsorted", "repeated", "zero-multiplicity", "float-multiplicity", "bool-multiplicity"],
+        ids=[
+            "unsorted", "repeated", "zero-multiplicity", "float-multiplicity", "bool-multiplicity",
+            "list", "list-item", "tuple-interval", "one-part-item", "three-part-item", "int-item",
+        ],
     )
     def test_rejects_malformed_items(self, items, message):
         with pytest.raises(ValidationError, match=message):
             Decomposition(2, items)
+
+    def test_from_multiplicities_takes_interval_keys_only(self):
+        with pytest.raises(ValidationError, match="keyed by Interval"):
+            Decomposition.from_multiplicities(2, {(1, 2): 1})
+        with pytest.raises(ValidationError, match="keyed by Interval"):
+            Decomposition.from_multiplicities(2, {Interval(1, 1): 1, (1, 2): 1})
+        # tuples still go in through from_intervals
+        assert Decomposition.from_intervals(2, [(1, 2), (1, 1), (1, 2)]) == Decomposition(
+            2, ((Interval(1, 1), 1), (Interval(1, 2), 2))
+        )
 
 
 class TestRankTable:
@@ -187,6 +210,18 @@ class TestRankTable:
             RankTable(2, ((3,), (2,)))
         with pytest.raises(ValidationError):
             RankTable(2, ((3, 1),))
+
+    @pytest.mark.parametrize(
+        "rows", [[(3, 2), (3,)], ((3, 2), [3]), ([3, 2], (3,))], ids=["list", "list-row", "list-head"]
+    )
+    def test_rows_are_a_tuple_of_tuples(self, rows):
+        # a list was taken, compared unequal to its tuple form, left the
+        # table unhashable and built an orbit unequal to the same orbit
+        # built from tuples
+        with pytest.raises(ValidationError, match="tuple of tuples"):
+            RankTable(2, rows)
+        with pytest.raises(ValidationError, match="tuple of tuples"):
+            RankSequence(3, RankTable(2, rows))
 
     @pytest.mark.parametrize("entry", [1.0, "1", None, True])
     def test_rejects_a_non_int_entry(self, entry):
