@@ -14,7 +14,7 @@ from .errors import (
     NotIrreducibleError,
     ValidationError,
 )
-from .linalg import QQ, Field, _Record, _set, kernel, rank, _pivots
+from .linalg import QQ, Field, _Record, kernel, rank, _pivots
 from .orbits import (
     ProjectionTuple,
     RankSequence,
@@ -85,11 +85,6 @@ class FlatFlags(_Record):
     """Flatness of the family restricted to the orbit's own stratum."""
 
     __slots__ = ("stratum", "flat", "flat_irreducible")
-
-    def __init__(self, stratum: tuple[int, ...], flat: bool, flat_irreducible: bool) -> None:
-        _set(self, "stratum", stratum)
-        _set(self, "flat", flat)
-        _set(self, "flat_irreducible", flat_irreducible)
 
 
 def flat_flags(rs: RankSequence, dv: DimVector) -> FlatFlags:
@@ -165,22 +160,6 @@ class SingularModel(_Record):
 
     __slots__ = ("h", "module", "module_dims", "sub_dims", "singular_dim", "singular_codim")
 
-    def __init__(
-        self,
-        h: int,
-        module: Decomposition,
-        module_dims: tuple[int, ...],
-        sub_dims: tuple[int, ...],
-        singular_dim: int,
-        singular_codim: int,
-    ) -> None:
-        _set(self, "h", h)
-        _set(self, "module", module)
-        _set(self, "module_dims", module_dims)
-        _set(self, "sub_dims", sub_dims)
-        _set(self, "singular_dim", singular_dim)
-        _set(self, "singular_codim", singular_codim)
-
 
 def singular_model(dv: DimVector, h: int) -> SingularModel:
     n, m = dv.n, dv.m
@@ -209,23 +188,7 @@ class SingularInfo(_Record):
     """
 
     __slots__ = ("kind", "ambient_dim", "codim_lower", "codim_upper", "singular_dim", "model")
-
-    def __init__(
-        self,
-        kind: str,
-        ambient_dim: int,
-        codim_lower: int | None = None,
-        codim_upper: int | None = None,
-        singular_dim: int | None = None,
-        model: SingularModel | None = None,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "codim_lower", codim_lower)
-        _set(self, "codim_upper", codim_upper)
-        _set(self, "singular_dim", singular_dim)
-        _set(self, "model", model)
-        self.__post_init__()
+    _defaults = dict.fromkeys(("codim_lower", "codim_upper", "singular_dim", "model"))
 
     def __post_init__(self) -> None:
         if self.kind not in ("empty", "exact", "bounded"):
@@ -355,34 +318,6 @@ class DegenerationReport(_Record):
         "regular_in_codim_2",
         "singular",
     )
-
-    def __init__(
-        self,
-        edge_ranks: tuple[int, ...],
-        decomposition: Decomposition,
-        stratum: tuple[int, ...],
-        smooth: bool,
-        irreducible: bool,
-        flat: bool,
-        flat_irreducible: bool,
-        well_behaved: bool,
-        dimension: int | None,
-        normal: bool | None,
-        regular_in_codim_2: bool | None,
-        singular: SingularInfo | None,
-    ) -> None:
-        _set(self, "edge_ranks", edge_ranks)
-        _set(self, "decomposition", decomposition)
-        _set(self, "stratum", stratum)
-        _set(self, "smooth", smooth)
-        _set(self, "irreducible", irreducible)
-        _set(self, "flat", flat)
-        _set(self, "flat_irreducible", flat_irreducible)
-        _set(self, "well_behaved", well_behaved)
-        _set(self, "dimension", dimension)
-        _set(self, "normal", normal)
-        _set(self, "regular_in_codim_2", regular_in_codim_2)
-        _set(self, "singular", singular)
 
 
 def classify(rs: RankSequence, dv: DimVector) -> DegenerationReport:

@@ -34,7 +34,7 @@ from .enumeration import (
     fixed_points,
 )
 from .errors import GuardExceededError, LindegError, ValidationError
-from .linalg import QQ, Field, Matrix, _Record, _set
+from .linalg import QQ, Field, Matrix, _Record
 from .orbits import (
     ORBIT_GUARD,
     STRATA_GUARD,
@@ -67,18 +67,6 @@ class Problem(_Record):
     the tuple of maps that the input gives, built and checked at load."""
 
     __slots__ = ("dv", "field", "maps", "sha256")
-
-    def __init__(
-        self,
-        dv: DimVector,
-        field: Field,
-        maps: RankSequence | ProjectionTuple | RepMatrices,
-        sha256: str,
-    ) -> None:
-        _set(self, "dv", dv)
-        _set(self, "field", field)
-        _set(self, "maps", maps)
-        _set(self, "sha256", sha256)
 
     def projection_tuple(self, what: str) -> ProjectionTuple:
         if not isinstance(self.maps, ProjectionTuple):

@@ -26,7 +26,6 @@ from .linalg import (
     _Record,
     _reduce,
     _rref_rows,
-    _set,
     _unchecked,
 )
 from .orbits import ProjectionTuple, RankSequence, representative, single_kill_tuple
@@ -285,10 +284,6 @@ class PointAnalysis(_Record):
 
     __slots__ = ("tangent_dim", "ext")
 
-    def __init__(self, tangent_dim: int, ext: int) -> None:
-        _set(self, "tangent_dim", tangent_dim)
-        _set(self, "ext", ext)
-
 
 def analyze_point(rep: RepMatrices, point: SubrepPoint) -> PointAnalysis:
     """Tangent space Hom(L, M/L) and obstruction Ext^1(L, M/L) at a point.
@@ -313,11 +308,6 @@ def _analysis(sub: Decomposition, quo: Decomposition) -> PointAnalysis:
 
 class CensusResult(_Record):
     __slots__ = ("total", "singular", "smooth")
-
-    def __init__(self, total: int, singular: int, smooth: int) -> None:
-        _set(self, "total", total)
-        _set(self, "singular", singular)
-        _set(self, "smooth", smooth)
 
 
 def _check_fixed_point(J: ProjectionTuple, fixed: Sequence[Sequence[int]]) -> None:
@@ -643,14 +633,7 @@ class SigmaReport(_Record):
     """
 
     __slots__ = ("singular_count", "model_count", "ok", "failures")
-
-    def __init__(
-        self, singular_count: int, model_count: int, ok: bool, failures: tuple[str, ...] = ()
-    ) -> None:
-        _set(self, "singular_count", singular_count)
-        _set(self, "model_count", model_count)
-        _set(self, "ok", ok)
-        _set(self, "failures", failures)
+    _defaults = {"failures": ()}
 
 
 def _sigma_forward(m: int, h: int, point: tuple[Rows, ...]) -> tuple[Rows, ...]:

@@ -14,10 +14,12 @@ basis, which is unique, so subspace equality and hashing are structural.
 Every value the library hands out is a ``_Record``: an immutable slotted
 class whose ``__slots__`` list its fields in order, then any private extras
 (names with a leading underscore) that the record computes once and keeps.
-Every record equals and hashes by one rule, which ``_Record`` alone writes:
-by its field tuple within one class, with a None field hashed as a fixed
-int.  Records repr as ``Name(field=value, ...)``; ``_fields`` names the
-fields and ``_asdict()`` gives them as a dict.
+``_Record`` alone writes how every record is built, equals and hashes.  Its
+fields, named by ``_fields``, are given by position or by name in that
+order, or taken from the class's ``_defaults``; ``__post_init__`` is the one
+per-class hook, and ``inspect.signature`` of a record reads
+``(*args, **kwargs)``.  A record equals and hashes by its field tuple within
+one class, with a None field hashed as a fixed int.
 
 Elimination changes its list rows in place and does only the work its
 caller reads.  ``_pivots`` is the one forward pass: it brings rows to echelon
@@ -80,22 +82,28 @@ _NONE_HASH = 0xFCA86420
 
 class _Record:
     """Base of the library's records.  A subclass lists its fields, then its
-    private extras, in ``__slots__``, and sets them in ``__init__`` with
-    ``_set``; assignment and deletion through the instance raise
-    AttributeError.  ``__init_subclass__`` gives every record the same eq
-    and hash, and no record writes its own: an instance equals another of
-    the same class with equal field tuple (NotImplemented for any other
-    class), hashes as that tuple, and ignores the extras in both and in
-    ``repr``.  The hash reads a None field as ``_NONE_HASH``, since Python
-    3.10 and 3.11 hash None by its address, which changes from process to
-    process.  ``_fields`` names the fields; ``_asdict()`` maps them to their
-    values, with records, also inside tuples, turned into dicts."""
+    private extras, in ``__slots__``, may give values for missing fields in
+    ``_defaults``, and writes no ``__init__``, eq or hash.  ``__init__`` takes
+    the fields by position or by name in ``_fields`` order, as a dataclass
+    does (TypeError for a missing, surplus or unknown argument), so
+    ``inspect.signature`` reads ``(*args, **kwargs)``; it sets them and calls
+    ``__post_init__``, the one hook, which converts and checks them and may
+    set extras with ``_set``; ``_unchecked`` skips it.  Assignment and
+    deletion through the instance raise AttributeError.  A record equals
+    another of its class with equal field tuple (NotImplemented for any
+    other class) and hashes as that tuple, a None field read as
+    ``_NONE_HASH`` (Python 3.10 and 3.11 hash None by its address, which
+    changes from process to process); eq, hash and ``repr`` ignore the
+    extras.  ``_asdict()`` maps the fields to values, records in them, also
+    inside tuples, to dicts."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
         # reads the field tuple in C; of one name, attrgetter gives the bare
         # value, which is wrapped
         get = attrgetter(*fields)
@@ -114,6 +122,17 @@ class _Record:
             return hash(values)
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = _arguments(type(self), args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -135,6 +154,32 @@ class _Record:
 
     def _asdict(self) -> dict:
         return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+    """The field values of a ``cls(*args, **kwargs)`` call that does not give
+    every field by position, in ``cls._fields`` order, with TypeError for
+    what a dataclass refuses."""
+    fields, call = cls._fields, cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(f"{call}() takes {len(fields)} field arguments but {len(args)} were given")
+    try:
+        rest = [kwargs.pop(f) if f in kwargs else cls._defaults[f] for f in fields[len(args) :]]
+    except KeyError as exc:
+        raise TypeError(f"{call}() missing required argument: {exc}") from None
+    for name in kwargs:  # the first name left over: given twice or unknown
+        how = "multiple values for" if name in fields else "an unexpected keyword"
+        raise TypeError(f"{call}() got {how} argument {name!r}")
+    return (*args, *rest)
+
+
+def _tuple(values, what: str, item=None) -> tuple:
+    """``values`` as a tuple, each passed through ``item`` if given; a
+    TypeError, as from a value that is not iterable, becomes ValidationError."""
+    try:
+        return tuple(values if item is None else map(item, values))
+    except TypeError as exc:
+        raise ValidationError(f"{what}, got {values!r}") from exc
 
 
 def _plain(value):
@@ -164,10 +209,7 @@ class Field(_Record):
     """Coefficient field: ``Field()`` is Q, ``Field(p)`` is F_p for a prime p."""
 
     __slots__ = ("characteristic",)
-
-    def __init__(self, characteristic: int = 0) -> None:
-        _set(self, "characteristic", characteristic)
-        self.__post_init__()
+    _defaults = {"characteristic": 0}
 
     def __post_init__(self) -> None:
         c = self.characteristic
@@ -234,6 +276,8 @@ def _check_elements(field: Field, rows: tuple[tuple, ...], width: int, what: str
     entries, each an element of ``field``: an int in [0, p) over F_p, a
     Fraction over Q.  Lists would leave the holder unhashable and unequal to
     the same rows as tuples."""
+    if type(field) is not Field:
+        raise ValidationError(f"{what} field must be a Field, got {field!r}")
     q = field.characteristic
     if type(rows) is not tuple:
         raise ValidationError(f"{what} rows must be a tuple of tuples")
@@ -253,19 +297,10 @@ class Matrix(_Record):
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
-    def __init__(
-        self, field: Field, nrows: int, ncols: int, entries: tuple[tuple[object, ...], ...]
-    ) -> None:
-        _set(self, "field", field)
-        _set(self, "nrows", nrows)
-        _set(self, "ncols", ncols)
-        _set(self, "entries", entries)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        _check_elements(self.field, self.entries, self.ncols, "matrix")
         if self.nrows != len(self.entries) or type(self.ncols) is not int or self.ncols < 0:
             raise ValidationError(f"matrix shape {self.shape} does not fit {len(self.entries)} rows")
-        _check_elements(self.field, self.entries, self.ncols, "matrix")
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable], ncols: int | None = None) -> "Matrix":
@@ -468,25 +503,14 @@ class Subspace(_Record):
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
-    def __init__(
-        self,
-        field: Field,
-        ambient: int,
-        basis: tuple[tuple[object, ...], ...],
-        pivots: tuple[int, ...],
-    ) -> None:
-        _set(self, "field", field)
-        _set(self, "ambient", ambient)
-        _set(self, "basis", basis)
-        _set(self, "pivots", pivots)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        if type(self.ambient) is not int or type(self.pivots) is not tuple:
+            raise ValidationError(f"subspace needs an int ambient and a tuple of pivots: {self!r}")
+        _check_elements(self.field, self.basis, self.ambient, "basis")
         if len(self.basis) != len(self.pivots):
             raise ValidationError("basis and pivot counts differ")
         if not all(a < b for a, b in zip([-1, *self.pivots], [*self.pivots, self.ambient])):
             raise ValidationError("pivots must be strictly increasing and in range")
-        _check_elements(self.field, self.basis, self.ambient, "basis")
         for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
             # a zero is falsy in both fields
             if row[p] != 1 or any(row[:p]) or any(row[c] for c in self.pivots[i + 1 :]):

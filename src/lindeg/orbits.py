@@ -23,7 +23,7 @@ import operator
 from typing import Callable, Iterable, Sequence
 
 from .errors import GuardExceededError, ValidationError, _check_size
-from .linalg import Field, Matrix, _Record, _set, _unchecked
+from .linalg import Field, Matrix, _Record, _set, _tuple, _unchecked
 from .representations import (
     Decomposition,
     DimVector,
@@ -66,14 +66,11 @@ class RankSequence(_Record):
 
     __slots__ = ("m", "table", "_decomposition", "_word", "_guard")
 
-    def __init__(self, m: int, table: RankTable) -> None:
-        _set(self, "m", m)
-        _set(self, "table", table)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if type(self.m) is not int:
             raise ValidationError(f"m must be an integer, got {self.m!r}")
+        if type(self.table) is not RankTable:
+            raise ValidationError(f"an orbit's table must be a RankTable, got {self.table!r}")
         if any(x != self.m for x in self.table.vertex_dims()):
             raise ValidationError("rank sequence must have constant vertex dimension m")
         _set(self, "_decomposition", decompose_from_ranks(self.table))
@@ -244,12 +241,8 @@ class ProjectionTuple(_Record):
 
     __slots__ = ("m", "zero_sets")
 
-    def __init__(self, m: int, zero_sets: Iterable[Iterable[int]]) -> None:
-        _set(self, "m", m)
-        _set(self, "zero_sets", tuple(frozenset(s) for s in zero_sets))
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        _set(self, "zero_sets", _tuple(self.zero_sets, "zero sets must be iterables", frozenset))
         if type(self.m) is not int:
             raise ValidationError(f"m must be an integer, got {self.m!r}")
         allowed = range(1, self.m + 1)  # a range tests membership without a set of size m

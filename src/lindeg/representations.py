@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import NotRealizableError, NotSubrepresentationError, ValidationError
-from .linalg import Field, Matrix, Subspace, _Record, _set, _unchecked
+from .linalg import Field, Matrix, Subspace, _Record, _set, _tuple, _unchecked
 
 __all__ = [
     "Decomposition",
@@ -46,11 +46,6 @@ class Interval(_Record):
     the tuple (start, end)."""
 
     __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int) -> None:
-        _set(self, "start", start)
-        _set(self, "end", end)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.start) is not int or type(self.end) is not int or not (
@@ -105,12 +100,8 @@ class DimVector(_Record):
 
     __slots__ = ("m", "d")
 
-    def __init__(self, m: int, d: Iterable[int]) -> None:
-        _set(self, "m", m)
-        _set(self, "d", tuple(d))
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        _set(self, "d", _tuple(self.d, "flag dimensions d must be iterable"))
         if type(self.m) is not int or not all(type(x) is int for x in self.d):
             raise ValidationError(f"m and d must be integers, got d={self.d!r}, m={self.m!r}")
         if not self.d:
@@ -142,11 +133,6 @@ class Decomposition(_Record):
     """Multiset of interval modules over a fixed quiver length n."""
 
     __slots__ = ("n", "items")
-
-    def __init__(self, n: int, items: tuple[tuple[Interval, int], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "items", items)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 0:
@@ -239,11 +225,6 @@ class RankTable(_Record):
 
     __slots__ = ("n", "rows", "_flat")
 
-    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "rows", rows)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             raise ValidationError(f"rank table length must be an integer, got {self.n!r}")
@@ -297,13 +278,11 @@ class RepMatrices(_Record):
 
     __slots__ = ("field", "dims", "maps")
 
-    def __init__(self, field: Field, dims: Iterable[int], maps: Iterable[Matrix]) -> None:
-        _set(self, "field", field)
-        _set(self, "dims", tuple(dims))
-        _set(self, "maps", tuple(maps))
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        _set(self, "dims", _tuple(self.dims, "vertex dimensions must be iterable"))
+        _set(self, "maps", _tuple(self.maps, "maps must be iterable"))
+        if type(self.field) is not Field:
+            raise ValidationError(f"representation field must be a Field, got {self.field!r}")
         if not self.dims:
             raise ValidationError("representation needs at least one vertex")
         if not all(type(x) is int and x >= 0 for x in self.dims):
@@ -311,6 +290,8 @@ class RepMatrices(_Record):
         if len(self.maps) != len(self.dims) - 1:
             raise ValidationError("need exactly n-1 maps for n vertices")
         for i, f in enumerate(self.maps):
+            if type(f) is not Matrix:
+                raise ValidationError(f"map {i + 1} must be a Matrix, got {f!r}")
             if f.field != self.field:
                 raise ValidationError("map fields disagree with representation field")
             if f.shape != (self.dims[i + 1], self.dims[i]):
@@ -469,13 +450,12 @@ class SubrepPoint(_Record):
 
     __slots__ = ("spaces",)
 
-    def __init__(self, spaces: Iterable[Subspace]) -> None:
-        _set(self, "spaces", tuple(spaces))
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        _set(self, "spaces", _tuple(self.spaces, "a point's subspaces must be iterable"))
         if not self.spaces:
             raise ValidationError("a point needs at least one vertex")
+        if not all(type(space) is Subspace for space in self.spaces):
+            raise ValidationError(f"a point holds only Subspaces, got {self.spaces!r}")
 
     @property
     def coordinates(self) -> tuple[tuple[int, ...], ...] | None:

@@ -42,7 +42,6 @@ from .linalg import (
     _images,
     _pivots,
     _Record,
-    _set,
     _unchecked,
     intertwiner_space_dim,
     inverse,
@@ -80,12 +79,6 @@ P_LARGE = 101
 
 class SuiteResult(_Record):
     __slots__ = ("name", "passed", "checks", "failures")
-
-    def __init__(self, name: str, passed: bool, checks: int, failures: tuple[str, ...]) -> None:
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "checks", checks)
-        _set(self, "failures", failures)
 
     def summary_line(self) -> str:
         status = "ok" if self.passed else "FAIL"

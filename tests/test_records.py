@@ -5,6 +5,7 @@ without lindeg importing ``dataclasses`` at all."""
 import copy
 import dataclasses
 import importlib
+import inspect
 import os
 import pickle
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import lindeg
 from lindeg import (
     GF,
+    QQ,
     CensusResult,
     Decomposition,
     DimVector,
@@ -28,13 +30,14 @@ from lindeg import (
     SigmaReport,
     SingularInfo,
     SubrepPoint,
+    ValidationError,
     classify,
     coordinate_subspace,
     flat_flags,
     singular_model,
 )
 from lindeg.cli import Problem
-from lindeg.linalg import Matrix, _Record, _unchecked
+from lindeg.linalg import Field, Matrix, Subspace, _Record, _unchecked
 from lindeg.verification import SuiteResult
 
 MODULES = [
@@ -125,6 +128,11 @@ class TestContract:
         assert twin != record and record != twin
         assert record.__eq__(twin) is NotImplemented
 
+    def test_fields_are_taken_by_name(self, name):
+        record = SAMPLES[name]
+        cls = type(record)
+        assert cls(**dict(zip(cls._fields, values(record)))) == record
+
     def test_hash_and_repr_are_the_dataclass_ones(self, name):
         record = SAMPLES[name]
         frozen = dataclasses.make_dataclass(name, record._fields, frozen=True)(*values(record))
@@ -162,6 +170,81 @@ def test_only_the_base_writes_eq_and_hash():
     order = ("__lt__", "__le__", "__gt__", "__ge__")
     written = [m for m in order if vars(Interval)[m].__qualname__.startswith("Interval.")]
     assert written == ["__lt__"]
+
+
+def test_only_the_base_writes_init():
+    """Every record is built by ``_Record.__init__``: its fields by position
+    or by name, then ``__post_init__``."""
+    for name, cls in record_classes().items():
+        assert "__init__" not in vars(cls), name
+    assert str(inspect.signature(Interval)) == "(*args, **kwargs)"
+
+
+def test_missing_fields_take_the_class_defaults():
+    assert Field() == QQ
+    assert SigmaReport(2, 2, True).failures == ()
+    info = SingularInfo("exact", 3, singular_dim=0)
+    assert info == SingularInfo("exact", 3, None, None, 0)
+    assert (info.codim_lower, info.model) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((1,), {}), ((1, 2, 3), {}), ((1, 2), {"stop": 3}), ((1,), {"start": 1}), ((), {"end": 2})],
+    ids=["missing", "surplus", "unknown", "twice", "missing-first"],
+)
+def test_bad_arguments_raise_type_error_as_a_dataclass_does(args, kwargs):
+    twin = dataclasses.make_dataclass("Interval", ("start", "end"))
+    for cls in (twin, Interval):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RankSequence(3, [[3]]),
+        lambda: RepMatrices(GF(2), (2, 2), ((1,),)),
+        lambda: RepMatrices(GF(2), 3, ()),
+        lambda: RepMatrices("F_2", (1,), ()),
+        lambda: Matrix("x", 0, 0, ()),
+        lambda: Matrix(QQ, 0, 0, 5),
+        lambda: Subspace(QQ, 2, 5, ()),
+        lambda: Subspace(QQ, "x", (), ()),
+        lambda: ProjectionTuple(3, 5),
+        lambda: ProjectionTuple(3, (1,)),
+        lambda: DimVector(5, 3),
+        lambda: SubrepPoint(5),
+        lambda: SubrepPoint((1, 2)),
+    ],
+    ids=[
+        "orbit-table-as-lists",
+        "map-as-tuple",
+        "dims-as-int",
+        "field-as-str",
+        "matrix-field-as-str",
+        "matrix-rows-as-int",
+        "subspace-basis-as-int",
+        "subspace-ambient-as-str",
+        "zero-sets-as-int",
+        "zero-set-as-int",
+        "flag-as-int",
+        "point-as-int",
+        "point-of-ints",
+    ],
+)
+def test_a_field_of_the_wrong_type_is_a_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_iterable_fields_are_converted():
+    rep = RepMatrices(GF(2), [3, 3], [Matrix.identity(GF(2), 3)])
+    assert (rep.dims, type(rep.maps)) == ((3, 3), tuple)
+    assert DimVector(3, [1, 2]) == FLAG
+    assert ProjectionTuple(3, [[1]]) == SAMPLES["ProjectionTuple"]
+    point = SAMPLES["SubrepPoint"]
+    assert SubrepPoint(list(point.spaces)) == point
 
 
 def test_nested_records_become_dicts():
